@@ -1,0 +1,78 @@
+"""Golden figures of the 9 bundled scenarios.
+
+For each scenario: the optimized parameter vector and its key length, the
+key length at the scenario's own source parameters, and the asymptotic
+rate at a few pass samples. Refactors must reproduce them to a relative
+1e-9. Regenerate with `PYTHONPATH=src python tests/test_golden.py` only
+when a change is meant to move these figures.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from satqkd.finitekey import asymptotic_skr
+from satqkd.linkbudget import compute_breakdowns
+from satqkd.optimizer import ParamVector, evaluate_params, optimize_pass
+from satqkd.scenario import bundled_scenario_names, load_bundled_scenario
+
+GOLDEN_PATH = Path(__file__).with_name("golden_bundled.json")
+REL = 1e-9
+SAMPLE_FRACTIONS = (0.0, 0.15, 0.3, 0.5)
+
+
+def _own_params(scenario) -> ParamVector:
+    src = scenario.source
+    return ParamVector(
+        mu=src.signal_intensity, nu=src.decoy_intensity, p_mu=src.p_mu, p_nu=src.p_nu,
+        p_z=src.p_z_alice, min_elevation_deg=scenario.station.min_elevation_deg,
+    )
+
+
+def snapshot(scenario, params: ParamVector, result) -> dict:
+    pass_geometry = scenario.synth_pass()
+    breakdowns = compute_breakdowns(
+        pass_geometry, scenario.transmitter, scenario.receiver, scenario.atmosphere
+    )
+    last = len(pass_geometry.samples) - 1
+    indices = sorted({round(f * last) for f in SAMPLE_FRACTIONS})
+    own = evaluate_params(
+        pass_geometry, scenario.hardware(), scenario.security, scenario.n_decoys,
+        _own_params(scenario),
+    )
+    return {
+        "optimized_params": asdict(params),
+        "optimized_skl_bits": result.skl_bits,
+        "own_skl_bits": own.skl_bits,
+        "asymptotic_skr": {
+            repr(pass_geometry.samples[i].t_s): asymptotic_skr(
+                breakdowns[i].eta, scenario.source, scenario.detector, scenario.security
+            )
+            for i in indices
+        },
+    }
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenario_matches_golden(name, bundled_results):
+    want = json.loads(GOLDEN_PATH.read_text())[name]
+    got = snapshot(load_bundled_scenario(name), *bundled_results[name])
+    assert got["optimized_params"] == pytest.approx(want["optimized_params"], rel=REL, abs=0)
+    assert got["optimized_skl_bits"] == pytest.approx(want["optimized_skl_bits"], rel=REL, abs=0)
+    assert got["own_skl_bits"] == pytest.approx(want["own_skl_bits"], rel=REL, abs=0)
+    assert got["asymptotic_skr"] == pytest.approx(want["asymptotic_skr"], rel=REL, abs=0)
+
+
+if __name__ == "__main__":
+    golden = {}
+    for name in bundled_scenario_names():
+        scenario = load_bundled_scenario(name)
+        params, result = optimize_pass(
+            scenario.synth_pass(), scenario.hardware(), scenario.security,
+            scenario.n_decoys, scenario.optimizer,
+        )
+        golden[name] = snapshot(scenario, params, result)
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
