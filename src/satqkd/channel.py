@@ -4,8 +4,11 @@ Expected-value tallies use the standard weak-coherent-pulse channel model:
 a pulse of intensity k clicks with probability D_k = 1 - (1 - Y0) e^(-k eta)
 and errs with probability e_k = (Y0/2 + e_mis (1 - e^(-k eta))) / D_k,
 where eta includes the detector efficiency and Y0 collects dark and
-background counts. A seeded per-pulse Monte Carlo sampler with true
-photon-number bookkeeping serves as the validation oracle.
+background counts. These expressions live in `_wcp` alone; `presift_rows`
+is the single array kernel over eta that every expected-value path (the
+pass tallies, the fixed-eta block, the optimizer's per-cut sums and the
+asymptotic rate) derives from. A seeded per-pulse Monte Carlo sampler with
+true photon-number bookkeeping serves as the validation oracle.
 """
 from __future__ import annotations
 
@@ -16,7 +19,12 @@ import numpy as np
 from .linkbudget import LinkBudgetBreakdown
 from .orbit import PassGeometry
 
-INTENSITY_KEYS = ("mu", "nu", "vac")
+# Detected (n) and erroneous (m) counts per basis and intensity (mu, nu,
+# vac), in the row order of sifted_rows.
+TALLY_FIELDS = (
+    "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
+    "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
+)
 
 
 class ChannelError(ValueError):
@@ -35,7 +43,6 @@ class DetectorSpec:
     efficiency: float
     dark_count_rate_hz: float
     dead_time_ns: float
-    timing_jitter_ps: float
     background_rate_hz: float
     n_detectors: int = 1
     gate_width_ns: float | None = 1.0
@@ -43,7 +50,7 @@ class DetectorSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
             raise ChannelError(f"detector.efficiency must be in (0, 1], got {self.efficiency}")
-        for name in ("dark_count_rate_hz", "dead_time_ns", "timing_jitter_ps", "background_rate_hz"):
+        for name in ("dark_count_rate_hz", "dead_time_ns", "background_rate_hz"):
             if getattr(self, name) < 0:
                 raise ChannelError(f"detector.{name} must be >= 0, got {getattr(self, name)}")
         if self.n_detectors < 1:
@@ -179,14 +186,7 @@ class TallySet:
 
     def scaled(self, factor: float) -> "TallySet":
         """All counts multiplied by factor (truth dropped)."""
-        values = {
-            name: getattr(self, name) * factor
-            for name in (
-                "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
-                "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
-                "n_sent",
-            )
-        }
+        values = {name: getattr(self, name) * factor for name in TALLY_FIELDS + ("n_sent",)}
         return TallySet(**values)
 
 
@@ -207,9 +207,17 @@ def background_yield(det: DetectorSpec, pulse_rate_hz: float) -> float:
     return min(1.0, y0)
 
 
+def _wcp(k, eta_total, y0, e_mis_z, e_mis_x):
+    """Click probability D_k = 1 - (1 - Y0) e^(-k eta) of an intensity-k
+    pulse and its Z/X error probabilities Y0/2 + e_mis (1 - e^(-k eta))."""
+    attenuation = np.exp(-k * eta_total)
+    signal = 1.0 - attenuation
+    return 1.0 - (1.0 - y0) * attenuation, 0.5 * y0 + e_mis_z * signal, 0.5 * y0 + e_mis_x * signal
+
+
 def pulse_gain(k: float, eta_total: float, y0: float):
     """Click probability of an intensity-k pulse: 1 - (1 - Y0) e^(-k eta)."""
-    return 1.0 - (1.0 - y0) * np.exp(-k * eta_total)
+    return _wcp(k, eta_total, y0, 0.0, 0.0)[0]
 
 
 def pulse_qber(k: float, eta_total: float, y0: float, e_mis: float):
@@ -217,10 +225,10 @@ def pulse_qber(k: float, eta_total: float, y0: float, e_mis: float):
 
     e_k = (Y0/2 + e_mis (1 - e^(-k eta))) / D_k. Undefined for D_k = 0.
     """
-    d_k = pulse_gain(k, eta_total, y0)
+    d_k, err, _ = _wcp(k, eta_total, y0, e_mis, e_mis)
     if np.any(np.asarray(d_k) <= 0.0):
         raise ChannelError("pulse_qber undefined: pulse gain is zero")
-    return (0.5 * y0 + e_mis * (1.0 - np.exp(-k * eta_total))) / d_k
+    return err / d_k
 
 
 def dead_time_factor(click_rate_hz, dead_time_ns: float):
@@ -228,8 +236,68 @@ def dead_time_factor(click_rate_hz, dead_time_ns: float):
     return 1.0 / (1.0 + click_rate_hz * dead_time_ns * 1e-9)
 
 
+def presift_rows(eta, mu, nu, p_mu, p_nu, p_vac, source: SourceSpec, det: DetectorSpec):
+    """Per-pulse click and error probabilities of the (mu, nu, vac) intensities.
+
+    eta is the total transmission (detector efficiency included), of any
+    shape. mu, nu and the three intensity probabilities are scalars or
+    arrays of one shape, whose axes come before eta's. The pulse rate and
+    misalignments are the source's, Y0 and the dead time the detector's.
+
+    Returns (clicks, errors_z, errors_x, f_dead). The first three carry a
+    leading axis over (mu, nu, vac) and hold p_k D_k and the per-basis
+    p_k (Y0/2 + e_mis (1 - e^(-k eta))) before basis sifting; f_dead =
+    1 / (1 + R tau) with R the pulse rate times the mean click probability.
+    """
+    eta = np.asarray(eta, dtype=float)
+    k = np.array([mu, nu, 0.0 * mu])  # the vacuum intensity, shaped like mu
+    p = np.array([p_mu, p_nu, p_vac])
+    trailing = k.shape + (1,) * eta.ndim
+    k, p = k.reshape(trailing), p.reshape(trailing)
+    y0 = background_yield(det, source.pulse_rate_hz)
+    gain, err_z, err_x = _wcp(k, eta, y0, source.misalignment_z, source.misalignment_x)
+    clicks = p * gain
+    f_dead = dead_time_factor(source.pulse_rate_hz * clicks.sum(axis=0), det.dead_time_ns)
+    return clicks, p * err_z, p * err_x, f_dead
+
+
+def sifted_rows(clicks, errors_z, errors_x, p_z_alice, p_z_bob) -> dict[str, np.ndarray]:
+    """TALLY_FIELDS mapped to their presift rows times the basis-sifting
+    probability; each presift argument is iterated over its intensity axis."""
+    sift_z = p_z_alice * p_z_bob
+    sift_x = (1.0 - p_z_alice) * (1.0 - p_z_bob)
+    rows = (*clicks, *clicks, *errors_z, *errors_x)
+    sifts = (sift_z,) * 3 + (sift_x,) * 3 + (sift_z,) * 3 + (sift_x,) * 3
+    return {name: row * sift for name, row, sift in zip(TALLY_FIELDS, rows, sifts)}
+
+
 def _eta_per_sample(breakdowns: list[LinkBudgetBreakdown], det: DetectorSpec) -> np.ndarray:
     return np.array([b.eta for b in breakdowns]) * det.efficiency
+
+
+def _check_breakdowns(pass_geometry: PassGeometry, breakdowns: list[LinkBudgetBreakdown]) -> None:
+    if len(breakdowns) != len(pass_geometry.samples):
+        raise ChannelError(
+            f"need one breakdown per pass sample, got {len(breakdowns)} for "
+            f"{len(pass_geometry.samples)} samples"
+        )
+
+
+def _summed_tallies(eta_total: np.ndarray, pulses_per_sample: float, source: SourceSpec, det: DetectorSpec) -> TallySet:
+    """Expected counts summed over samples of pulses_per_sample pulses each."""
+    clicks, err_z, err_x, f_dead = presift_rows(
+        eta_total, source.signal_intensity, source.decoy_intensity,
+        source.p_mu, source.p_nu, source.p_vac, source, det,
+    )
+    weight = pulses_per_sample * f_dead
+    rows = sifted_rows(
+        (clicks * weight).sum(axis=-1), (err_z * weight).sum(axis=-1),
+        (err_x * weight).sum(axis=-1), source.p_z_alice, source.p_z_bob,
+    )
+    return TallySet(
+        n_sent=float(pulses_per_sample * len(eta_total)),
+        **{name: float(value) for name, value in rows.items()},
+    )
 
 
 def expected_tallies(
@@ -247,38 +315,14 @@ def expected_tallies(
     with f_dead = 1 / (1 + R_click * tau_dead) evaluated from the total
     (pre-sifting) click rate of the sample.
     """
-    if len(breakdowns) != len(pass_geometry.samples):
-        raise ChannelError(
-            f"need one breakdown per pass sample, got {len(breakdowns)} for "
-            f"{len(pass_geometry.samples)} samples"
-        )
-    elevations = np.array(pass_geometry.elevations_deg())
-    keep = elevations >= min_elevation_deg
+    _check_breakdowns(pass_geometry, breakdowns)
+    keep = np.array(pass_geometry.elevations_deg()) >= min_elevation_deg
     if not keep.any():
         return TallySet()
-    eta = _eta_per_sample(breakdowns, det)[keep]
-    y0 = background_yield(det, source.pulse_rate_hz)
-    pulses = source.pulse_rate_hz * pass_geometry.sample_dt_s
-    p_sift_z = source.p_z_alice * source.p_z_bob
-    p_sift_x = (1.0 - source.p_z_alice) * (1.0 - source.p_z_bob)
-
-    intensities = source.intensities()
-    probabilities = source.probabilities()
-    gains = {key: pulse_gain(k, eta, y0) for key, k in intensities.items()}
-    mean_gain = sum(probabilities[key] * gains[key] for key in gains)
-    f_dead = dead_time_factor(source.pulse_rate_hz * mean_gain, det.dead_time_ns)
-
-    values: dict[str, float] = {}
-    for key, k in intensities.items():
-        base = pulses * probabilities[key] * gains[key] * f_dead
-        e_z = pulse_qber(k, eta, y0, source.misalignment_z)
-        e_x = pulse_qber(k, eta, y0, source.misalignment_x)
-        values[f"n_z_{key}"] = float(np.sum(base * p_sift_z))
-        values[f"n_x_{key}"] = float(np.sum(base * p_sift_x))
-        values[f"m_z_{key}"] = float(np.sum(base * p_sift_z * e_z))
-        values[f"m_x_{key}"] = float(np.sum(base * p_sift_x * e_x))
-    values["n_sent"] = float(pulses * np.count_nonzero(keep))
-    return TallySet(**values)
+    return _summed_tallies(
+        _eta_per_sample(breakdowns, det)[keep],
+        source.pulse_rate_hz * pass_geometry.sample_dt_s, source, det,
+    )
 
 
 def expected_tallies_fixed_eta(
@@ -288,26 +332,7 @@ def expected_tallies_fixed_eta(
     det: DetectorSpec,
 ) -> TallySet:
     """Expected counts for a static channel block of n_pulses at fixed eta."""
-    eta = eta_channel * det.efficiency
-    y0 = background_yield(det, source.pulse_rate_hz)
-    p_sift_z = source.p_z_alice * source.p_z_bob
-    p_sift_x = (1.0 - source.p_z_alice) * (1.0 - source.p_z_bob)
-    intensities = source.intensities()
-    probabilities = source.probabilities()
-    gains = {key: float(pulse_gain(k, eta, y0)) for key, k in intensities.items()}
-    mean_gain = sum(probabilities[key] * gains[key] for key in gains)
-    f_dead = dead_time_factor(source.pulse_rate_hz * mean_gain, det.dead_time_ns)
-
-    values: dict[str, float] = {"n_sent": float(n_pulses)}
-    for key, k in intensities.items():
-        base = n_pulses * probabilities[key] * gains[key] * f_dead
-        e_z = float(pulse_qber(k, eta, y0, source.misalignment_z))
-        e_x = float(pulse_qber(k, eta, y0, source.misalignment_x))
-        values[f"n_z_{key}"] = base * p_sift_z
-        values[f"n_x_{key}"] = base * p_sift_x
-        values[f"m_z_{key}"] = base * p_sift_z * e_z
-        values[f"m_x_{key}"] = base * p_sift_x * e_x
-    return TallySet(**values)
+    return _summed_tallies(np.array([eta_channel * det.efficiency]), n_pulses, source, det)
 
 
 def monte_carlo_tallies(
@@ -331,11 +356,7 @@ def monte_carlo_tallies(
     """
     if thinning < 1.0:
         raise ChannelError(f"thinning must be >= 1, got {thinning}")
-    if len(breakdowns) != len(pass_geometry.samples):
-        raise ChannelError(
-            f"need one breakdown per pass sample, got {len(breakdowns)} for "
-            f"{len(pass_geometry.samples)} samples"
-        )
+    _check_breakdowns(pass_geometry, breakdowns)
     rng = np.random.Generator(np.random.PCG64(seed))
     y0 = background_yield(det, source.pulse_rate_hz)
     pulses_per_sample = int(round(source.pulse_rate_hz * pass_geometry.sample_dt_s / thinning))
@@ -354,24 +375,21 @@ def monte_carlo_tallies(
         )
     category_p = np.array(category_p)
 
-    counts = {name: 0 for name in (
-        "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
-        "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
-    )}
+    counts = {name: 0 for name in TALLY_FIELDS}
     truth = {name: 0 for name in (
         "s_z0", "s_z1", "s_x0", "s_x1", "m_z0", "m_z1", "m_x0", "m_x1",
     )}
     n_sent = 0
 
     eta_all = _eta_per_sample(breakdowns, det)
-    for sample, eta in zip(pass_geometry.samples, eta_all):
+    f_dead_all = presift_rows(
+        eta_all, source.signal_intensity, source.decoy_intensity,
+        source.p_mu, source.p_nu, source.p_vac, source, det,
+    )[3]
+    for sample, eta, f_dead in zip(pass_geometry.samples, eta_all, f_dead_all):
         if sample.elevation_deg < min_elevation_deg:
             continue
         n_sent += pulses_per_sample
-        mean_gain = sum(
-            probabilities[key] * float(pulse_gain(k, eta, y0)) for key, k in intensities.items()
-        )
-        f_dead = dead_time_factor(source.pulse_rate_hz * mean_gain, det.dead_time_ns)
         split = rng.multinomial(pulses_per_sample, category_p)
         for i, key in enumerate(keys):
             k = intensities[key]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import expected_tallies, monte_carlo_tallies
+from .channel import TALLY_FIELDS, expected_tallies, monte_carlo_tallies
 from .linkbudget import LinkBudgetBreakdown, compute_breakdowns
 from .optimizer import ParamVector, evaluate_params, optimize_pass, sweep_max_elevation
 from .relay import KeyStore, recover
@@ -201,12 +201,7 @@ def cmd_mc_validate(args) -> int:
     expected = expected_tallies(pass_geometry, breakdowns, source, det, min_elev).scaled(
         1.0 / thinning
     )
-    fields = [
-        "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
-        "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
-    ]
-    if not source.vacuum_included:
-        fields = [f for f in fields if not f.endswith("_vac")]
+    fields = [f for f in TALLY_FIELDS if source.vacuum_included or not f.endswith("_vac")]
     per_seed = []
     all_ok = True
     for i in range(args.seeds):

@@ -20,7 +20,11 @@ oracle with true photon-number tags gates these bounds in the test suite.
 
 All estimator arithmetic is written against numpy so the whole-pass
 optimizer can evaluate many candidate blocks in one call; the public
-functions accept plain scalars.
+functions accept plain scalars. The key-length formula itself is written
+once, in `_key_length`, which both the scalar `secure_key_length` and the
+array `skl_real_arrays` evaluate; the asymptotic limit is likewise the one
+array function `asymptotic_rate`, built on the channel kernel
+`presift_rows`.
 """
 from __future__ import annotations
 
@@ -29,7 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DetectorSpec, SourceSpec, TallySet, background_yield, dead_time_factor
+from .channel import (
+    TALLY_FIELDS,
+    DetectorSpec,
+    SourceSpec,
+    TallySet,
+    background_yield,
+    presift_rows,
+)
 
 EPSILON_BUDGET = {1: 19, 2: 21}
 
@@ -85,17 +96,23 @@ class SklResult:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
+def _entropy(x):
+    """Unchecked binary entropy over arrays, with h(0) = h(1) = 0."""
+    arr = np.asarray(x, dtype=float)
+    safe = np.clip(arr, 1e-300, 1.0 - 1e-16)
+    return np.where(
+        (arr <= 0.0) | (arr >= 1.0),
+        0.0,
+        -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe),
+    )
+
+
 def binary_entropy(x):
     """Binary entropy -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise FiniteKeyError(f"binary_entropy argument must be in [0, 1], got {x}")
-    safe = np.clip(arr, 1e-300, 1.0 - 1e-16)
-    out = np.where(
-        (arr <= 0.0) | (arr >= 1.0),
-        0.0,
-        -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe),
-    )
+    out = _entropy(arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,21 +124,24 @@ def hoeffding_delta(n, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def emission_tau(intensities, probabilities, n: int) -> float:
+def emission_tau(intensities, probabilities, n: int):
     """Probability tau_n that an emitted pulse carries exactly n photons.
 
-    tau_n = sum_k p_k e^(-k) k^n / n! over the intensity mixture.
+    tau_n = sum_k p_k e^(-k) k^n / n! over the intensity mixture. Each
+    intensity and probability may be an array of candidates.
     """
     if n < 0:
         raise FiniteKeyError(f"photon number must be >= 0, got {n}")
     probs = list(probabilities)
-    if abs(sum(probs) - 1.0) > 1e-9:
+    # Scalars stay on the math module: the optimizer calls this per block.
+    arrays = any(isinstance(x, np.ndarray) for x in (*intensities, *probs))
+    off_unity = abs(sum(probs) - 1.0) > 1e-9
+    if np.any(off_unity) if arrays else off_unity:
         raise FiniteKeyError(f"intensity probabilities must sum to 1, got {sum(probs)}")
     fact = float(math.factorial(n))
-    total = 0.0
-    for k, p in zip(intensities, probs):
-        total += p * math.exp(-k) * k**n / fact
-    return float(total)
+    exp = np.exp if arrays else math.exp
+    total = sum(p * exp(-k) * k**n / fact for k, p in zip(intensities, probs))
+    return total if arrays else float(total)
 
 
 def _gamma_transfer(a: float, b, c, d, budget: int):
@@ -140,13 +160,6 @@ def _gamma_transfer(a: float, b, c, d, budget: int):
         (c_s + d_s) * (1.0 - b_s) * b_s / (c_s * d_s * np.log(2.0)) * np.log2(inner)
     )
     return np.where(ok, gamma, 0.0)
-
-
-def _entropy_unchecked(x):
-    safe = np.clip(np.asarray(x, dtype=float), 1e-300, 1.0 - 1e-16)
-    return np.where(
-        (np.asarray(x) <= 0.0), 0.0, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe)
-    )
 
 
 def _rescale_plus(count, p_k: float, k: float, delta):
@@ -304,31 +317,51 @@ def skl_real_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unfloored key length and abort mask for arrays of tally blocks."""
     est = _estimate_arrays(t, mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
-    budget = EPSILON_BUDGET[n_decoys]
-    n_z_tot = t["n_z_mu"] + t["n_z_nu"] + t["n_z_vac"]
-    m_z_tot = t["m_z_mu"] + t["m_z_nu"] + t["m_z_vac"]
-    q_z = np.where(n_z_tot > 0, m_z_tot / np.maximum(n_z_tot, 1e-300), 0.0)
-    lam_ec = security.f_ec * n_z_tot * _entropy_unchecked(q_z)
-    penalty = 6.0 * np.log2(budget / security.eps_sec) + np.log2(2.0 / security.eps_corr)
-    l_real = (
-        est["s_z0_low"]
-        + est["s_z1_low"] * (1.0 - _entropy_unchecked(est["phi_up"]))
-        - lam_ec
-        - penalty
+    terms = _key_length(
+        est["s_z0_low"], est["s_z1_low"], est["phi_up"],
+        t["n_z_mu"] + t["n_z_nu"] + t["n_z_vac"], t["m_z_mu"] + t["m_z_nu"] + t["m_z_vac"],
+        security, n_decoys,
     )
+    l_real = terms["l_real"]
     aborted = est["aborted"] | (l_real <= 0.0)
     return np.where(aborted, 0.0, l_real), aborted
 
 
+def _key_length(s_z0, s_z1, phi, n_z, m_z, security: SecurityParams, n_decoys: int) -> dict:
+    """The key-length formula and its terms, elementwise over arrays:
+    l = s_Z0 + s_Z1 (1 - h(phi)) - f_ec n_Z h(Q_Z) - 6 log2(b / eps_sec)
+    - log2(2 / eps_corr), with Q_Z = m_Z / n_Z (0 when n_Z = 0)."""
+    budget = EPSILON_BUDGET[n_decoys]
+    q_z = np.where(n_z > 0, m_z / np.maximum(n_z, 1e-300), 0.0)
+    lam_ec = security.f_ec * n_z * _entropy(q_z)
+    penalty_sec = 6.0 * np.log2(budget / security.eps_sec)
+    penalty_corr = np.log2(2.0 / security.eps_corr)
+    one_minus_h_phi = 1.0 - _entropy(phi)
+    return {
+        "q_z": q_z,
+        "lambda_ec": lam_ec,
+        "penalty_sec": penalty_sec,
+        "penalty_corr": penalty_corr,
+        "one_minus_h_phi": one_minus_h_phi,
+        "l_real": s_z0 + s_z1 * one_minus_h_phi - lam_ec - (penalty_sec + penalty_corr),
+    }
+
+
 def _tally_dict(tallies: TallySet) -> dict[str, np.ndarray]:
-    names = (
-        "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
-        "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
+    return {name: np.asarray(getattr(tallies, name), dtype=float) for name in TALLY_FIELDS}
+
+
+def _decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParams, n_decoys: int) -> DecoyBounds:
+    est = _estimate_arrays(
+        _tally_dict(tallies),
+        source.signal_intensity,
+        source.decoy_intensity,
+        source.p_mu,
+        source.p_nu,
+        source.p_vac,
+        security,
+        n_decoys,
     )
-    return {name: np.asarray(getattr(tallies, name), dtype=float) for name in names}
-
-
-def _bounds_from_estimates(est: dict[str, np.ndarray], note: str) -> DecoyBounds:
     return DecoyBounds(
         s_z0_low=float(est["s_z0_low"]),
         s_z1_low=float(est["s_z1_low"]),
@@ -339,7 +372,7 @@ def _bounds_from_estimates(est: dict[str, np.ndarray], note: str) -> DecoyBounds
         v_x1_up=float(est["v_x1_up"]),
         aborted=bool(est["aborted"]),
         s_z0_up=None if est["s_z0_up"] is None else float(est["s_z0_up"]),
-        note=note,
+        note="two-decoy" if n_decoys == 2 else "one-decoy",
     )
 
 
@@ -347,34 +380,14 @@ def two_decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityPa
     """Vacuum/single-photon bounds for the two-decoy protocol (mu, nu, vacuum)."""
     if not source.vacuum_included:
         raise FiniteKeyError("two_decoy_bounds requires a source with the vacuum intensity")
-    est = _estimate_arrays(
-        _tally_dict(tallies),
-        source.signal_intensity,
-        source.decoy_intensity,
-        source.p_mu,
-        source.p_nu,
-        source.p_vac,
-        security,
-        n_decoys=2,
-    )
-    return _bounds_from_estimates(est, note="two-decoy")
+    return _decoy_bounds(tallies, source, security, n_decoys=2)
 
 
 def one_decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParams) -> DecoyBounds:
     """Vacuum/single-photon bounds for the one-decoy protocol (mu, nu only)."""
     if source.vacuum_included:
         raise FiniteKeyError("one_decoy_bounds requires a source without the vacuum intensity")
-    est = _estimate_arrays(
-        _tally_dict(tallies),
-        source.signal_intensity,
-        source.decoy_intensity,
-        source.p_mu,
-        source.p_nu,
-        0.0,
-        security,
-        n_decoys=1,
-    )
-    return _bounds_from_estimates(est, note="one-decoy")
+    return _decoy_bounds(tallies, source, security, n_decoys=1)
 
 
 def estimate_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParams) -> DecoyBounds:
@@ -397,30 +410,28 @@ def secure_key_length(
     """
     if n_decoys not in EPSILON_BUDGET:
         raise FiniteKeyError(f"n_decoys must be 1 or 2, got {n_decoys}")
-    budget = EPSILON_BUDGET[n_decoys]
-    n_z = tallies.n_z_total
-    m_z = tallies.m_z_total
-    q_z = m_z / n_z if n_z > 0 else 0.0
-    lam_ec = security.f_ec * n_z * binary_entropy(min(q_z, 1.0))
-    penalty_sec = 6.0 * np.log2(budget / security.eps_sec)
-    penalty_corr = np.log2(2.0 / security.eps_corr)
-    key_term = bounds.s_z0_low + bounds.s_z1_low * (1.0 - binary_entropy(bounds.phi_z_up))
-    l_real = float(key_term - lam_ec - penalty_sec - penalty_corr)
+    if not 0.0 <= bounds.phi_z_up <= 1.0:
+        raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
+    terms = _key_length(
+        bounds.s_z0_low, bounds.s_z1_low, bounds.phi_z_up,
+        tallies.n_z_total, tallies.m_z_total, security, n_decoys,
+    )
+    l_real = float(terms["l_real"])
     aborted = bool(bounds.aborted or l_real <= 0.0)
     diagnostics = {
         "s_z0_low": bounds.s_z0_low,
         "s_z1_low": bounds.s_z1_low,
         "phi_z_up": bounds.phi_z_up,
-        "one_minus_h_phi": 1.0 - binary_entropy(bounds.phi_z_up),
-        "lambda_ec_bits": float(lam_ec),
-        "penalty_sec_bits": float(penalty_sec),
-        "penalty_corr_bits": float(penalty_corr),
-        "q_z_observed": float(q_z),
-        "l_real": float(l_real),
+        "one_minus_h_phi": float(terms["one_minus_h_phi"]),
+        "lambda_ec_bits": float(terms["lambda_ec"]),
+        "penalty_sec_bits": float(terms["penalty_sec"]),
+        "penalty_corr_bits": float(terms["penalty_corr"]),
+        "q_z_observed": float(terms["q_z"]),
+        "l_real": l_real,
     }
     return SklResult(
         skl_bits=0 if aborted else int(np.floor(l_real)),
-        lambda_ec_bits=float(lam_ec),
+        lambda_ec_bits=float(terms["lambda_ec"]),
         aborted=aborted,
         diagnostics=diagnostics,
     )
@@ -437,46 +448,58 @@ def skl_from_tallies(
     return secure_key_length(bounds, tallies, security, n_decoys)
 
 
+def asymptotic_rate(
+    eta,
+    mu,
+    nu,
+    p_mu,
+    p_nu,
+    p_vac,
+    p_sift_z,
+    source: SourceSpec,
+    det: DetectorSpec,
+    security: SecurityParams,
+):
+    """Asymptotic secure-key rate per emitted pulse, elementwise over
+    candidate arrays of (mu, nu, p_mu, p_nu, p_vac, p_sift_z) at channel
+    transmission eta > 0 (detector efficiency excluded).
+
+    Infinite-data limit: exact Poisson yields replace the decoy bounds, the
+    fluctuation and transfer terms vanish and the log penalties drop out;
+    lambda_EC keeps the f_ec inefficiency.
+    """
+    eta_t = eta * det.efficiency
+    clicks, err_z, _, f_dead = presift_rows(eta_t, mu, nu, p_mu, p_nu, p_vac, source, det)
+    q_click = clicks.sum(axis=0)
+    e_z = np.where(q_click > 0, err_z.sum(axis=0) / np.maximum(q_click, 1e-300), 0.5)
+    tau0 = emission_tau((mu, nu, 0.0), (p_mu, p_nu, p_vac), 0)
+    tau1 = emission_tau((mu, nu, 0.0), (p_mu, p_nu, p_vac), 1)
+    y0 = background_yield(det, source.pulse_rate_hz)
+    y1 = 1.0 - (1.0 - y0) * (1.0 - eta_t)
+    e1_x = (0.5 * y0 + source.misalignment_x * (1.0 - y0) * eta_t) / y1
+    rate = p_sift_z * f_dead * (
+        tau0 * y0
+        + tau1 * y1 * (1.0 - _entropy(np.minimum(e1_x, 0.5)))
+        - security.f_ec * q_click * _entropy(e_z)
+    )
+    return np.maximum(rate, 0.0)
+
+
 def asymptotic_skr(
     eta: float,
     source: SourceSpec,
     det: DetectorSpec,
     security: SecurityParams,
 ) -> float:
-    """Asymptotic secure-key rate per emitted pulse at channel transmission eta.
-
-    Infinite-data limit: exact Poisson yields replace the decoy bounds, the
-    fluctuation and transfer terms vanish and the log penalties drop out;
-    lambda_EC keeps the f_ec inefficiency. eta excludes the detector
-    efficiency, which is applied here.
-    """
+    """Asymptotic secure-key rate per emitted pulse of the source at channel
+    transmission eta (detector efficiency excluded); see asymptotic_rate."""
     if eta < 0:
         raise FiniteKeyError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 0.0
-    eta_t = eta * det.efficiency
-    y0 = background_yield(det, source.pulse_rate_hz)
-    intensities = source.intensities()
-    probabilities = source.probabilities()
-    gains = {key: 1.0 - (1.0 - y0) * np.exp(-k * eta_t) for key, k in intensities.items()}
-    q_click = sum(probabilities[key] * gains[key] for key in gains)
-    if q_click <= 0:
-        return 0.0
-    err_z = sum(
-        probabilities[key]
-        * (0.5 * y0 + source.misalignment_z * (1.0 - np.exp(-k * eta_t)))
-        for key, k in intensities.items()
+    return float(
+        asymptotic_rate(
+            eta, source.signal_intensity, source.decoy_intensity, source.p_mu, source.p_nu,
+            source.p_vac, source.p_z_alice * source.p_z_bob, source, det, security,
+        )
     )
-    e_z = err_z / q_click
-    f_dead = dead_time_factor(source.pulse_rate_hz * q_click, det.dead_time_ns)
-    tau0 = emission_tau(list(intensities.values()), list(probabilities.values()), 0)
-    tau1 = emission_tau(list(intensities.values()), list(probabilities.values()), 1)
-    y1 = 1.0 - (1.0 - y0) * (1.0 - eta_t)
-    e1_x = (0.5 * y0 + source.misalignment_x * (1.0 - y0) * eta_t) / y1
-    p_sift_z = source.p_z_alice * source.p_z_bob
-    rate = p_sift_z * f_dead * (
-        tau0 * y0
-        + tau1 * y1 * (1.0 - binary_entropy(min(e1_x, 0.5)))
-        - security.f_ec * q_click * binary_entropy(min(e_z, 1.0))
-    )
-    return max(0.0, float(rate))

@@ -67,7 +67,6 @@ class ReceiverSpec:
     path_loss_db: float = 1.0
     fov_half_angle_urad: float = 6.25
     filter_bandwidth_nm: float = 5.0
-    effective_focal_length_m: float = 2.0
 
     def __post_init__(self) -> None:
         if self.primary_diam_m <= 0:
@@ -89,10 +88,6 @@ class ReceiverSpec:
             raise LinkBudgetError(f"receiver.fov_half_angle_urad must be > 0, got {self.fov_half_angle_urad}")
         if self.filter_bandwidth_nm <= 0:
             raise LinkBudgetError(f"receiver.filter_bandwidth_nm must be > 0, got {self.filter_bandwidth_nm}")
-        if self.effective_focal_length_m <= 0:
-            raise LinkBudgetError(
-                f"receiver.effective_focal_length_m must be > 0, got {self.effective_focal_length_m}"
-            )
 
     @property
     def collecting_area_m2(self) -> float:

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import DetectorSpec, SourceSpec, background_yield, dead_time_factor, expected_tallies
+from .channel import DetectorSpec, SourceSpec, expected_tallies, presift_rows, sifted_rows
 from .finitekey import (
     SecurityParams,
     SklResult,
-    _entropy_unchecked,
+    asymptotic_rate,
     skl_from_tallies,
     skl_real_arrays,
 )
@@ -39,6 +39,17 @@ P_MU_BOX = (0.2, 0.95)
 P_NU_BOX = (0.01, 0.79)
 P_Z_BOX = (0.3, 0.97)
 MAX_P_SUM = 0.99  # two-decoy: keep at least 1% vacuum pulses
+PARAM_NAMES = ("mu", "nu", "p_mu", "p_nu", "p_z")
+# Coordinates refined per protocol, and the span that scales each one's
+# golden-section tolerance.
+REFINED_DIMS = {1: ("mu", "nu", "p_mu", "p_z"), 2: ("mu", "nu", "p_mu", "p_nu", "p_z")}
+DIM_SPAN = {
+    "mu": MU_BOX[1] - MU_BOX[0],
+    "nu": MU_BOX[1] - NU_MIN,
+    "p_mu": P_MU_BOX[1] - P_MU_BOX[0],
+    "p_nu": P_NU_BOX[1] - P_NU_BOX[0],
+    "p_z": P_Z_BOX[1] - P_Z_BOX[0],
+}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,7 +91,6 @@ class OptimizerConfig:
     coarse_grid_steps: int = 8
     refine_iterations: int = 2
     rel_tolerance: float = 1e-3
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.coarse_grid_steps < 2:
@@ -139,13 +149,11 @@ class _PassChannel:
         )
         elevations = np.array(pass_geometry.elevations_deg())
         order = np.argsort(elevations, kind="stable")
-        self.elev_sorted = elevations[order]
         eta = np.array([b.eta for b in breakdowns]) * hardware.detector.efficiency
         self.eta_sorted = eta[order]
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
-        self.y0 = background_yield(hardware.detector, hardware.source.pulse_rate_hz)
         # cut_start[j]: first sorted index with elevation >= cut j
-        self.cut_start = np.searchsorted(self.elev_sorted, MIN_ELEVATION_GRID, side="left")
+        self.cut_start = np.searchsorted(elevations[order], MIN_ELEVATION_GRID, side="left")
 
     def _presift_cut_matrix(self, mu: float, nu: float, p_mu: float, p_nu: float) -> np.ndarray:
         """Suffix-summed per-cut contributions before basis sifting.
@@ -154,28 +162,11 @@ class _PassChannel:
         errors; shape (9, n_cuts). The Z/X split is only a scalar sifting
         factor, applied later, which lets one call serve a whole p_z grid.
         """
-        y0 = self.y0
-        eta = self.eta_sorted
-        p_vac = 1.0 - p_mu - p_nu if self.n_decoys == 2 else 0.0
-        exp_mu = np.exp(-mu * eta)
-        exp_nu = np.exp(-nu * eta)
-        d_mu = 1.0 - (1.0 - y0) * exp_mu
-        d_nu = 1.0 - (1.0 - y0) * exp_nu
-        mean_gain = p_mu * d_mu + p_nu * d_nu + p_vac * y0
-        f_dead = dead_time_factor(
-            self.template.pulse_rate_hz * mean_gain, self.detector.dead_time_ns
+        clicks, err_z, err_x, f_dead = presift_rows(
+            self.eta_sorted, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
+            self.template, self.detector,
         )
-        mis_z = self.template.misalignment_z
-        mis_x = self.template.misalignment_x
-        scale = self.pulses_per_sample * f_dead
-        per_sample = np.empty((9, len(eta)))
-        for i, (p_k, d_k, one_minus_exp) in enumerate(
-            ((p_mu, d_mu, 1.0 - exp_mu), (p_nu, d_nu, 1.0 - exp_nu), (p_vac, y0, 0.0))
-        ):
-            base = scale * p_k
-            per_sample[i] = base * d_k
-            per_sample[3 + i] = base * (0.5 * y0 + mis_z * one_minus_exp)
-            per_sample[6 + i] = base * (0.5 * y0 + mis_x * one_minus_exp)
+        per_sample = np.concatenate([clicks, err_z, err_x]) * (self.pulses_per_sample * f_dead)
         suffix = np.concatenate(
             [np.cumsum(per_sample[:, ::-1], axis=1)[:, ::-1], np.zeros((9, 1))], axis=1
         )
@@ -187,17 +178,9 @@ class _PassChannel:
         """Unfloored key length, shape (len(p_z_values), n_cuts)."""
         cut = self._presift_cut_matrix(mu, nu, p_mu, p_nu)
         p_z = np.asarray(p_z_values, dtype=float)[:, None]
-        sift_z = p_z * p_z
-        sift_x = (1.0 - p_z) ** 2
-        t = {}
-        for i, key in enumerate(("mu", "nu", "vac")):
-            t[f"n_z_{key}"] = cut[i] * sift_z
-            t[f"n_x_{key}"] = cut[i] * sift_x
-            t[f"m_z_{key}"] = cut[3 + i] * sift_z
-            t[f"m_x_{key}"] = cut[6 + i] * sift_x
-        p_vac = 1.0 - p_mu - p_nu if self.n_decoys == 2 else 0.0
+        t = sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z)
         l_real, _ = skl_real_arrays(
-            t, mu, nu, p_mu, p_nu, p_vac, self.security, self.n_decoys
+            t, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys), self.security, self.n_decoys
         )
         return l_real
 
@@ -207,6 +190,11 @@ class _PassChannel:
         l_real = self.skl_matrix(mu, nu, p_mu, p_nu, np.array([p_z]))[0]
         idx = int(np.argmax(l_real))
         return float(l_real[idx]), idx
+
+
+def _p_vac(p_mu, p_nu, n_decoys: int):
+    """Vacuum-intensity probability; zero, shaped like p_mu, for one decoy."""
+    return 1.0 - p_mu - p_nu if n_decoys == 2 else 0.0 * p_mu
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -257,12 +245,45 @@ def _coarse_blocks(config: OptimizerConfig, n_decoys: int):
                     yield mu, nu, p_mu, p_nu
 
 
-def _coarse_candidates(config: OptimizerConfig, n_decoys: int):
-    """Deterministic candidate generator over all continuous parameters."""
-    p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
-    for mu, nu, p_mu, p_nu in _coarse_blocks(config, n_decoys):
-        for p_z in p_z_values:
-            yield mu, nu, p_mu, p_nu, p_z
+def _box(dim: str, point: dict, n_decoys: int) -> tuple[float, float]:
+    """Search interval of one coordinate with the others held at point."""
+    if dim == "mu":
+        return max(MU_BOX[0], point["nu"] + NU_MARGIN), MU_BOX[1]
+    if dim == "nu":
+        return NU_MIN, point["mu"] - NU_MARGIN
+    if dim == "p_mu":
+        cap = MAX_P_SUM - point["p_nu"] if n_decoys == 2 else P_MU_BOX[1]
+        return P_MU_BOX[0], min(P_MU_BOX[1], cap)
+    if dim == "p_nu":
+        return P_NU_BOX[0], min(P_NU_BOX[1], MAX_P_SUM - point["p_mu"])
+    return P_Z_BOX
+
+
+def _moved(point: dict, dim: str, x: float, n_decoys: int) -> dict:
+    """point with coordinate dim set to x; one decoy ties p_nu to 1 - p_mu."""
+    out = dict(point, **{dim: x})
+    if n_decoys == 1:
+        out["p_nu"] = 1.0 - out["p_mu"]
+    return out
+
+
+def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig) -> tuple[dict, float]:
+    """Coordinate-wise golden-section ascent of f over parameter dicts,
+    starting from point with f(point) = value. Each coordinate is searched
+    in its box to a tolerance of rel_tolerance times the box span, and a
+    move is kept only when it raises value. Returns (point, value)."""
+    for _ in range(config.refine_iterations):
+        for dim in REFINED_DIMS[n_decoys]:
+            lo, hi = _box(dim, point, n_decoys)
+            if hi <= lo:
+                continue
+            x, fx = _golden_max(
+                lambda x: f(_moved(point, dim, x, n_decoys)),
+                lo, hi, abs_tol=config.rel_tolerance * DIM_SPAN[dim],
+            )
+            if fx > value:
+                point, value = _moved(point, dim, x, n_decoys), fx
+    return point, value
 
 
 def optimize_pass(
@@ -286,7 +307,7 @@ def optimize_pass(
     trace_rows: list[str] | None = [] if trace_path is not None else None
 
     p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
-    best = (-math.inf, 0, (0.5, 0.1, 0.7, 0.15, 0.9))
+    best = (-math.inf, (0.5, 0.1, 0.7, 0.15, 0.9))
     for mu_c, nu_c, p_mu_c, p_nu_c in _coarse_blocks(config, n_decoys):
         matrix = channel.skl_matrix(mu_c, nu_c, p_mu_c, p_nu_c, p_z_values)
         cut_idx_per_pz = np.argmax(matrix, axis=1)
@@ -299,67 +320,20 @@ def optimize_pass(
                     % (mu_c, nu_c, p_mu_c, p_nu_c, p_z_c, MIN_ELEVATION_GRID[cut_idx], value)
                 )
             if value > best[0]:
-                best = (value, cut_idx, (mu_c, nu_c, p_mu_c, p_nu_c, float(p_z_c)))
+                best = (value, (mu_c, nu_c, p_mu_c, p_nu_c, float(p_z_c)))
 
-    value, cut_idx, cand = best
-    mu, nu, p_mu, p_nu, p_z = cand
-    span = {
-        "mu": MU_BOX[1] - MU_BOX[0],
-        "nu": MU_BOX[1] - NU_MIN,
-        "p_mu": P_MU_BOX[1] - P_MU_BOX[0],
-        "p_nu": P_NU_BOX[1] - P_NU_BOX[0],
-        "p_z": P_Z_BOX[1] - P_Z_BOX[0],
-    }
-    for _ in range(config.refine_iterations):
-        current = {"mu": mu, "nu": nu, "p_mu": p_mu, "p_nu": p_nu, "p_z": p_z}
-
-        def boxes() -> dict[str, tuple[float, float]]:
-            out = {
-                "mu": (max(MU_BOX[0], current["nu"] + NU_MARGIN), MU_BOX[1]),
-                "nu": (NU_MIN, current["mu"] - NU_MARGIN),
-                "p_z": P_Z_BOX,
-            }
-            if n_decoys == 2:
-                out["p_mu"] = (P_MU_BOX[0], min(P_MU_BOX[1], MAX_P_SUM - current["p_nu"]))
-                out["p_nu"] = (P_NU_BOX[0], min(P_NU_BOX[1], MAX_P_SUM - current["p_mu"]))
-            else:
-                out["p_mu"] = P_MU_BOX
-            return out
-
-        dims = ("mu", "nu", "p_mu", "p_nu", "p_z") if n_decoys == 2 else ("mu", "nu", "p_mu", "p_z")
-        for dim in dims:
-            lo, hi = boxes()[dim]
-            if hi <= lo:
-                continue
-
-            def line(x: float) -> float:
-                trial = dict(current)
-                trial[dim] = x
-                if n_decoys == 1:
-                    trial["p_nu"] = 1.0 - trial["p_mu"]
-                return channel.objective(
-                    trial["mu"], trial["nu"], trial["p_mu"], trial["p_nu"], trial["p_z"]
-                )[0]
-
-            x, fx = _golden_max(line, lo, hi, abs_tol=config.rel_tolerance * span[dim])
-            if fx > value:
-                current[dim] = x
-                if n_decoys == 1:
-                    current["p_nu"] = 1.0 - current["p_mu"]
-                value = fx
-        mu, nu, p_mu, p_nu, p_z = (
-            current["mu"], current["nu"], current["p_mu"], current["p_nu"], current["p_z"],
-        )
-
-    value, cut_idx = channel.objective(mu, nu, p_mu, p_nu, p_z)
+    value, cand = best
+    point, _ = _refine(
+        lambda c: channel.objective(**c)[0], dict(zip(PARAM_NAMES, cand)), value, n_decoys, config
+    )
+    values = tuple(point[k] for k in PARAM_NAMES)
+    value, cut_idx = channel.objective(*values)
     params = ParamVector(
-        mu=float(mu), nu=float(nu), p_mu=float(p_mu), p_nu=float(p_nu), p_z=float(p_z),
-        min_elevation_deg=float(MIN_ELEVATION_GRID[cut_idx]),
+        *(float(v) for v in values), min_elevation_deg=float(MIN_ELEVATION_GRID[cut_idx])
     )
     if trace_rows is not None:
         trace_rows.append(
-            "final,%r,%r,%r,%r,%r,%r,%r"
-            % (mu, nu, p_mu, p_nu, p_z, params.min_elevation_deg, value)
+            "final,%r,%r,%r,%r,%r,%r,%r" % (*values, params.min_elevation_deg, value)
         )
         header = "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n"
         Path(trace_path).write_text(header + "\n".join(trace_rows) + "\n")
@@ -385,45 +359,6 @@ def evaluate_params(
     return skl_from_tallies(tallies, source, security, n_decoys)
 
 
-def _asymptotic_rate_candidates(
-    eta_channel: float,
-    hardware: HardwareStack,
-    security: SecurityParams,
-    n_decoys: int,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    p_mu: np.ndarray,
-    p_nu: np.ndarray,
-    p_z: np.ndarray,
-) -> np.ndarray:
-    """Vectorized asymptotic rate over candidate arrays at one transmission."""
-    det = hardware.detector
-    src = hardware.source
-    eta_t = eta_channel * det.efficiency
-    y0 = background_yield(det, src.pulse_rate_hz)
-    p_vac = (1.0 - p_mu - p_nu) if n_decoys == 2 else np.zeros_like(p_mu)
-    d_mu = 1.0 - (1.0 - y0) * np.exp(-mu * eta_t)
-    d_nu = 1.0 - (1.0 - y0) * np.exp(-nu * eta_t)
-    q = p_mu * d_mu + p_nu * d_nu + p_vac * y0
-    err = (
-        p_mu * (0.5 * y0 + src.misalignment_z * (1.0 - np.exp(-mu * eta_t)))
-        + p_nu * (0.5 * y0 + src.misalignment_z * (1.0 - np.exp(-nu * eta_t)))
-        + p_vac * 0.5 * y0
-    )
-    e_z = np.where(q > 0, err / np.maximum(q, 1e-300), 0.5)
-    f_dead = dead_time_factor(src.pulse_rate_hz * q, det.dead_time_ns)
-    tau0 = (p_mu * np.exp(-mu) + p_nu * np.exp(-nu) + p_vac)
-    tau1 = (p_mu * mu * np.exp(-mu) + p_nu * nu * np.exp(-nu))
-    y1 = 1.0 - (1.0 - y0) * (1.0 - eta_t)
-    e1_x = (0.5 * y0 + src.misalignment_x * (1.0 - y0) * eta_t) / y1
-    rate = p_z * p_z * f_dead * (
-        tau0 * y0
-        + tau1 * y1 * (1.0 - _entropy_unchecked(np.minimum(e1_x, 0.5)))
-        - security.f_ec * q * _entropy_unchecked(np.minimum(e_z, 1.0))
-    )
-    return np.maximum(rate, 0.0)
-
-
 def pointwise_asymptotic_profile(
     pass_geometry: PassGeometry,
     hardware: HardwareStack,
@@ -437,59 +372,25 @@ def pointwise_asymptotic_profile(
     breakdowns = compute_breakdowns(
         pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
     )
-    cands = np.array(list(_coarse_candidates(config, n_decoys)))
-    mu_c, nu_c, p_mu_c, p_nu_c, p_z_c = cands.T
+    p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
+    blocks = np.array(list(_coarse_blocks(config, n_decoys)))
+    mu_c, nu_c, p_mu_c, p_nu_c = np.repeat(blocks, len(p_z_values), axis=0).T
+    p_z_c = np.tile(p_z_values, len(blocks))
+
+    def rate(eta, mu, nu, p_mu, p_nu, p_z):
+        return asymptotic_rate(
+            eta, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, n_decoys), p_z * p_z,
+            hardware.source, hardware.detector, security,
+        )
+
     profile = []
     for sample, brk in zip(pass_geometry.samples, breakdowns):
-        rates = _asymptotic_rate_candidates(
-            brk.eta, hardware, security, n_decoys, mu_c, nu_c, p_mu_c, p_nu_c, p_z_c
-        )
+        rates = rate(brk.eta, mu_c, nu_c, p_mu_c, p_nu_c, p_z_c)
         idx = int(np.argmax(rates))
-        current = {
-            "mu": float(mu_c[idx]), "nu": float(nu_c[idx]), "p_mu": float(p_mu_c[idx]),
-            "p_nu": float(p_nu_c[idx]), "p_z": float(p_z_c[idx]),
-        }
-        best = float(rates[idx])
-
-        def scalar_rate(c: dict[str, float]) -> float:
-            arr = {k: np.array([v]) for k, v in c.items()}
-            return float(
-                _asymptotic_rate_candidates(
-                    brk.eta, hardware, security, n_decoys,
-                    arr["mu"], arr["nu"], arr["p_mu"], arr["p_nu"], arr["p_z"],
-                )[0]
-            )
-
-        dims = ("mu", "nu", "p_mu", "p_nu", "p_z") if n_decoys == 2 else ("mu", "nu", "p_mu", "p_z")
-        for _ in range(config.refine_iterations):
-            for dim in dims:
-                if dim == "mu":
-                    lo, hi = max(MU_BOX[0], current["nu"] + NU_MARGIN), MU_BOX[1]
-                elif dim == "nu":
-                    lo, hi = NU_MIN, current["mu"] - NU_MARGIN
-                elif dim == "p_mu":
-                    hi_cap = MAX_P_SUM - current["p_nu"] if n_decoys == 2 else P_MU_BOX[1]
-                    lo, hi = P_MU_BOX[0], min(P_MU_BOX[1], hi_cap)
-                elif dim == "p_nu":
-                    lo, hi = P_NU_BOX[0], min(P_NU_BOX[1], MAX_P_SUM - current["p_mu"])
-                else:
-                    lo, hi = P_Z_BOX
-                if hi <= lo:
-                    continue
-
-                def line(x: float) -> float:
-                    trial = dict(current)
-                    trial[dim] = x
-                    if n_decoys == 1:
-                        trial["p_nu"] = 1.0 - trial["p_mu"]
-                    return scalar_rate(trial)
-
-                x, fx = _golden_max(line, lo, hi, abs_tol=config.rel_tolerance)
-                if fx > best:
-                    current[dim] = x
-                    if n_decoys == 1:
-                        current["p_nu"] = 1.0 - current["p_mu"]
-                    best = fx
+        start = {k: float(v[idx]) for k, v in zip(PARAM_NAMES, (mu_c, nu_c, p_mu_c, p_nu_c, p_z_c))}
+        _, best = _refine(
+            lambda c: float(rate(brk.eta, **c)), start, float(rates[idx]), n_decoys, config
+        )
         profile.append((sample.t_s, best))
     return profile
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,10 +40,29 @@ class ScenarioError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
 
 
+_REQUIRED = object()
+
+
 def _require(section: dict, field: str, where: str):
     if field not in section:
         raise ScenarioError(f"missing field {where}.{field}")
     return section[field]
+
+
+def _number(section: dict, field: str, where: str, default=_REQUIRED, integer: bool = False):
+    """The finite JSON number at where.field, or default when the field is
+    absent. Bools, strings, NaN and infinities are rejected; integer fields
+    also reject non-integral values instead of truncating them."""
+    if default is not _REQUIRED and field not in section:
+        return default
+    value = _require(section, field, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{where}.{field} must be a finite number, got {value!r}")
+    if integer:
+        if value != int(value):
+            raise ScenarioError(f"{where}.{field} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _check_known(section: dict, allowed: set[str], where: str) -> None:
@@ -52,12 +72,15 @@ def _check_known(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _wavelength_map(raw: dict, where: str) -> dict[float, float]:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object")
     out = {}
-    for key, value in raw.items():
+    for key in raw:
         try:
-            out[float(key)] = float(value)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"non-numeric entry in {where}: {key!r}: {value!r}") from None
+            wavelength = float(key)
+        except ValueError:
+            raise ScenarioError(f"non-numeric entry in {where}: {key!r}") from None
+        out[wavelength] = _number(raw, key, where)
     return out
 
 
@@ -93,9 +116,14 @@ class Scenario:
         return synth_pass(self.orbit, self.station, self.sample_dt_s)
 
     def digest(self) -> str:
-        """Content hash, stable under field reordering."""
+        """Content hash, stable under field reordering; it also covers the
+        bytes of a referenced elevation table."""
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        h = hashlib.sha256(canonical.encode())
+        table_path = self.raw["atmosphere"].get("elevation_table_path")
+        if table_path is not None:
+            h.update(Path(table_path).read_bytes())
+        return h.hexdigest()
 
 
 TOP_LEVEL_FIELDS = {
@@ -108,6 +136,27 @@ def _wrap(section: str, exc: Exception) -> ScenarioError:
     return ScenarioError(f"{section}: {exc}")
 
 
+def _build(cls, raw: dict, where: str, numbers: tuple[str, ...], defaults: dict | None = None,
+           integers: tuple[str, ...] = (), allowed: tuple[str, ...] = (), **values):
+    """cls built from one scenario section.
+
+    numbers names the required numeric fields and defaults the optional
+    ones; allowed names further fields the caller reads itself, passing the
+    results in values. Unknown fields are rejected, and invariant errors
+    raised by cls are prefixed with the section name.
+    """
+    defaults = defaults or {}
+    _check_known(raw, {*numbers, *defaults, *allowed}, where)
+    for name in numbers:
+        values[name] = _number(raw, name, where, integer=name in integers)
+    for name, default in defaults.items():
+        values[name] = _number(raw, name, where, default=default, integer=name in integers)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise _wrap(where, exc) from None
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -117,10 +166,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     encoding = _require(doc, "encoding", "scenario")
     if encoding not in ENCODINGS:
         raise ScenarioError(f"scenario.encoding must be one of {ENCODINGS}, got {encoding!r}")
-    n_decoys = _require(doc, "n_decoys", "scenario")
+    n_decoys = _number(doc, "n_decoys", "scenario", integer=True)
     if n_decoys not in (1, 2):
         raise ScenarioError(f"scenario.n_decoys must be 1 or 2, got {n_decoys!r}")
-    sample_dt_s = float(doc.get("sample_dt_s", 1.0))
+    sample_dt_s = _number(doc, "sample_dt_s", "scenario", default=1.0)
     if sample_dt_s <= 0:
         raise ScenarioError(f"scenario.sample_dt_s must be > 0, got {sample_dt_s}")
 
@@ -132,66 +181,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioError(f"scenario.{key} must be an object")
         sections[key] = section
 
-    o = sections["orbit"]
-    _check_known(o, {"altitude_km", "inclination_deg"}, "orbit")
-    try:
-        orbit = OrbitSpec(
-            altitude_km=float(_require(o, "altitude_km", "orbit")),
-            inclination_deg=float(_require(o, "inclination_deg", "orbit")),
-        )
-    except ValueError as exc:
-        raise _wrap("orbit", exc) from None
-
-    s = sections["station"]
-    _check_known(s, {"min_elevation_deg", "max_elevation_deg"}, "station")
-    try:
-        station = GroundStation(
-            min_elevation_deg=float(_require(s, "min_elevation_deg", "station")),
-            max_elevation_deg=float(_require(s, "max_elevation_deg", "station")),
-        )
-    except ValueError as exc:
-        raise _wrap("station", exc) from None
-
-    t = sections["transmitter"]
-    _check_known(
-        t,
-        {"aperture_diam_m", "wavelength_nm", "truncation_ratio", "m_squared", "pointing_loss_db"},
-        "transmitter",
+    orbit = _build(OrbitSpec, sections["orbit"], "orbit", ("altitude_km", "inclination_deg"))
+    station = _build(
+        GroundStation, sections["station"], "station", ("min_elevation_deg", "max_elevation_deg")
     )
-    try:
-        transmitter = TransmitterSpec(
-            aperture_diam_m=float(_require(t, "aperture_diam_m", "transmitter")),
-            wavelength_nm=float(_require(t, "wavelength_nm", "transmitter")),
-            truncation_ratio=float(_require(t, "truncation_ratio", "transmitter")),
-            m_squared=float(_require(t, "m_squared", "transmitter")),
-            pointing_loss_db=float(_require(t, "pointing_loss_db", "transmitter")),
-        )
-    except ValueError as exc:
-        raise _wrap("transmitter", exc) from None
-
+    transmitter = _build(
+        TransmitterSpec, sections["transmitter"], "transmitter",
+        ("aperture_diam_m", "wavelength_nm", "truncation_ratio", "m_squared", "pointing_loss_db"),
+    )
     r = sections["receiver"]
-    _check_known(
-        r,
-        {
-            "primary_diam_m", "obscuration_diam_m", "coupling_mode", "coupling_loss_db",
-            "path_loss_db", "fov_half_angle_urad", "filter_bandwidth_nm",
-            "effective_focal_length_m",
-        },
-        "receiver",
+    receiver = _build(
+        ReceiverSpec, r, "receiver",
+        (
+            "primary_diam_m", "obscuration_diam_m", "coupling_loss_db", "path_loss_db",
+            "fov_half_angle_urad", "filter_bandwidth_nm",
+        ),
+        allowed=("coupling_mode",),
+        coupling_mode=str(_require(r, "coupling_mode", "receiver")),
     )
-    try:
-        receiver = ReceiverSpec(
-            primary_diam_m=float(_require(r, "primary_diam_m", "receiver")),
-            obscuration_diam_m=float(_require(r, "obscuration_diam_m", "receiver")),
-            coupling_mode=str(_require(r, "coupling_mode", "receiver")),
-            coupling_loss_db=float(_require(r, "coupling_loss_db", "receiver")),
-            path_loss_db=float(_require(r, "path_loss_db", "receiver")),
-            fov_half_angle_urad=float(_require(r, "fov_half_angle_urad", "receiver")),
-            filter_bandwidth_nm=float(_require(r, "filter_bandwidth_nm", "receiver")),
-            effective_focal_length_m=float(_require(r, "effective_focal_length_m", "receiver")),
-        )
-    except ValueError as exc:
-        raise _wrap("receiver", exc) from None
 
     a = sections["atmosphere"]
     _check_known(
@@ -220,39 +227,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
 
     d = sections["detector"]
-    _check_known(
-        d,
-        {
-            "efficiency", "dark_count_rate_hz", "dead_time_ns", "timing_jitter_ps",
-            "background_rate_hz", "n_detectors", "gate_width_ns",
-        },
-        "detector",
+    detector = _build(
+        DetectorSpec, d, "detector",
+        ("efficiency", "dark_count_rate_hz", "dead_time_ns", "background_rate_hz"),
+        defaults={"n_detectors": 4},
+        integers=("n_detectors",),
+        allowed=("gate_width_ns",),
+        gate_width_ns=(
+            None if d.get("gate_width_ns") is None else _number(d, "gate_width_ns", "detector")
+        ),
     )
-    try:
-        detector = DetectorSpec(
-            efficiency=float(_require(d, "efficiency", "detector")),
-            dark_count_rate_hz=float(_require(d, "dark_count_rate_hz", "detector")),
-            dead_time_ns=float(_require(d, "dead_time_ns", "detector")),
-            timing_jitter_ps=float(_require(d, "timing_jitter_ps", "detector")),
-            background_rate_hz=float(_require(d, "background_rate_hz", "detector")),
-            n_detectors=int(d.get("n_detectors", 4)),
-            gate_width_ns=(float(d["gate_width_ns"]) if d.get("gate_width_ns") is not None else None),
-        )
-    except ValueError as exc:
-        raise _wrap("detector", exc) from None
 
     src = sections["source"]
-    _check_known(
-        src,
-        {
-            "pulse_rate_hz", "signal_intensity", "decoy_intensity", "p_mu", "p_nu",
-            "p_z_alice", "p_z_bob", "vacuum_included", "misalignment_z", "misalignment_x",
-            "hold_slot_rate",
-        },
-        "source",
-    )
-    defaults = DEFAULT_MISALIGNMENT[encoding]
-    pulse_rate = float(_require(src, "pulse_rate_hz", "source"))
+    pulse_rate = _number(src, "pulse_rate_hz", "source")
     # Optional slot-rate accounting: a time-bin qubit occupies several pulse
     # slots, so holding the slot rate fixed divides the qubit rate.
     if bool(src.get("hold_slot_rate", False)):
@@ -264,51 +251,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(
             f"source.vacuum_included must be {n_decoys == 2} for n_decoys={n_decoys}"
         )
-    try:
-        source = SourceSpec(
-            pulse_rate_hz=pulse_rate,
-            signal_intensity=float(_require(src, "signal_intensity", "source")),
-            decoy_intensity=float(_require(src, "decoy_intensity", "source")),
-            p_mu=float(_require(src, "p_mu", "source")),
-            p_nu=float(_require(src, "p_nu", "source")),
-            p_z_alice=float(_require(src, "p_z_alice", "source")),
-            p_z_bob=float(_require(src, "p_z_bob", "source")),
-            vacuum_included=vacuum_included,
-            misalignment_z=float(src.get("misalignment_z", defaults["misalignment_z"])),
-            misalignment_x=float(src.get("misalignment_x", defaults["misalignment_x"])),
-        )
-    except ValueError as exc:
-        raise _wrap("source", exc) from None
-
-    sec = sections["security"]
-    _check_known(sec, {"eps_sec", "eps_corr", "f_ec"}, "security")
-    try:
-        security = SecurityParams(
-            eps_sec=float(_require(sec, "eps_sec", "security")),
-            eps_corr=float(_require(sec, "eps_corr", "security")),
-            f_ec=float(_require(sec, "f_ec", "security")),
-        )
-    except ValueError as exc:
-        raise _wrap("security", exc) from None
-
-    opt = sections["optimizer"]
-    _check_known(
-        opt, {"coarse_grid_steps", "refine_iterations", "rel_tolerance", "rng_seed"}, "optimizer"
+    source = _build(
+        SourceSpec, src, "source",
+        ("signal_intensity", "decoy_intensity", "p_mu", "p_nu", "p_z_alice", "p_z_bob"),
+        defaults=DEFAULT_MISALIGNMENT[encoding],
+        allowed=("pulse_rate_hz", "vacuum_included", "hold_slot_rate"),
+        pulse_rate_hz=pulse_rate,
+        vacuum_included=vacuum_included,
     )
-    try:
-        optimizer = OptimizerConfig(
-            coarse_grid_steps=int(opt.get("coarse_grid_steps", 8)),
-            refine_iterations=int(opt.get("refine_iterations", 2)),
-            rel_tolerance=float(opt.get("rel_tolerance", 1e-3)),
-            rng_seed=int(opt.get("rng_seed", 0)),
-        )
-    except ValueError as exc:
-        raise _wrap("optimizer", exc) from None
+    security = _build(SecurityParams, sections["security"], "security", ("eps_sec", "eps_corr", "f_ec"))
+    optimizer = _build(
+        OptimizerConfig, sections["optimizer"], "optimizer", (),
+        defaults={"coarse_grid_steps": 8, "refine_iterations": 2, "rel_tolerance": 1e-3},
+        integers=("coarse_grid_steps", "refine_iterations"),
+    )
 
     return Scenario(
         name=name,
         encoding=encoding,
-        n_decoys=int(n_decoys),
+        n_decoys=n_decoys,
         sample_dt_s=sample_dt_s,
         orbit=orbit,
         station=station,

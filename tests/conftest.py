@@ -34,7 +34,7 @@ class StrongLink:
         self.atm = AtmosphereModel({1550.0: 0.4}, {1550.0: 0.01})
         self.detector = DetectorSpec(
             efficiency=0.8, dark_count_rate_hz=200.0, dead_time_ns=30.0,
-            timing_jitter_ps=30.0, background_rate_hz=100.0,
+            background_rate_hz=100.0,
         )
         self.breakdowns = compute_breakdowns(self.pass_geometry, self.tx, self.rx, self.atm)
         self.security = SecurityParams()

@@ -94,7 +94,7 @@ def test_criterion_4a_monte_carlo_bracketing(strong_link):
 def _convergence_setup():
     det = DetectorSpec(
         efficiency=0.8, dark_count_rate_hz=10.0, dead_time_ns=0.0,
-        timing_jitter_ps=30.0, background_rate_hz=0.0,
+        background_rate_hz=0.0,
     )
     source = SourceSpec(
         pulse_rate_hz=1e9, signal_intensity=0.5, decoy_intensity=0.05,
@@ -220,7 +220,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             json.dumps(load_bundled_scenario("snspd_pol_2decoy").raw)
         )
         fast["optimizer"] = {"coarse_grid_steps": 4, "refine_iterations": 1,
-                             "rel_tolerance": 1e-3, "rng_seed": 7}
+                             "rel_tolerance": 1e-3}
         fast["sample_dt_s"] = 5.0
         scenario_path = tmp_path / "fast.json"
         scenario_path.write_text(json.dumps(fast))

@@ -24,7 +24,7 @@ TALLY_FIELDS = (
 def make_detector(**overrides) -> DetectorSpec:
     base = dict(
         efficiency=0.9, dark_count_rate_hz=90.0, dead_time_ns=30.0,
-        timing_jitter_ps=30.0, background_rate_hz=8.0,
+        background_rate_hz=8.0,
     )
     base.update(overrides)
     return DetectorSpec(**base)

@@ -252,7 +252,7 @@ class TestKeyLengthBehaviour:
     def make_block(self, n_pulses: float, detector: DetectorSpec | None = None) -> tuple:
         det = detector or DetectorSpec(
             efficiency=0.8, dark_count_rate_hz=100.0, dead_time_ns=30.0,
-            timing_jitter_ps=30.0, background_rate_hz=10.0,
+            background_rate_hz=10.0,
         )
         source = make_source(
             2, signal_intensity=0.5, decoy_intensity=0.1, p_mu=0.7, p_nu=0.2,
@@ -316,7 +316,7 @@ class TestAsymptoticRate:
     def make_setup(self):
         det = DetectorSpec(
             efficiency=0.8, dark_count_rate_hz=10.0, dead_time_ns=0.0,
-            timing_jitter_ps=30.0, background_rate_hz=0.0,
+            background_rate_hz=0.0,
         )
         source = make_source(
             2, signal_intensity=0.5, decoy_intensity=0.05, p_mu=0.7, p_nu=0.2,

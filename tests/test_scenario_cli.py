@@ -3,6 +3,7 @@ surface: outputs, exit codes, reproducibility."""
 import copy
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from satqkd.scenario import (
     scenario_from_dict,
 )
 
-FAST_OPTIMIZER = {"coarse_grid_steps": 4, "refine_iterations": 1, "rel_tolerance": 1e-3, "rng_seed": 7}
+FAST_OPTIMIZER = {"coarse_grid_steps": 4, "refine_iterations": 1, "rel_tolerance": 1e-3}
 
 
 @pytest.fixture()
@@ -56,6 +57,20 @@ class TestScenarioValidation:
         doc = copy.deepcopy(snspd_doc)
         doc["detector"]["colour"] = "blue"
         with pytest.raises(ScenarioError, match="detector.colour"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("detector", "timing_jitter_ps", 30.0),
+            ("receiver", "effective_focal_length_m", 2.0),
+            ("optimizer", "rng_seed", 7),
+        ],
+    )
+    def test_removed_knob_rejected(self, snspd_doc, section, field, value):
+        doc = copy.deepcopy(snspd_doc)
+        doc[section][field] = value
+        with pytest.raises(ScenarioError, match=f"unknown field {section}.{field}"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -118,6 +133,15 @@ class TestScenarioValidation:
         scenario = scenario_from_dict(doc)
         assert scenario.atmosphere.loss_at(20.0, 1550.0) == pytest.approx(2.5)
         assert scenario.atmosphere.loss_at(55.0, 1550.0) == pytest.approx(1.55)
+
+    def test_digest_covers_elevation_table_bytes(self, tmp_path, snspd_doc):
+        table = tmp_path / "measured.txt"
+        doc = copy.deepcopy(snspd_doc)
+        doc["atmosphere"]["elevation_table_path"] = str(table)
+        table.write_text("20 2.5\n90 0.6\n")
+        first = scenario_from_dict(doc).digest()
+        table.write_text("20 3.5\n90 0.6\n")
+        assert scenario_from_dict(doc).digest() != first
 
     def test_time_bin_slot_rate_option(self):
         doc = json.loads(
@@ -218,6 +242,38 @@ class TestCliCommands:
         doc["station"]["min_elevation_deg"] = -3.0
         scenario_path = write_scenario(tmp_path, doc)
         assert main(["pass", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("transmitter", "pointing_loss_db", math.nan),
+            ("detector", "dead_time_ns", math.nan),
+            ("detector", "dark_count_rate_hz", math.inf),
+            ("orbit", "altitude_km", math.nan),
+            ("security", "f_ec", math.nan),
+            ("scenario", "sample_dt_s", math.nan),
+            ("detector", "n_detectors", 2.7),
+            ("optimizer", "coarse_grid_steps", 2.9),
+            ("source", "p_mu", "0.5"),
+            ("scenario", "n_decoys", True),
+        ],
+    )
+    def test_bad_number_exits_with_validation_code(self, tmp_path, capsys, snspd_doc, section, field, value):
+        """NaN, infinities, strings, bools and truncated integers are rejected
+        on load, naming the field, instead of being coerced or propagated."""
+        doc = copy.deepcopy(snspd_doc)
+        (doc if section == "scenario" else doc[section])[field] = value
+        scenario_path = write_scenario(tmp_path, doc)
+        assert main(["skl", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+
+    def test_integral_json_numbers_load(self, snspd_doc):
+        doc = copy.deepcopy(snspd_doc)
+        doc["orbit"]["altitude_km"] = 567
+        doc["detector"]["n_detectors"] = 1.0
+        scenario = scenario_from_dict(doc)
+        assert scenario.orbit.altitude_km == 567.0
+        assert scenario.detector.n_detectors == 1
 
     def test_relay_demo(self, tmp_path):
         out = tmp_path / "out"
