@@ -1,8 +1,9 @@
 """Golden figures of the 9 bundled scenarios.
 
 For each scenario: the optimized parameter vector and its key length, the
-key length at the scenario's own source parameters, and the asymptotic
-rate at a few pass samples. Refactors must reproduce them to a relative
+key length at the scenario's own source parameters, the pass sample count,
+and at a few pass samples the asymptotic rate, the pass columns and the
+link budget's total_db and eta. Refactors must reproduce them to a relative
 1e-9. Regenerate with `PYTHONPATH=src python tests/test_golden.py` only
 when a change is meant to move these figures.
 """
@@ -37,8 +38,10 @@ def snapshot(scenario, params: ParamVector, result) -> dict:
     breakdowns = compute_breakdowns(
         pass_geometry, scenario.transmitter, scenario.receiver, scenario.atmosphere
     )
-    last = len(pass_geometry.samples) - 1
+    samples = pass_geometry.samples
+    last = len(samples) - 1
     indices = sorted({round(f * last) for f in SAMPLE_FRACTIONS})
+    keys = {i: repr(float(samples[i].t_s)) for i in indices}
     own = evaluate_params(
         pass_geometry, scenario.hardware(), scenario.security, scenario.n_decoys,
         _own_params(scenario),
@@ -48,9 +51,19 @@ def snapshot(scenario, params: ParamVector, result) -> dict:
         "optimized_skl_bits": result.skl_bits,
         "own_skl_bits": own.skl_bits,
         "asymptotic_skr": {
-            repr(pass_geometry.samples[i].t_s): asymptotic_skr(
+            keys[i]: asymptotic_skr(
                 breakdowns[i].eta, scenario.source, scenario.detector, scenario.security
             )
+            for i in indices
+        },
+        "n_samples": len(samples),
+        "geometry": {
+            keys[i]: {name: float(getattr(samples[i], name))
+                      for name in ("t_s", "elevation_deg", "slant_range_km")}
+            for i in indices
+        },
+        "budget": {
+            keys[i]: {name: float(getattr(breakdowns[i], name)) for name in ("total_db", "eta")}
             for i in indices
         },
     }
@@ -64,6 +77,11 @@ def test_bundled_scenario_matches_golden(name, bundled_results):
     assert got["optimized_skl_bits"] == pytest.approx(want["optimized_skl_bits"], rel=REL, abs=0)
     assert got["own_skl_bits"] == pytest.approx(want["own_skl_bits"], rel=REL, abs=0)
     assert got["asymptotic_skr"] == pytest.approx(want["asymptotic_skr"], rel=REL, abs=0)
+    assert got["n_samples"] == want["n_samples"]
+    for table in ("geometry", "budget"):
+        assert got[table].keys() == want[table].keys()
+        for key, row in want[table].items():
+            assert got[table][key] == pytest.approx(row, rel=REL, abs=0), (table, key)
 
 
 if __name__ == "__main__":
