@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkbudget import LinkBudgetBreakdown
 from .orbit import PassGeometry
 
 # Detected (n) and erroneous (m) counts per basis and intensity (mu, nu,
@@ -271,11 +270,7 @@ def sifted_rows(clicks, errors_z, errors_x, p_z_alice, p_z_bob) -> dict[str, np.
     return {name: row * sift for name, row, sift in zip(TALLY_FIELDS, rows, sifts)}
 
 
-def _eta_per_sample(breakdowns: list[LinkBudgetBreakdown], det: DetectorSpec) -> np.ndarray:
-    return np.array([b.eta for b in breakdowns]) * det.efficiency
-
-
-def _check_breakdowns(pass_geometry: PassGeometry, breakdowns: list[LinkBudgetBreakdown]) -> None:
+def _check_breakdowns(pass_geometry: PassGeometry, breakdowns: np.recarray) -> None:
     if len(breakdowns) != len(pass_geometry.samples):
         raise ChannelError(
             f"need one breakdown per pass sample, got {len(breakdowns)} for "
@@ -302,7 +297,7 @@ def _summed_tallies(eta_total: np.ndarray, pulses_per_sample: float, source: Sou
 
 def expected_tallies(
     pass_geometry: PassGeometry,
-    breakdowns: list[LinkBudgetBreakdown],
+    breakdowns: np.recarray,
     source: SourceSpec,
     det: DetectorSpec,
     min_elevation_deg: float,
@@ -316,11 +311,11 @@ def expected_tallies(
     (pre-sifting) click rate of the sample.
     """
     _check_breakdowns(pass_geometry, breakdowns)
-    keep = np.array(pass_geometry.elevations_deg()) >= min_elevation_deg
+    keep = pass_geometry.samples.elevation_deg >= min_elevation_deg
     if not keep.any():
         return TallySet()
     return _summed_tallies(
-        _eta_per_sample(breakdowns, det)[keep],
+        breakdowns.eta[keep] * det.efficiency,
         source.pulse_rate_hz * pass_geometry.sample_dt_s, source, det,
     )
 
@@ -338,7 +333,7 @@ def expected_tallies_fixed_eta(
 def monte_carlo_tallies(
     seed: int,
     pass_geometry: PassGeometry,
-    breakdowns: list[LinkBudgetBreakdown],
+    breakdowns: np.recarray,
     source: SourceSpec,
     det: DetectorSpec,
     min_elevation_deg: float,
@@ -381,13 +376,13 @@ def monte_carlo_tallies(
     )}
     n_sent = 0
 
-    eta_all = _eta_per_sample(breakdowns, det)
+    eta_all = breakdowns.eta * det.efficiency
     f_dead_all = presift_rows(
         eta_all, source.signal_intensity, source.decoy_intensity,
         source.p_mu, source.p_nu, source.p_vac, source, det,
     )[3]
-    for sample, eta, f_dead in zip(pass_geometry.samples, eta_all, f_dead_all):
-        if sample.elevation_deg < min_elevation_deg:
+    for elevation, eta, f_dead in zip(pass_geometry.samples.elevation_deg, eta_all, f_dead_all):
+        if elevation < min_elevation_deg:
             continue
         n_sent += pulses_per_sample
         split = rng.multinomial(pulses_per_sample, category_p)

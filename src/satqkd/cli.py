@@ -1,8 +1,9 @@
 """Command-line driver: scenario files in, CSV/JSON tables out.
 
-Every command is a deterministic batch job: the same scenario file and
-seed produce byte-identical output files. Exit codes: 0 success, 2
-validation failure, 3 aborted-key outcome.
+Every command is a deterministic batch job: the same scenario file (and,
+for mc-validate and relay-demo, the same seed) produce byte-identical
+output files. Exit codes: 0 success, 2 validation failure, 3 aborted-key
+outcome.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channel import TALLY_FIELDS, expected_tallies, monte_carlo_tallies
-from .linkbudget import LinkBudgetBreakdown, compute_breakdowns
+from .linkbudget import TERM_FIELDS, compute_breakdowns
 from .optimizer import ParamVector, evaluate_params, optimize_pass, sweep_max_elevation
 from .relay import KeyStore, recover
 from .scenario import Scenario, ScenarioError, load_bundled_scenario, load_scenario
@@ -43,7 +44,8 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _report(out_dir: Path, scenario: Scenario | None, command: str, seed: int, outputs: list[str]) -> None:
+def _report(out_dir: Path, scenario: Scenario | None, command: str, seed: int | None,
+            outputs: list[str]) -> None:
     doc = {
         "command": command,
         "outputs": sorted(outputs),
@@ -81,9 +83,8 @@ def cmd_pass(args) -> int:
     scenario = _load(args.scenario)
     pass_geometry = scenario.synth_pass()
     header = ["t_s", "elevation_deg", "slant_range_km"]
-    rows = [[s.t_s, s.elevation_deg, s.slant_range_km] for s in pass_geometry.samples]
-    outputs = _emit_table(args, "pass", header, rows)
-    _report(Path(args.out), scenario, "pass", args.seed, outputs)
+    outputs = _emit_table(args, "pass", header, pass_geometry.samples.tolist())
+    _report(Path(args.out), scenario, "pass", None, outputs)
     return EXIT_OK
 
 
@@ -93,20 +94,10 @@ def cmd_budget(args) -> int:
     breakdowns = compute_breakdowns(
         pass_geometry, scenario.transmitter, scenario.receiver, scenario.atmosphere
     )
-    header = (
-        ["t_s", "elevation_deg", "slant_range_km"]
-        + list(LinkBudgetBreakdown.TERM_FIELDS)
-        + ["total_db", "eta"]
-    )
-    rows = []
-    for sample, brk in zip(pass_geometry.samples, breakdowns):
-        rows.append(
-            [sample.t_s, sample.elevation_deg, sample.slant_range_km]
-            + [getattr(brk, f) for f in LinkBudgetBreakdown.TERM_FIELDS]
-            + [brk.total_db, brk.eta]
-        )
+    header = ["t_s", "elevation_deg", "slant_range_km", *TERM_FIELDS, "total_db", "eta"]
+    rows = [s + b for s, b in zip(pass_geometry.samples.tolist(), breakdowns.tolist())]
     outputs = _emit_table(args, "budget", header, rows)
-    _report(Path(args.out), scenario, "budget", args.seed, outputs)
+    _report(Path(args.out), scenario, "budget", None, outputs)
     return EXIT_OK
 
 
@@ -143,7 +134,7 @@ def cmd_skl(args) -> int:
     }
     outputs = ["skl.json"]
     _write(Path(args.out), "skl.json", _json_text(doc))
-    _report(Path(args.out), scenario, "skl", args.seed, outputs)
+    _report(Path(args.out), scenario, "skl", None, outputs)
     return EXIT_ABORTED if result.aborted else EXIT_OK
 
 
@@ -167,7 +158,7 @@ def cmd_optimize(args) -> int:
     }
     outputs = ["optimize.json", trace_path.name]
     _write(out_dir, "optimize.json", _json_text(doc))
-    _report(out_dir, scenario, "optimize", args.seed, outputs)
+    _report(out_dir, scenario, "optimize", None, outputs)
     return EXIT_ABORTED if result.aborted else EXIT_OK
 
 
@@ -184,7 +175,7 @@ def cmd_sweep_elevation(args) -> int:
     header = ["max_elevation_deg", "skl_bits", "mu", "nu", "p_mu", "p_nu", "p_z", "min_elevation_deg"]
     rows = [[row.get(h, 0.0) for h in header] for row in rows_raw]
     outputs = _emit_table(args, "sweep_elevation", header, rows)
-    _report(Path(args.out), scenario, "sweep-elevation", args.seed, outputs)
+    _report(Path(args.out), scenario, "sweep-elevation", None, outputs)
     return EXIT_OK
 
 
@@ -277,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"satqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, seeded=False):
         if scenario:
             p.add_argument("--scenario", required=True,
                            help="scenario JSON path, or bundled:<name>")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -310,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_elevation)
 
     p = sub.add_parser("mc-validate", help="Monte Carlo vs expected tallies, 3-sigma check.")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--seeds", type=int, default=10, help="number of Monte Carlo seeds")
     p.add_argument("--thinning", type=float, default=1e5,
                    help="pulse thinning factor for desk-scale runs")
     p.set_defaults(func=cmd_mc_validate)
 
     p = sub.add_parser("relay-demo", help="Trusted-node XOR relay round trip.")
-    common(p, scenario=False)
+    common(p, scenario=False, seeded=True)
     p.add_argument("--lengths", default="1024,4096",
                    help="comma-separated key lengths in bits (multiples of 8)")
     p.set_defaults(func=cmd_relay_demo)

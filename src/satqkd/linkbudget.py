@@ -1,6 +1,7 @@
 """Dynamic optical link budget for a satellite-to-ground downlink.
 
-All breakdown terms use the loss sign convention: positive dB values
+compute_breakdowns returns one record array row per pass sample. All
+breakdown terms use the loss sign convention: positive dB values
 attenuate, antenna gains enter as negative losses. The total is then the
 plain sum of the named terms and eta = 10^(-total_db/10).
 """
@@ -10,14 +11,27 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .constants import C_LIGHT_M_S, H_PLANCK_J_S
-from .orbit import PassGeometry, PassSample
+from .orbit import PassGeometry
 
 # Far-field coupling efficiency of a Gaussian beam truncated at alpha = 1.12,
 # the ratio that maximizes on-axis antenna gain. Calibrated so that the
 # 85 mm / M^2 = 1.2 terminal reproduces its quoted 102.2 / 107.5 dB gains.
 TRUNCATION_GAIN_FACTOR = 0.81
 SUPPORTED_TRUNCATION_RATIO = 1.12
+
+# Signed dB terms of a breakdown row; total_db is their sum.
+TERM_FIELDS = (
+    "tx_gain_db",
+    "free_space_loss_db",
+    "atmospheric_loss_db",
+    "pointing_loss_db",
+    "rx_area_gain_db",
+    "rx_path_loss_db",
+    "coupling_loss_db",
+)
 
 
 class LinkBudgetError(ValueError):
@@ -132,42 +146,12 @@ class AtmosphereModel:
                 f"atmosphere.sky_radiance_w_m2_sr_nm has no entry for wavelength {wavelength_nm} nm"
             ) from None
 
-    def loss_at(self, elevation_deg: float, wavelength_nm: float) -> float:
+    def loss_at(self, elevation_deg, wavelength_nm: float):
+        """Atmospheric loss in dB at each elevation; a table is clamped at its ends."""
         if self.elevation_table is not None:
-            return _interpolate_table(self.elevation_table, elevation_deg)
+            elevations, losses = zip(*self.elevation_table)
+            return np.interp(elevation_deg, elevations, losses)
         return atmospheric_loss(elevation_deg, self.zenith_loss_for(wavelength_nm))
-
-
-@dataclass(frozen=True)
-class LinkBudgetBreakdown:
-    """Per-sample dB decomposition of the end-to-end transmission.
-
-    Every term is a signed loss contribution (gains negative), so
-    total_db == sum of the seven terms and eta == 10^(-total_db/10).
-    """
-
-    tx_gain_db: float
-    free_space_loss_db: float
-    atmospheric_loss_db: float
-    pointing_loss_db: float
-    rx_area_gain_db: float
-    rx_path_loss_db: float
-    coupling_loss_db: float
-    total_db: float
-    eta: float
-
-    TERM_FIELDS = (
-        "tx_gain_db",
-        "free_space_loss_db",
-        "atmospheric_loss_db",
-        "pointing_loss_db",
-        "rx_area_gain_db",
-        "rx_path_loss_db",
-        "coupling_loss_db",
-    )
-
-    def terms(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.TERM_FIELDS}
 
 
 def tx_antenna_gain(tx: TransmitterSpec) -> float:
@@ -192,21 +176,25 @@ def ideal_tx_antenna_gain(aperture_diam_m: float, wavelength_nm: float) -> float
     return 10.0 * math.log10((math.pi * aperture_diam_m / lam_m) ** 2)
 
 
-def free_space_loss(slant_range_km: float, wavelength_nm: float) -> float:
-    """Free-space (Friis) loss 20 log10(4 pi L / lambda) in dB."""
-    if slant_range_km <= 0:
-        raise LinkBudgetError(f"slant_range_km must be > 0, got {slant_range_km}")
+def free_space_loss(slant_range_km, wavelength_nm: float):
+    """Free-space (Friis) loss 20 log10(4 pi L / lambda) in dB, per range."""
+    slant_range_km = np.asarray(slant_range_km, dtype=float)
+    bad = slant_range_km[~(slant_range_km > 0)]
+    if bad.size:
+        raise LinkBudgetError(f"slant_range_km must be > 0, got {bad[0]}")
     lam_m = wavelength_nm * 1e-9
-    return 20.0 * math.log10(4.0 * math.pi * slant_range_km * 1e3 / lam_m)
+    return 20.0 * np.log10(4.0 * math.pi * slant_range_km * 1e3 / lam_m)
 
 
-def atmospheric_loss(elevation_deg: float, zenith_loss_db: float) -> float:
+def atmospheric_loss(elevation_deg, zenith_loss_db: float):
     """Plane-parallel airmass scaling of the zenith loss: zenith / sin(elev)."""
-    if not 0.0 < elevation_deg <= 90.0:
-        raise LinkBudgetError(f"elevation_deg must be in (0, 90], got {elevation_deg}")
+    elevation_deg = np.asarray(elevation_deg, dtype=float)
+    bad = elevation_deg[~((elevation_deg > 0.0) & (elevation_deg <= 90.0))]
+    if bad.size:
+        raise LinkBudgetError(f"elevation_deg must be in (0, 90], got {bad[0]}")
     if zenith_loss_db < 0:
         raise LinkBudgetError(f"zenith_loss_db must be >= 0, got {zenith_loss_db}")
-    return zenith_loss_db / math.sin(math.radians(elevation_deg))
+    return zenith_loss_db / np.sin(np.radians(elevation_deg))
 
 
 def rx_area_gain(rx: ReceiverSpec, wavelength_nm: float) -> float:
@@ -215,48 +203,38 @@ def rx_area_gain(rx: ReceiverSpec, wavelength_nm: float) -> float:
     return 10.0 * math.log10(4.0 * math.pi * rx.collecting_area_m2 / lam_m**2)
 
 
-def end_to_end_transmission(
-    sample: PassSample,
-    tx: TransmitterSpec,
-    rx: ReceiverSpec,
-    atm: AtmosphereModel,
-) -> LinkBudgetBreakdown:
-    """Assemble the full dB breakdown for one pass sample.
-
-    The geometric part is eta_geom = G_tx * A_rx / (4 pi L^2); atmospheric,
-    pointing, receiver path and coupling losses are then added in dB.
-    """
-    gain_tx = tx_antenna_gain(tx)
-    gain_rx = rx_area_gain(rx, tx.wavelength_nm)
-    fsl = free_space_loss(sample.slant_range_km, tx.wavelength_nm)
-    atm_db = atm.loss_at(sample.elevation_deg, tx.wavelength_nm)
-    terms = {
-        "tx_gain_db": -gain_tx,
-        "free_space_loss_db": fsl,
-        "atmospheric_loss_db": atm_db,
-        "pointing_loss_db": tx.pointing_loss_db,
-        "rx_area_gain_db": -gain_rx,
-        "rx_path_loss_db": rx.path_loss_db,
-        "coupling_loss_db": rx.coupling_loss_db,
-    }
-    total = sum(terms.values())
-    eta = 10.0 ** (-total / 10.0)
-    if eta > 1.0:
-        raise LinkBudgetError(
-            f"near-field regime unsupported: assembled eta = {eta:.3g} > 1 at "
-            f"range {sample.slant_range_km} km"
-        )
-    return LinkBudgetBreakdown(total_db=total, eta=eta, **terms)
-
-
 def compute_breakdowns(
     pass_geometry: PassGeometry,
     tx: TransmitterSpec,
     rx: ReceiverSpec,
     atm: AtmosphereModel,
-) -> list[LinkBudgetBreakdown]:
-    """One breakdown per pass sample, in sample order."""
-    return [end_to_end_transmission(s, tx, rx, atm) for s in pass_geometry.samples]
+) -> np.recarray:
+    """Full dB breakdown of every pass sample, in sample order.
+
+    Returns a record array with the TERM_FIELDS, total_db and eta. The
+    geometric part is eta_geom = G_tx * A_rx / (4 pi L^2); atmospheric,
+    pointing, receiver path and coupling losses are then added in dB.
+    """
+    samples = pass_geometry.samples
+    terms = [
+        -tx_antenna_gain(tx),
+        free_space_loss(samples.slant_range_km, tx.wavelength_nm),
+        atm.loss_at(samples.elevation_deg, tx.wavelength_nm),
+        tx.pointing_loss_db,
+        -rx_area_gain(rx, tx.wavelength_nm),
+        rx.path_loss_db,
+        rx.coupling_loss_db,
+    ]
+    columns = [np.broadcast_to(term, samples.shape) for term in terms]
+    total = sum(columns)
+    eta = 10.0 ** (-total / 10.0)
+    near = eta > 1.0
+    if near.any():
+        raise LinkBudgetError(
+            f"near-field regime unsupported: assembled eta = {eta[near][0]:.3g} > 1 at "
+            f"range {samples.slant_range_km[near][0]} km"
+        )
+    return np.rec.fromarrays(columns + [total, eta], names=[*TERM_FIELDS, "total_db", "eta"])
 
 
 def collection_upper_bound(tx: TransmitterSpec, rx: ReceiverSpec, slant_range_km: float) -> float:
@@ -320,16 +298,3 @@ def load_elevation_loss_table(path: str | Path) -> tuple[tuple[float, float], ..
         raise LinkBudgetError(f"{path}: elevation column must be strictly increasing")
     return tuple(rows)
 
-
-def _interpolate_table(table: tuple[tuple[float, float], ...], elevation_deg: float) -> float:
-    xs = [r[0] for r in table]
-    ys = [r[1] for r in table]
-    if elevation_deg <= xs[0]:
-        return ys[0]
-    if elevation_deg >= xs[-1]:
-        return ys[-1]
-    for i in range(1, len(xs)):
-        if elevation_deg <= xs[i]:
-            frac = (elevation_deg - xs[i - 1]) / (xs[i] - xs[i - 1])
-            return ys[i - 1] + frac * (ys[i] - ys[i - 1])
-    return ys[-1]

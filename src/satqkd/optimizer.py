@@ -147,10 +147,9 @@ class _PassChannel:
         breakdowns = compute_breakdowns(
             pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
         )
-        elevations = np.array(pass_geometry.elevations_deg())
+        elevations = pass_geometry.samples.elevation_deg
         order = np.argsort(elevations, kind="stable")
-        eta = np.array([b.eta for b in breakdowns]) * hardware.detector.efficiency
-        self.eta_sorted = eta[order]
+        self.eta_sorted = breakdowns.eta[order] * hardware.detector.efficiency
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
         # cut_start[j]: first sorted index with elevation >= cut j
         self.cut_start = np.searchsorted(elevations[order], MIN_ELEVATION_GRID, side="left")
@@ -384,14 +383,14 @@ def pointwise_asymptotic_profile(
         )
 
     profile = []
-    for sample, brk in zip(pass_geometry.samples, breakdowns):
-        rates = rate(brk.eta, mu_c, nu_c, p_mu_c, p_nu_c, p_z_c)
+    for t_s, eta in zip(pass_geometry.samples.t_s.tolist(), breakdowns.eta.tolist()):
+        rates = rate(eta, mu_c, nu_c, p_mu_c, p_nu_c, p_z_c)
         idx = int(np.argmax(rates))
         start = {k: float(v[idx]) for k, v in zip(PARAM_NAMES, (mu_c, nu_c, p_mu_c, p_nu_c, p_z_c))}
         _, best = _refine(
-            lambda c: float(rate(brk.eta, **c)), start, float(rates[idx]), n_decoys, config
+            lambda c: float(rate(eta, **c)), start, float(rates[idx]), n_decoys, config
         )
-        profile.append((sample.t_s, best))
+        profile.append((t_s, best))
     return profile
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import MU_EARTH_KM3_S2, R_EARTH_KM
 
 
@@ -58,32 +60,21 @@ class GroundStation:
 
 
 @dataclass(frozen=True)
-class PassSample:
-    """One time step of a pass; t_s is the offset from culmination."""
-
-    t_s: float
-    elevation_deg: float
-    slant_range_km: float
-
-
-@dataclass(frozen=True)
 class PassGeometry:
-    """Time series of elevation and slant range for one pass."""
+    """Time series of elevation and slant range for one pass.
 
-    samples: tuple[PassSample, ...]
+    samples is a record array with the fields t_s (offset from
+    culmination), elevation_deg and slant_range_km, one row per time step.
+    """
+
+    samples: np.recarray
     sample_dt_s: float
-
-    def elevations_deg(self) -> list[float]:
-        return [s.elevation_deg for s in self.samples]
-
-    def slant_ranges_km(self) -> list[float]:
-        return [s.slant_range_km for s in self.samples]
 
     @property
     def duration_s(self) -> float:
-        if not self.samples:
+        if not len(self.samples):
             return 0.0
-        return self.samples[-1].t_s - self.samples[0].t_s
+        return float(self.samples.t_s[-1] - self.samples.t_s[0])
 
 
 def sso_inclination(altitude_km: float) -> float:
@@ -155,17 +146,16 @@ def _central_angle_at_elevation(radius_km: float, elevation_deg: float) -> float
     return math.acos(R_EARTH_KM / radius_km * math.cos(eps)) - eps
 
 
-def _elevation_from_central_angle(radius_km: float, psi: float) -> float:
+def _elevation_from_central_angle(radius_km: float, psi: np.ndarray) -> np.ndarray:
     """Invert the pass geometry: elevation in degrees for central angle psi."""
-    if psi <= 0.0:
-        return 90.0
-    return math.degrees(math.atan2(math.cos(psi) - R_EARTH_KM / radius_km, math.sin(psi)))
+    elevation = np.degrees(np.arctan2(np.cos(psi) - R_EARTH_KM / radius_km, np.sin(psi)))
+    return np.where(psi <= 0.0, 90.0, elevation)
 
 
-def slant_range_km(radius_km: float, psi: float) -> float:
+def slant_range_km(radius_km: float, psi):
     """Line-of-sight distance for central angle psi (law of cosines)."""
-    return math.sqrt(
-        R_EARTH_KM**2 + radius_km**2 - 2.0 * R_EARTH_KM * radius_km * math.cos(psi)
+    return np.sqrt(
+        R_EARTH_KM**2 + radius_km**2 - 2.0 * R_EARTH_KM * radius_km * np.cos(psi)
     )
 
 
@@ -184,7 +174,7 @@ def synth_pass(orbit: OrbitSpec, station: GroundStation, sample_dt_s: float = 1.
         sample_dt_s: Time step of the series, seconds.
 
     Returns:
-        PassGeometry with samples ordered by time.
+        PassGeometry whose samples record array is ordered by time.
     """
     if sample_dt_s <= 0:
         raise GeometryError(f"sample_dt_s must be > 0, got {sample_dt_s}")
@@ -197,16 +187,10 @@ def synth_pass(orbit: OrbitSpec, station: GroundStation, sample_dt_s: float = 1.
     t_half = math.acos(min(1.0, cos_ratio)) / omega
     n_half = int(math.floor(t_half / sample_dt_s + 1e-12))
 
-    samples = []
-    for k in range(-n_half, n_half + 1):
-        t = k * sample_dt_s
-        cos_psi = math.cos(psi_min) * math.cos(omega * t)
-        psi = math.acos(min(1.0, cos_psi))
-        samples.append(
-            PassSample(
-                t_s=t,
-                elevation_deg=_elevation_from_central_angle(r_sat, psi),
-                slant_range_km=slant_range_km(r_sat, psi),
-            )
-        )
-    return PassGeometry(samples=tuple(samples), sample_dt_s=sample_dt_s)
+    t = np.arange(-n_half, n_half + 1) * sample_dt_s
+    psi = np.arccos(np.minimum(1.0, math.cos(psi_min) * np.cos(omega * t)))
+    samples = np.rec.fromarrays(
+        [t, _elevation_from_central_angle(r_sat, psi), slant_range_km(r_sat, psi)],
+        names=["t_s", "elevation_deg", "slant_range_km"],
+    )
+    return PassGeometry(samples=samples, sample_dt_s=sample_dt_s)

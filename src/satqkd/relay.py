@@ -47,7 +47,7 @@ class RelayMessage:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise RelayError(f"xor length mismatch: {len(a)} vs {len(b)} bytes")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def recover(local_bits: bytes, message: RelayMessage) -> bytes:
@@ -125,11 +125,11 @@ class KeyStore:
 
     def residual_secret_bits(self) -> int:
         """Erasure scan: count set bits left in consumed records."""
-        total = 0
-        for rec in self._records.values():
-            if rec.status == STATUS_CONSUMED:
-                total += sum(byte.bit_count() for byte in rec.bits)
-        return total
+        return sum(
+            int.from_bytes(rec.bits, "big").bit_count()
+            for rec in self._records.values()
+            if rec.status == STATUS_CONSUMED
+        )
 
     # -- snapshot ---------------------------------------------------------
 
@@ -156,6 +156,7 @@ class KeyStore:
 
     @classmethod
     def import_snapshot(cls, path: str | Path) -> "KeyStore":
+        """Read an export_snapshot file; anything malformed raises RelayError."""
         data = Path(path).read_bytes()
         view = memoryview(data)
         if bytes(view[:4]) != SNAPSHOT_MAGIC:
@@ -184,6 +185,12 @@ class KeyStore:
             status = take_block().decode()
             (n_bits,) = struct.unpack(">I", take(4))
             bits = take_block()
+            if key_id in store._records:
+                raise RelayError(f"duplicate key id {key_id!r} in snapshot")
+            if status not in (STATUS_STORED, STATUS_CONSUMED):
+                raise RelayError(f"key {key_id!r} has unknown status {status!r}")
+            if n_bits != 8 * len(bits):
+                raise RelayError(f"key {key_id!r} claims {n_bits} bits but holds {len(bits)} bytes")
             store._records[key_id] = KeyRecord(
                 key_id=key_id, peer=peer, bits=bits, n_bits=n_bits, status=status
             )
@@ -193,10 +200,14 @@ class KeyStore:
             key_id_b = take_block().decode()
             (n_bits,) = struct.unpack(">I", take(4))
             payload = take_block()
+            if n_bits != 8 * len(payload):
+                raise RelayError(f"message {key_id_a!r} claims {n_bits} bits but holds {len(payload)} bytes")
             store._messages.append(
                 RelayMessage(key_id_a=key_id_a, key_id_b=key_id_b, payload=payload, n_bits=n_bits)
             )
         store._counter, store.consumed_bits, store.delivered_bits = struct.unpack(
             ">IQQ", take(20)
         )
+        if offset != len(data):
+            raise RelayError(f"{len(data) - offset} trailing bytes after the snapshot")
         return store

@@ -1,9 +1,13 @@
 """Link budget terms against published anchors and frozen hand calculations."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqkd.linkbudget import (
+    TERM_FIELDS,
     AtmosphereModel,
     LinkBudgetError,
     ReceiverSpec,
@@ -12,14 +16,13 @@ from satqkd.linkbudget import (
     background_click_rate,
     collection_upper_bound,
     compute_breakdowns,
-    end_to_end_transmission,
     free_space_loss,
     ideal_tx_antenna_gain,
     load_elevation_loss_table,
     rx_area_gain,
     tx_antenna_gain,
 )
-from satqkd.orbit import GroundStation, OrbitSpec, PassSample, synth_pass
+from satqkd.orbit import GroundStation, OrbitSpec, PassGeometry, synth_pass
 
 REFERENCE_TX_1550 = TransmitterSpec(aperture_diam_m=0.085, wavelength_nm=1550.0)
 REFERENCE_TX_850 = TransmitterSpec(aperture_diam_m=0.085, wavelength_nm=850.0)
@@ -80,6 +83,11 @@ class TestFreeSpaceLoss:
         with pytest.raises(LinkBudgetError):
             free_space_loss(0.0, 1550.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_invalid_range_anywhere_in_array(self, bad):
+        with pytest.raises(LinkBudgetError, match="slant_range_km"):
+            free_space_loss([567.0, bad, 800.0], 1550.0)
+
 
 class TestAtmosphericLoss:
     def test_zenith_identity(self):
@@ -98,6 +106,19 @@ class TestAtmosphericLoss:
         with pytest.raises(LinkBudgetError):
             atmospheric_loss(-5.0, 0.4)
 
+    @pytest.mark.parametrize("bad", [0.0, 95.0, float("nan")])
+    def test_invalid_elevation_anywhere_in_array(self, bad):
+        with pytest.raises(LinkBudgetError, match="elevation_deg"):
+            atmospheric_loss([45.0, bad, 60.0], 0.4)
+
+
+def one_sample_pass(slant_range_km):
+    """A pass of one sample at zenith and the given slant range."""
+    samples = np.rec.fromarrays(
+        [[0.0], [90.0], [slant_range_km]], names=["t_s", "elevation_deg", "slant_range_km"]
+    )
+    return PassGeometry(samples=samples, sample_dt_s=1.0)
+
 
 @pytest.fixture(scope="module")
 def reference_pass():
@@ -112,7 +133,7 @@ def reference_breakdowns(reference_pass):
 class TestEndToEnd:
     def test_breakdown_additivity(self, reference_breakdowns):
         for brk in reference_breakdowns:
-            assert abs(brk.total_db - sum(brk.terms().values())) < 1e-9
+            assert abs(brk.total_db - sum(brk[name] for name in TERM_FIELDS)) < 1e-9
             assert brk.eta == pytest.approx(10.0 ** (-brk.total_db / 10.0), rel=1e-12)
 
     def test_collection_upper_bound(self, reference_pass, reference_breakdowns):
@@ -125,7 +146,7 @@ class TestEndToEnd:
 
     def test_total_monotone_in_elevation(self, reference_pass, reference_breakdowns):
         pairs = sorted(
-            zip(reference_pass.elevations_deg(), [b.total_db for b in reference_breakdowns])
+            zip(reference_pass.samples.elevation_deg, [b.total_db for b in reference_breakdowns])
         )
         for (_, db_low), (_, db_high) in zip(pairs, pairs[1:]):
             assert db_high <= db_low + 1e-12
@@ -140,17 +161,19 @@ class TestEndToEnd:
 
     def test_loss_composition_structure(self):
         """Geometric part equals G_tx * A_rx / (4 pi L^2) exactly."""
-        sample = PassSample(t_s=0.0, elevation_deg=90.0, slant_range_km=567.0)
-        brk = end_to_end_transmission(sample, REFERENCE_TX_1550, REFERENCE_RX_FIBER, REFERENCE_ATM)
+        (brk,) = compute_breakdowns(
+            one_sample_pass(567.0), REFERENCE_TX_1550, REFERENCE_RX_FIBER, REFERENCE_ATM
+        )
         g_tx = 10.0 ** (tx_antenna_gain(REFERENCE_TX_1550) / 10.0)
         eta_geom = g_tx * REFERENCE_RX_FIBER.collecting_area_m2 / (4.0 * math.pi * (567e3) ** 2)
         geom_db = -(brk.tx_gain_db + brk.free_space_loss_db + brk.rx_area_gain_db)
         assert 10.0 ** (geom_db / 10.0) == pytest.approx(eta_geom, rel=1e-12)
 
     def test_near_field_rejected(self):
-        sample = PassSample(t_s=0.0, elevation_deg=90.0, slant_range_km=0.5)
         with pytest.raises(LinkBudgetError, match="near-field"):
-            end_to_end_transmission(sample, REFERENCE_TX_1550, REFERENCE_RX_FIBER, REFERENCE_ATM)
+            compute_breakdowns(
+                one_sample_pass(0.5), REFERENCE_TX_1550, REFERENCE_RX_FIBER, REFERENCE_ATM
+            )
 
 
 class TestBackgroundClickRate:
@@ -230,3 +253,39 @@ def test_rx_gain_is_annular():
     area = math.pi / 4.0 * (0.8**2 - 0.3**2)
     expected = 10.0 * math.log10(4.0 * math.pi * area / (1550e-9) ** 2)
     assert rx_area_gain(rx, 1550.0) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def pass_windows(draw):
+    altitude = draw(st.floats(300.0, 2000.0))
+    cut = draw(st.floats(5.0, 60.0))
+    peak = draw(st.floats(cut + 1.0, 90.0))
+    dt = draw(st.floats(0.05, 30.0))
+    return OrbitSpec(altitude), GroundStation(cut, peak), dt
+
+
+@settings(deadline=None)
+@given(pass_windows())
+def test_pass_and_budget_arrays(window):
+    """Record-array invariants of synth_pass and compute_breakdowns."""
+    orbit, station, dt = window
+    pass_geometry = synth_pass(orbit, station, dt)
+    samples = pass_geometry.samples
+    t = samples.t_s
+    assert np.array_equal(t, -t[::-1])
+    assert np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0)
+    tol = 1e-9
+    assert samples.elevation_deg.min() >= station.min_elevation_deg - tol
+    assert samples.elevation_deg.max() <= station.max_elevation_deg + tol
+    ranges = samples.slant_range_km
+    mid = len(t) // 2
+    assert t[mid] == 0.0
+    assert ranges[mid] == ranges.min()
+
+    budget = compute_breakdowns(pass_geometry, REFERENCE_TX_1550, REFERENCE_RX_FIBER, REFERENCE_ATM)
+    assert len(budget) == len(samples)
+    terms = sum(budget[name] for name in TERM_FIELDS)
+    np.testing.assert_allclose(budget.total_db, terms, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(budget.eta, 10.0 ** (-budget.total_db / 10.0), rtol=1e-12)
+    bound = collection_upper_bound(REFERENCE_TX_1550, REFERENCE_RX_FIBER, ranges)
+    assert np.all(budget.eta <= bound)

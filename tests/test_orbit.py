@@ -121,7 +121,7 @@ class TestSynthPass:
     def test_range_minimized_at_culmination(self):
         pg = synth_pass(OrbitSpec(567.0), GroundStation(20.0, 80.0))
         n = len(pg.samples) // 2
-        ranges = pg.slant_ranges_km()
+        ranges = pg.samples.slant_range_km.tolist()
         assert min(ranges) == ranges[n]
         right = ranges[n:]
         assert all(b > a for a, b in zip(right, right[1:]))

@@ -1,4 +1,6 @@
 """Trusted-node XOR relay: round trips, erasure, accounting, snapshots."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,35 @@ class TestSnapshot:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 6])
         with pytest.raises(RelayError, match="truncated"):
+            KeyStore.import_snapshot(path)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        ("trailing bytes", "trailing"),
+        ("unknown status", "unknown status"),
+        ("record n_bits", "claims 24 bits"),
+        ("message n_bits", "claims 8 bits"),
+        ("duplicate key id", "duplicate key id"),
+    ])
+    def test_malformed_snapshot_rejected(self, tmp_path, corrupt, match):
+        store = KeyStore()
+        id_a = store.store_key("alice", b"\x01\x02")
+        id_b = store.store_key("bob", b"\x03\x04")
+        store.store_key("carol", b"\x05\x06")
+        store.combine_and_broadcast(id_a, id_b)
+        carol = store.records()[2]
+        if corrupt == "unknown status":
+            carol.status = "lost"
+        elif corrupt == "record n_bits":
+            carol.n_bits = 24
+        elif corrupt == "message n_bits":
+            store._messages[0] = replace(store._messages[0], n_bits=8)
+        elif corrupt == "duplicate key id":
+            carol.key_id = id_b
+        path = tmp_path / "kms.snapshot"
+        store.export_snapshot(path)
+        if corrupt == "trailing bytes":
+            path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(RelayError, match=match):
             KeyStore.import_snapshot(path)
 
 

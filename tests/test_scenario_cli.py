@@ -283,6 +283,13 @@ class TestCliCommands:
         assert doc["residual_secret_bits"] == 0
         assert doc["consumed_bits"] == 2 * doc["delivered_bits"]
 
+    @pytest.mark.parametrize("command", ["pass", "budget", "skl", "optimize", "sweep-elevation"])
+    def test_seed_rejected_on_deterministic_commands(self, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "bundled:snspd_pol_2decoy", "--seed", "1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_mc_validate(self, tmp_path, snspd_doc):
         scenario_path = write_scenario(tmp_path, snspd_doc)
         out = tmp_path / "out"
