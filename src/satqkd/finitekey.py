@@ -128,20 +128,18 @@ def emission_tau(intensities, probabilities, n: int):
     """Probability tau_n that an emitted pulse carries exactly n photons.
 
     tau_n = sum_k p_k e^(-k) k^n / n! over the intensity mixture. Each
-    intensity and probability may be an array of candidates.
+    intensity and probability may be an array of candidates; all-scalar
+    input gives a float.
     """
     if n < 0:
         raise FiniteKeyError(f"photon number must be >= 0, got {n}")
-    probs = list(probabilities)
-    # Scalars stay on the math module: the optimizer calls this per block.
-    arrays = any(isinstance(x, np.ndarray) for x in (*intensities, *probs))
-    off_unity = abs(sum(probs) - 1.0) > 1e-9
-    if np.any(off_unity) if arrays else off_unity:
-        raise FiniteKeyError(f"intensity probabilities must sum to 1, got {sum(probs)}")
+    k = [np.asarray(x, dtype=float) for x in intensities]
+    p = [np.asarray(x, dtype=float) for x in probabilities]
+    if np.any(np.abs(sum(p) - 1.0) > 1e-9):
+        raise FiniteKeyError(f"intensity probabilities must sum to 1, got {sum(p)}")
     fact = float(math.factorial(n))
-    exp = np.exp if arrays else math.exp
-    total = sum(p * exp(-k) * k**n / fact for k, p in zip(intensities, probs))
-    return total if arrays else float(total)
+    total = sum(p_i * np.exp(-k_i) * k_i**n / fact for k_i, p_i in zip(k, p))
+    return float(total) if total.ndim == 0 else total
 
 
 def _gamma_transfer(a: float, b, c, d, budget: int):
@@ -162,28 +160,22 @@ def _gamma_transfer(a: float, b, c, d, budget: int):
     return np.where(ok, gamma, 0.0)
 
 
-def _rescale_plus(count, p_k: float, k: float, delta):
-    return np.exp(k) / p_k * (count + delta)
-
-def _rescale_minus(count, p_k: float, k: float, delta):
-    return np.maximum(np.exp(k) / p_k * (count - delta), 0.0)
-
-
 def _estimate_arrays(
     t: dict[str, np.ndarray],
-    mu: float,
-    nu: float,
-    p_mu: float,
-    p_nu: float,
-    p_vac: float,
+    mu,
+    nu,
+    p_mu,
+    p_nu,
+    p_vac,
     security: SecurityParams,
     n_decoys: int,
 ) -> dict[str, np.ndarray]:
-    """Decoy bounds over arrays of tally blocks (shared protocol params).
+    """Decoy bounds over arrays of tally blocks.
 
-    `t` maps tally field names (n_z_mu, ..., m_x_vac) to equal-shape arrays.
-    Returns s_z0_low, s_z1_low, s_x1_low, v_x1_up, phi_up, tau0, tau1 and an
-    `aborted` mask.
+    `t` maps tally field names (n_z_mu, ..., m_x_vac) to equal-shape arrays;
+    the intensities and probabilities are scalars or arrays that broadcast
+    against them (one column per row of candidates, say). Returns s_z0_low,
+    s_z1_low, s_x1_low, v_x1_up, phi_up, tau0, tau1 and an `aborted` mask.
     """
     budget = EPSILON_BUDGET[n_decoys]
     eps1 = security.eps_sec / budget
@@ -200,85 +192,91 @@ def _estimate_arrays(
     n_x_tot = t["n_x_mu"] + t["n_x_nu"] + t["n_x_vac"]
     m_z_tot = t["m_z_mu"] + t["m_z_nu"] + t["m_z_vac"]
     m_x_tot = t["m_x_mu"] + t["m_x_nu"] + t["m_x_vac"]
-    d_nz = hoeffding_delta(n_z_tot, eps1)
-    d_nx = hoeffding_delta(n_x_tot, eps1)
-    d_mz = hoeffding_delta(m_z_tot, eps1)
-    d_mx = hoeffding_delta(m_x_tot, eps1)
+    delta = {
+        "n_z": hoeffding_delta(n_z_tot, eps1),
+        "n_x": hoeffding_delta(n_x_tot, eps1),
+        "m_z": hoeffding_delta(m_z_tot, eps1),
+        "m_x": hoeffding_delta(m_x_tot, eps1),
+    }
+    # e^k / p_k per intensity; the vacuum term exists only with two decoys.
+    scale = {"mu": np.exp(mu) / p_mu, "nu": np.exp(nu) / p_nu}
+    if n_decoys == 2:
+        scale["vac"] = 1.0 / p_vac
+
+    def up(name):
+        """Rescaled count e^k / p_k (count + delta) of a tally field."""
+        count, key = name.rsplit("_", 1)
+        return scale[key] * (t[name] + delta[count])
+
+    def low(name):
+        """Rescaled count e^k / p_k (count - delta), floored at zero."""
+        count, key = name.rsplit("_", 1)
+        return np.maximum(scale[key] * (t[name] - delta[count]), 0.0)
 
     denom = nu * (mu - nu)
+    # Rescaled counts used by the bounds below, each computed once.
+    rescaled = {
+        b: {
+            "n_mu_up": up(f"n_{b}_mu"),
+            "n_nu_low": low(f"n_{b}_nu"),
+            "m_mu_up": up(f"m_{b}_mu"),
+            "m_nu_up": up(f"m_{b}_nu"),
+        }
+        for b in ("z", "x")
+    }
 
-    def _pair_bounds(n_mu, n_nu, m_mu, m_nu, d_n, d_m):
+    def _pair_bounds(b):
         """Estimators built from the (mu, nu) pair alone, avoiding the noisy
         low-probability vacuum-intensity counts: an error-based zero-photon
-        upper bound, the derived one-photon lower bound, and the
-        error-difference one-photon error upper bound."""
-        s0_up = 2.0 * (
-            tau0
-            * np.minimum(
-                _rescale_plus(m_mu, p_mu, mu, d_m), _rescale_plus(m_nu, p_nu, nu, d_m)
-            )
-            + d_n
-        )
+        upper bound, and the zero- and one-photon lower bounds derived from
+        it."""
+        rb = rescaled[b]
+        s0_up = 2.0 * (tau0 * np.minimum(rb["m_mu_up"], rb["m_nu_up"]) + delta[f"n_{b}"])
         s0_low = np.maximum(
-            tau0
-            * (mu * _rescale_minus(n_nu, p_nu, nu, d_n) - nu * _rescale_plus(n_mu, p_mu, mu, d_n))
-            / (mu - nu),
+            tau0 * (mu * rb["n_nu_low"] - nu * rb["n_mu_up"]) / (mu - nu),
             0.0,
         )
         s1_low = tau1 * mu * (
-            _rescale_minus(n_nu, p_nu, nu, d_n)
-            - (nu**2 / mu**2) * _rescale_plus(n_mu, p_mu, mu, d_n)
+            rb["n_nu_low"]
+            - (nu**2 / mu**2) * rb["n_mu_up"]
             - ((mu**2 - nu**2) / mu**2) * (s0_up / tau0)
         ) / denom
-        v1_up = tau1 * (
-            _rescale_plus(m_mu, p_mu, mu, d_m) - _rescale_minus(m_nu, p_nu, nu, d_m)
-        ) / (mu - nu)
-        return s0_up, s0_low, s1_low, v1_up
+        return s0_up, s0_low, s1_low
+
+    # The pair's error-difference bound on the one-photon X errors.
+    v_x1_pair = tau1 * (rescaled["x"]["m_mu_up"] - low("m_x_nu")) / (mu - nu)
 
     if n_decoys == 2:
         # Vacuum-intensity data bounds the zero-photon detections directly;
         # the pair-only estimators stay valid here too and often win when
         # the vacuum counts are fluctuation dominated, so the sharper of
         # each pair of valid bounds is used.
-        _, s_z0_pair, s_z1_pair, _ = _pair_bounds(
-            t["n_z_mu"], t["n_z_nu"], t["m_z_mu"], t["m_z_nu"], d_nz, d_mz
-        )
-        _, s_x0_pair, s_x1_pair, v_x1_pair = _pair_bounds(
-            t["n_x_mu"], t["n_x_nu"], t["m_x_mu"], t["m_x_nu"], d_nx, d_mx
-        )
-        s_z0 = np.maximum(tau0 * _rescale_minus(t["n_z_vac"], p_vac, 0.0, d_nz), s_z0_pair)
-        s_x0 = np.maximum(tau0 * _rescale_minus(t["n_x_vac"], p_vac, 0.0, d_nx), s_x0_pair)
+        _, s_z0_pair, s_z1_pair = _pair_bounds("z")
+        _, s_x0_pair, s_x1_pair = _pair_bounds("x")
+        s_z0 = np.maximum(tau0 * low("n_z_vac"), s_z0_pair)
+        s_x0 = np.maximum(tau0 * low("n_x_vac"), s_x0_pair)
         s_z1 = tau1 * mu * (
-            _rescale_minus(t["n_z_nu"], p_nu, nu, d_nz)
-            - _rescale_plus(t["n_z_vac"], p_vac, 0.0, d_nz)
-            - (nu**2 / mu**2) * (_rescale_plus(t["n_z_mu"], p_mu, mu, d_nz) - s_z0 / tau0)
+            rescaled["z"]["n_nu_low"]
+            - up("n_z_vac")
+            - (nu**2 / mu**2) * (rescaled["z"]["n_mu_up"] - s_z0 / tau0)
         ) / denom
         s_x1 = tau1 * mu * (
-            _rescale_minus(t["n_x_nu"], p_nu, nu, d_nx)
-            - _rescale_plus(t["n_x_vac"], p_vac, 0.0, d_nx)
-            - (nu**2 / mu**2) * (_rescale_plus(t["n_x_mu"], p_mu, mu, d_nx) - s_x0 / tau0)
+            rescaled["x"]["n_nu_low"]
+            - up("n_x_vac")
+            - (nu**2 / mu**2) * (rescaled["x"]["n_mu_up"] - s_x0 / tau0)
         ) / denom
         s_z1 = np.maximum(s_z1, s_z1_pair)
         s_x1 = np.maximum(s_x1, s_x1_pair)
-        v_x1 = np.minimum(
-            tau1 * (
-                _rescale_plus(t["m_x_nu"], p_nu, nu, d_mx)
-                - _rescale_minus(t["m_x_vac"], p_vac, 0.0, d_mx)
-            ) / nu,
-            v_x1_pair,
-        )
+        v_x1 = np.minimum(tau1 * (rescaled["x"]["m_nu_up"] - low("m_x_vac")) / nu, v_x1_pair)
     else:
         # One decoy: no vacuum intensity, so only the pair estimators exist.
         # Worst case, every observed error came from a vacuum event (QBER
         # 1/2), which upper-bounds the zero-photon detections feeding the
         # single-photon bound; differencing the two intensities' error
         # counts bounds the single-photon errors without vacuum data.
-        s_z0_up, s_z0, s_z1, _ = _pair_bounds(
-            t["n_z_mu"], t["n_z_nu"], t["m_z_mu"], t["m_z_nu"], d_nz, d_mz
-        )
-        _, s_x0, s_x1, v_x1 = _pair_bounds(
-            t["n_x_mu"], t["n_x_nu"], t["m_x_mu"], t["m_x_nu"], d_nx, d_mx
-        )
+        s_z0_up, s_z0, s_z1 = _pair_bounds("z")
+        _, s_x0, s_x1 = _pair_bounds("x")
+        v_x1 = v_x1_pair
 
     s_z0 = np.clip(s_z0, 0.0, n_z_tot)
     s_z1_raw = s_z1

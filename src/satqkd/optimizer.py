@@ -5,17 +5,22 @@ probabilities, basis bias) for the whole accumulation block, and the
 post-processing minimum elevation is itself a parameter. The search is a
 deterministic coarse grid over the continuous parameters crossed with an
 exhaustive 1-degree scan of the minimum elevation, followed by
-coordinate-wise golden-section refinement.
+coordinate-wise golden-section refinement. The elevation grid starts at the
+last cut at or below the pass's lowest sample, since every lower cut keeps
+the same samples.
 
-For speed, the per-sample detection statistics are folded into suffix sums
-over the elevation-sorted samples once per candidate, which yields the
-tallies of every elevation cut at once; the finite-key formula is then
-evaluated vectorized across cuts.
+For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
+evaluated in chunks of CHUNK_BLOCKS: per chunk, the per-sample detection
+statistics of every block are folded into suffix sums over the
+elevation-sorted samples, which yields the tallies of every elevation cut at
+once, and one finite-key kernel call covers every block, p_z value and cut
+of the chunk. Refinement and the final evaluation use the same kernel on a
+single row.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,9 @@ P_MU_BOX = (0.2, 0.95)
 P_NU_BOX = (0.01, 0.79)
 P_Z_BOX = (0.3, 0.97)
 MAX_P_SUM = 0.99  # two-decoy: keep at least 1% vacuum pulses
+# Coarse blocks per finite-key kernel call: large enough to amortise the
+# per-call overhead, small enough that a chunk's temporaries stay in cache.
+CHUNK_BLOCKS = 24
 PARAM_NAMES = ("mu", "nu", "p_mu", "p_nu", "p_z")
 # Coordinates refined per protocol, and the span that scales each one's
 # golden-section tolerance.
@@ -130,8 +138,8 @@ def source_with_params(template: SourceSpec, params: ParamVector, n_decoys: int)
 
 
 class _PassChannel:
-    """Per-pass precomputation: elevation-sorted transmissions and the
-    suffix-sum bookkeeping shared by all candidate evaluations."""
+    """Per-pass precomputation: elevation-sorted transmissions, the cut
+    grid and the suffix-sum bookkeeping shared by all candidate evaluations."""
 
     def __init__(
         self,
@@ -151,42 +159,50 @@ class _PassChannel:
         order = np.argsort(elevations, kind="stable")
         self.eta_sorted = breakdowns.eta[order] * hardware.detector.efficiency
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
+        # Every cut at or below the lowest sample keeps all the samples; the
+        # grid starts at the last of them, so ties go to a cut the station
+        # can use rather than to one below its horizon.
+        below = np.count_nonzero(MIN_ELEVATION_GRID <= elevations.min()) if len(elevations) else 0
+        self.cuts = MIN_ELEVATION_GRID[max(below - 1, 0):]
         # cut_start[j]: first sorted index with elevation >= cut j
-        self.cut_start = np.searchsorted(elevations[order], MIN_ELEVATION_GRID, side="left")
+        self.cut_start = np.searchsorted(elevations[order], self.cuts, side="left")
 
-    def _presift_cut_matrix(self, mu: float, nu: float, p_mu: float, p_nu: float) -> np.ndarray:
-        """Suffix-summed per-cut contributions before basis sifting.
+    def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
+        """Unfloored key length of (mu, nu, p_mu, p_nu) blocks crossed with
+        p_z values; shape (len(blocks) * len(p_z_values), n_cuts), rows
+        block-major.
 
-        Rows: detections per intensity (mu, nu, vac), then Z errors, then X
-        errors; shape (9, n_cuts). The Z/X split is only a scalar sifting
-        factor, applied later, which lets one call serve a whole p_z grid.
+        The presift rows of every block are suffix-summed over the
+        elevation-sorted samples, which gives the tallies of every cut at
+        once; the Z/X split is a sifting factor applied afterwards, so one
+        presift serves the whole p_z grid.
         """
+        mu, nu, p_mu, p_nu = blocks.T
         clicks, err_z, err_x, f_dead = presift_rows(
             self.eta_sorted, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
             self.template, self.detector,
         )
         per_sample = np.concatenate([clicks, err_z, err_x]) * (self.pulses_per_sample * f_dead)
-        suffix = np.concatenate(
-            [np.cumsum(per_sample[:, ::-1], axis=1)[:, ::-1], np.zeros((9, 1))], axis=1
-        )
-        return suffix[:, self.cut_start]
-
-    def skl_matrix(
-        self, mu: float, nu: float, p_mu: float, p_nu: float, p_z_values: np.ndarray
-    ) -> np.ndarray:
-        """Unfloored key length, shape (len(p_z_values), n_cuts)."""
-        cut = self._presift_cut_matrix(mu, nu, p_mu, p_nu)
+        suffix = np.cumsum(per_sample[..., ::-1], axis=-1)[..., ::-1]
+        suffix = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
+        cut = suffix[..., self.cut_start][:, :, None, :]  # (9, blocks, 1, cuts)
         p_z = np.asarray(p_z_values, dtype=float)[:, None]
-        t = sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z)
+        n_rows = len(blocks) * len(p_z)
+        t = {
+            name: row.reshape(n_rows, -1)
+            for name, row in sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z).items()
+        }
+        mu, nu, p_mu, p_nu = (np.repeat(x, len(p_z))[:, None] for x in blocks.T)
         l_real, _ = skl_real_arrays(
             t, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys), self.security, self.n_decoys
         )
         return l_real
 
     def objective(self, mu: float, nu: float, p_mu: float, p_nu: float, p_z: float) -> tuple[float, int]:
-        """Best unfloored key length over the elevation grid; ties resolve to
-        the lower elevation (np.argmax takes the first maximum)."""
-        l_real = self.skl_matrix(mu, nu, p_mu, p_nu, np.array([p_z]))[0]
+        """Best unfloored key length over the cut grid and its cut index;
+        ties resolve to the lower elevation (np.argmax takes the first
+        maximum)."""
+        l_real = self.skl_chunk(np.array([[mu, nu, p_mu, p_nu]]), np.array([p_z]))[0]
         idx = int(np.argmax(l_real))
         return float(l_real[idx]), idx
 
@@ -227,9 +243,11 @@ def _golden_max(f, lo: float, hi: float, abs_tol: float, max_iter: int = 80) -> 
     return best_x, best_f
 
 
-def _coarse_blocks(config: OptimizerConfig, n_decoys: int):
-    """Deterministic (mu, nu, p_mu, p_nu) blocks; p_z is gridded per block."""
+def _coarse_blocks(config: OptimizerConfig, n_decoys: int) -> np.ndarray:
+    """Deterministic (mu, nu, p_mu, p_nu) blocks as an (n_blocks, 4) array;
+    p_z is gridded per block."""
     g = config.coarse_grid_steps
+    blocks = []
     for mu in _grid(*MU_BOX, g):
         for nu in _grid(NU_MIN, mu - NU_MARGIN, g):
             for p_mu in _grid(*P_MU_BOX, g):
@@ -240,8 +258,8 @@ def _coarse_blocks(config: OptimizerConfig, n_decoys: int):
                     p_nu_values = _grid(P_NU_BOX[0], nu_hi, g)
                 else:
                     p_nu_values = [1.0 - p_mu]
-                for p_nu in p_nu_values:
-                    yield mu, nu, p_mu, p_nu
+                blocks.extend((mu, nu, p_mu, p_nu) for p_nu in p_nu_values)
+    return np.array(blocks, dtype=float).reshape(-1, 4)
 
 
 def _box(dim: str, point: dict, n_decoys: int) -> tuple[float, float]:
@@ -306,20 +324,32 @@ def optimize_pass(
     trace_rows: list[str] | None = [] if trace_path is not None else None
 
     p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
+    p_z_cells = [repr(p_z) for p_z in p_z_values.tolist()]
+    blocks = _coarse_blocks(config, n_decoys)
     best = (-math.inf, (0.5, 0.1, 0.7, 0.15, 0.9))
-    for mu_c, nu_c, p_mu_c, p_nu_c in _coarse_blocks(config, n_decoys):
-        matrix = channel.skl_matrix(mu_c, nu_c, p_mu_c, p_nu_c, p_z_values)
-        cut_idx_per_pz = np.argmax(matrix, axis=1)
-        value_per_pz = matrix[np.arange(len(p_z_values)), cut_idx_per_pz]
-        for j, p_z_c in enumerate(p_z_values):
-            value, cut_idx = float(value_per_pz[j]), int(cut_idx_per_pz[j])
-            if trace_rows is not None:
-                trace_rows.append(
-                    "coarse,%r,%r,%r,%r,%r,%r,%r"
-                    % (mu_c, nu_c, p_mu_c, p_nu_c, p_z_c, MIN_ELEVATION_GRID[cut_idx], value)
-                )
-            if value > best[0]:
-                best = (value, (mu_c, nu_c, p_mu_c, p_nu_c, float(p_z_c)))
+    for start in range(0, len(blocks), CHUNK_BLOCKS):
+        chunk = blocks[start:start + CHUNK_BLOCKS]
+        matrix = channel.skl_chunk(chunk, p_z_values)
+        cut_idx = np.argmax(matrix, axis=1)
+        row_best = matrix[np.arange(len(matrix)), cut_idx]
+        # Rows are block-major, p_z-minor. The first maximum of the whole
+        # grid wins: argmax takes the first within a chunk, and a later
+        # chunk wins only when strictly greater.
+        row = int(np.argmax(row_best))
+        if row_best[row] > best[0]:
+            block, j = divmod(row, len(p_z_values))
+            best = (float(row_best[row]), (*chunk[block].tolist(), float(p_z_values[j])))
+        if trace_rows is not None:
+            # Cells are Python-float reprs, each block's formatted once.
+            heads = [
+                head + p_z
+                for head in ("coarse,%r,%r,%r,%r," % tuple(b) for b in chunk.tolist())
+                for p_z in p_z_cells
+            ]
+            trace_rows.extend(
+                "%s,%r,%r" % cells
+                for cells in zip(heads, channel.cuts[cut_idx].tolist(), row_best.tolist())
+            )
 
     value, cand = best
     point, _ = _refine(
@@ -328,12 +358,10 @@ def optimize_pass(
     values = tuple(point[k] for k in PARAM_NAMES)
     value, cut_idx = channel.objective(*values)
     params = ParamVector(
-        *(float(v) for v in values), min_elevation_deg=float(MIN_ELEVATION_GRID[cut_idx])
+        *(float(v) for v in values), min_elevation_deg=float(channel.cuts[cut_idx])
     )
     if trace_rows is not None:
-        trace_rows.append(
-            "final,%r,%r,%r,%r,%r,%r,%r" % (*values, params.min_elevation_deg, value)
-        )
+        trace_rows.append("final,%r,%r,%r,%r,%r,%r,%r" % (*astuple(params), value))
         header = "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n"
         Path(trace_path).write_text(header + "\n".join(trace_rows) + "\n")
     result = evaluate_params(pass_geometry, hardware, security, n_decoys, params)
@@ -372,7 +400,7 @@ def pointwise_asymptotic_profile(
         pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
     )
     p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
-    blocks = np.array(list(_coarse_blocks(config, n_decoys)))
+    blocks = _coarse_blocks(config, n_decoys)
     mu_c, nu_c, p_mu_c, p_nu_c = np.repeat(blocks, len(p_z_values), axis=0).T
     p_z_c = np.tile(p_z_values, len(blocks))
 

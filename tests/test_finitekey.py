@@ -2,9 +2,13 @@
 photon-number-tagged Monte Carlo oracle, and key-length behaviour."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqkd.channel import (
+    TALLY_FIELDS,
     DetectorSpec,
     SourceSpec,
     TallySet,
@@ -24,6 +28,8 @@ from satqkd.finitekey import (
     one_decoy_bounds,
     secure_key_length,
     skl_from_tallies,
+    skl_real_arrays,
+    _estimate_arrays,
     two_decoy_bounds,
 )
 
@@ -373,3 +379,61 @@ def test_security_params_validation():
         SecurityParams(eps_corr=1.5)
     with pytest.raises(FiniteKeyError):
         SecurityParams(f_ec=0.9)
+
+
+@st.composite
+def candidate_grids(draw):
+    """Sources (one per row) crossed with channel blocks (eta, pulses; one
+    per column) for one decoy count."""
+    n_decoys = draw(st.sampled_from((1, 2)))
+    sources = []
+    for _ in range(draw(st.integers(1, 4))):
+        mu = draw(st.floats(0.1, 1.0))
+        p_mu = draw(st.floats(0.2, 0.95))
+        p_nu = draw(st.floats(0.05, 0.95)) * (0.99 - p_mu) if n_decoys == 2 else 1.0 - p_mu
+        p_z = draw(st.floats(0.3, 0.97))
+        sources.append(make_source(
+            n_decoys, signal_intensity=mu, decoy_intensity=mu * draw(st.floats(0.05, 0.9)),
+            p_mu=p_mu, p_nu=p_nu, p_z_alice=p_z, p_z_bob=p_z,
+        ))
+    blocks = draw(st.lists(
+        st.tuples(st.floats(-6.0, -1.0), st.floats(8.0, 13.0)), min_size=1, max_size=4
+    ))
+    dark = 10.0 ** draw(st.floats(0.0, 5.0))
+    return n_decoys, sources, [(10.0**e, 10.0**n) for e, n in blocks], dark
+
+
+@settings(deadline=None)
+@given(candidate_grids())
+def test_array_kernel_matches_scalar_path(grid):
+    """skl_real_arrays over (rows, 1) intensity/probability columns equals
+    skl_from_tallies element by element, and the bounds stay physical."""
+    n_decoys, sources, blocks, dark = grid
+    det = DetectorSpec(
+        efficiency=0.8, dark_count_rate_hz=dark, dead_time_ns=30.0, background_rate_hz=10.0
+    )
+    security = SecurityParams()
+    tallies = [
+        [expected_tallies_fixed_eta(eta, n, src, det) for eta, n in blocks] for src in sources
+    ]
+    t = {
+        name: np.array([[getattr(cell, name) for cell in row] for row in tallies])
+        for name in TALLY_FIELDS
+    }
+    columns = [
+        np.array([[getattr(src, attr)] for src in sources])
+        for attr in ("signal_intensity", "decoy_intensity", "p_mu", "p_nu", "p_vac")
+    ]
+    l_real, aborted = skl_real_arrays(t, *columns, security, n_decoys)
+    assert l_real.shape == aborted.shape == (len(sources), len(blocks))
+    for i, src in enumerate(sources):
+        for j in range(len(blocks)):
+            ref = skl_from_tallies(tallies[i][j], src, security, n_decoys)
+            assert aborted[i, j] == ref.aborted
+            want = 0.0 if ref.aborted else ref.diagnostics["l_real"]
+            assert l_real[i, j] == pytest.approx(want, rel=1e-9, abs=0)
+
+    est = _estimate_arrays(t, *columns, security, n_decoys)
+    n_z = t["n_z_mu"] + t["n_z_nu"] + t["n_z_vac"]
+    assert np.all(est["s_z0_low"] + est["s_z1_low"] <= n_z * (1.0 + 1e-12))
+    assert np.all((est["phi_up"] >= 0.0) & (est["phi_up"] <= 0.5))

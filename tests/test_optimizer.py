@@ -2,13 +2,21 @@
 import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from satqkd.channel import presift_rows, sifted_rows
+from satqkd.finitekey import skl_real_arrays
+from satqkd.linkbudget import compute_breakdowns
 from satqkd.optimizer import (
+    CHUNK_BLOCKS,
+    MIN_ELEVATION_GRID,
+    P_Z_BOX,
     HardwareStack,
     OptimizerConfig,
     OptimizerError,
     ParamVector,
+    _coarse_blocks,
     evaluate_params,
     optimize_pass,
     pointwise_asymptotic_profile,
@@ -92,6 +100,32 @@ class TestOptimizePass:
         _, worse = optimize_pass(coarse_pass, degraded, snspd.security, 2, FAST)
         assert good.skl_bits >= worse.skl_bits
 
+    def test_trace_cells_are_plain_numbers(self, snspd, coarse_pass, tmp_path):
+        trace = tmp_path / "trace.csv"
+        optimize_pass(coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=trace)
+        lines = trace.read_text().splitlines()
+        assert lines[0].split(",")[1:] == [
+            "mu", "nu", "p_mu", "p_nu", "p_z", "min_elevation_deg", "skl_real"
+        ]
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 8
+            for cell in cells[1:]:
+                float(cell)
+
+    def test_reported_cut_is_one_the_station_can_use(self, snspd):
+        """With a 35 deg station cut every grid cut up to the lowest sample
+        keeps the same samples; the reported cut is one of those at or above
+        the station's, and the key length is the one all of them share."""
+        station = replace(snspd.station, min_elevation_deg=35.0)
+        pg = synth_pass(snspd.orbit, station, sample_dt_s=5.0)
+        params, result = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
+        assert 35.0 <= params.min_elevation_deg <= pg.samples.elevation_deg.min()
+        at_grid_floor = evaluate_params(
+            pg, snspd.hardware(), snspd.security, 2, replace(params, min_elevation_deg=20.0)
+        )
+        assert result.skl_bits == at_grid_floor.skl_bits == 2492675
+
     def test_hopeless_scenario_flags_abort(self, snspd, coarse_pass):
         hardware = snspd.hardware()
         blind = replace(
@@ -101,6 +135,52 @@ class TestOptimizePass:
         params, result = optimize_pass(coarse_pass, blind, snspd.security, 2, FAST)
         assert result.aborted
         assert result.skl_bits == 0
+
+
+@pytest.mark.parametrize("name", ["snspd_pol_2decoy", "snspd_pol_1decoy"])
+def test_chunked_coarse_grid_matches_per_block_reference(name, tmp_path):
+    """Every coarse trace row equals a reference evaluated one block at a
+    time with scalar intensities over the whole cut grid."""
+    scenario = load_bundled_scenario(name)
+    pass_geometry, hardware = scenario.synth_pass(), scenario.hardware()
+    n_decoys, security = scenario.n_decoys, scenario.security
+    blocks = _coarse_blocks(FAST, n_decoys)
+    assert len(blocks) % CHUNK_BLOCKS != 0
+    trace = tmp_path / "trace.csv"
+    optimize_pass(pass_geometry, hardware, security, n_decoys, FAST, trace_path=trace)
+    with open(trace) as f:
+        coarse = [r for r in csv.DictReader(f) if r["stage"] == "coarse"]
+    p_z = np.linspace(*P_Z_BOX, FAST.coarse_grid_steps)
+    assert len(coarse) == len(blocks) * len(p_z)
+
+    elevations = pass_geometry.samples.elevation_deg
+    assert elevations.min() < MIN_ELEVATION_GRID[1]  # no grid cut lies below the pass
+    order = np.argsort(elevations, kind="stable")
+    breakdowns = compute_breakdowns(
+        pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
+    )
+    eta = breakdowns.eta[order] * hardware.detector.efficiency
+    pulses = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
+    cut_start = np.searchsorted(elevations[order], MIN_ELEVATION_GRID, side="left")
+    rows = iter(coarse)
+    for mu, nu, p_mu, p_nu in blocks.tolist():
+        p_vac = 1.0 - p_mu - p_nu if n_decoys == 2 else 0.0
+        clicks, err_z, err_x, f_dead = presift_rows(
+            eta, mu, nu, p_mu, p_nu, p_vac, hardware.source, hardware.detector
+        )
+        per_sample = np.concatenate([clicks, err_z, err_x]) * (pulses * f_dead)
+        suffix = np.cumsum(per_sample[:, ::-1], axis=1)[:, ::-1]
+        cut = np.append(suffix, np.zeros((9, 1)), axis=1)[:, cut_start]
+        t = sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z[:, None], p_z[:, None])
+        l_real, _ = skl_real_arrays(t, mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
+        for j, p_z_j in enumerate(p_z.tolist()):
+            row = next(rows)
+            idx = int(np.argmax(l_real[j]))
+            assert [float(row[k]) for k in ("mu", "nu", "p_mu", "p_nu", "p_z")] == [
+                mu, nu, p_mu, p_nu, p_z_j
+            ]
+            assert float(row["min_elevation_deg"]) == MIN_ELEVATION_GRID[idx]
+            assert float(row["skl_real"]) == pytest.approx(l_real[j, idx], rel=1e-12, abs=0)
 
 
 class TestPointwiseProfile:
