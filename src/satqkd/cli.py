@@ -8,6 +8,7 @@ outcome.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -260,7 +261,11 @@ def cmd_relay_demo(args) -> int:
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and rebuilding the tree on every main() call costs
+    about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="satqkd",
         description="Satellite QKD mission analysis: passes, link budgets, finite-key rates.",

@@ -16,12 +16,25 @@ elevation-sorted samples, which yields the tallies of every elevation cut at
 once, and one finite-key kernel call covers every block, p_z value and cut
 of the chunk. Refinement and the final evaluation use the same kernel on a
 single row.
+
+The chunk list is split into contiguous runs, one per CPU this process may
+run on. The first run is evaluated in the calling process and each other
+one in a child made with os.fork, which sends its best candidate and its
+trace rows back over a pipe. Results are merged in grid order, so the
+chosen parameters and the trace are the same on any number of CPUs. The
+children run only elementwise numpy code, never BLAS, whose thread pool a
+fork does not carry over.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -64,6 +77,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 class OptimizerError(ValueError):
     """Raised for invalid optimizer configurations or parameter vectors."""
+
+
+class CoarseSearchError(RuntimeError):
+    """Raised when a coarse search worker cannot start, fails or sends an
+    incomplete result: an internal error, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -303,6 +321,120 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
     return point, value
 
 
+def _coarse_shard(
+    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray, traced: bool
+) -> tuple[float, tuple[float, ...], list[str]]:
+    """First maximum of the coarse grid over blocks crossed with p_z_values,
+    evaluated in chunks of CHUNK_BLOCKS. Returns (value, (mu, nu, p_mu, p_nu,
+    p_z), trace rows); the rows are formatted only when traced."""
+    p_z_cells = [repr(p_z) for p_z in p_z_values.tolist()]
+    best = (-math.inf, (0.5, 0.1, 0.7, 0.15, 0.9))
+    rows: list[str] = []
+    for start in range(0, len(blocks), CHUNK_BLOCKS):
+        chunk = blocks[start:start + CHUNK_BLOCKS]
+        matrix = channel.skl_chunk(chunk, p_z_values)
+        cut_idx = np.argmax(matrix, axis=1)
+        row_best = matrix[np.arange(len(matrix)), cut_idx]
+        # Rows are block-major, p_z-minor. The first maximum of the whole
+        # grid wins: argmax takes the first within a chunk, and a later
+        # chunk wins only when strictly greater.
+        row = int(np.argmax(row_best))
+        if row_best[row] > best[0]:
+            block, j = divmod(row, len(p_z_values))
+            best = (float(row_best[row]), (*chunk[block].tolist(), float(p_z_values[j])))
+        if traced:
+            # Cells are Python-float reprs, each block's formatted once.
+            heads = [
+                head + p_z
+                for head in ("coarse,%r,%r,%r,%r," % tuple(b) for b in chunk.tolist())
+                for p_z in p_z_cells
+            ]
+            rows.extend(
+                "%s,%r,%r" % cells
+                for cells in zip(heads, channel.cuts[cut_idx].tolist(), row_best.tolist())
+            )
+    return (*best, rows)
+
+
+def _fork_shard(
+    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray, traced: bool
+) -> tuple[int, BinaryIO]:
+    """Run _coarse_shard in a forked child; returns its pid and the read end
+    of the pipe that carries its pickled result. The child leaves only
+    through os._exit, with status 0 once the whole result is written."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise CoarseSearchError(f"cannot fork a coarse search worker: {exc}") from exc
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(
+                _coarse_shard(channel, blocks, p_z_values, traced), pickle.HIGHEST_PROTOCOL
+            )
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _coarse_search(
+    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray, traced: bool
+) -> tuple[float, tuple[float, ...], list[str]]:
+    """_coarse_shard over the whole grid, split into contiguous runs of
+    chunks, one per available CPU. The first run is evaluated here, each
+    other one in a forked child; results are merged in grid order, a later
+    run winning only when strictly greater, so the outcome and the trace
+    rows do not depend on the number of CPUs. No child outlives the call."""
+    n_chunks = -(-len(blocks) // CHUNK_BLOCKS)
+    n_shards = 1
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        n_shards = min(len(os.sched_getaffinity(0)), n_chunks)
+    edges = [CHUNK_BLOCKS * (n_chunks * i // n_shards) for i in range(n_shards + 1)]
+    shards = [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    workers: list[tuple[int, BinaryIO]] = []
+    reaped: set[int] = set()
+    try:
+        for shard in shards[1:]:
+            workers.append(_fork_shard(channel, shard, p_z_values, traced))
+        results = [_coarse_shard(channel, shards[0], p_z_values, traced)]
+        for pid, pipe in workers:
+            # Drain the pipe before waiting: a child blocks on a full pipe.
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise CoarseSearchError(f"coarse search worker {pid} failed (exit status {code})")
+            try:
+                results.append(pickle.loads(payload))
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise CoarseSearchError(
+                    f"coarse search worker {pid} sent an incomplete result ({len(payload)} bytes)"
+                ) from exc
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    value, cand, rows = results[0]
+    for shard_value, shard_cand, shard_rows in results[1:]:
+        if shard_value > value:
+            value, cand = shard_value, shard_cand
+        rows += shard_rows
+    return value, cand, rows
+
+
 def optimize_pass(
     pass_geometry: PassGeometry,
     hardware: HardwareStack,
@@ -321,37 +453,10 @@ def optimize_pass(
     """
     config = config or OptimizerConfig()
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
-    trace_rows: list[str] | None = [] if trace_path is not None else None
-
-    p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
-    p_z_cells = [repr(p_z) for p_z in p_z_values.tolist()]
-    blocks = _coarse_blocks(config, n_decoys)
-    best = (-math.inf, (0.5, 0.1, 0.7, 0.15, 0.9))
-    for start in range(0, len(blocks), CHUNK_BLOCKS):
-        chunk = blocks[start:start + CHUNK_BLOCKS]
-        matrix = channel.skl_chunk(chunk, p_z_values)
-        cut_idx = np.argmax(matrix, axis=1)
-        row_best = matrix[np.arange(len(matrix)), cut_idx]
-        # Rows are block-major, p_z-minor. The first maximum of the whole
-        # grid wins: argmax takes the first within a chunk, and a later
-        # chunk wins only when strictly greater.
-        row = int(np.argmax(row_best))
-        if row_best[row] > best[0]:
-            block, j = divmod(row, len(p_z_values))
-            best = (float(row_best[row]), (*chunk[block].tolist(), float(p_z_values[j])))
-        if trace_rows is not None:
-            # Cells are Python-float reprs, each block's formatted once.
-            heads = [
-                head + p_z
-                for head in ("coarse,%r,%r,%r,%r," % tuple(b) for b in chunk.tolist())
-                for p_z in p_z_cells
-            ]
-            trace_rows.extend(
-                "%s,%r,%r" % cells
-                for cells in zip(heads, channel.cuts[cut_idx].tolist(), row_best.tolist())
-            )
-
-    value, cand = best
+    value, cand, trace_rows = _coarse_search(
+        channel, _coarse_blocks(config, n_decoys),
+        _grid(*P_Z_BOX, config.coarse_grid_steps), traced=trace_path is not None,
+    )
     point, _ = _refine(
         lambda c: channel.objective(**c)[0], dict(zip(PARAM_NAMES, cand)), value, n_decoys, config
     )
@@ -360,7 +465,7 @@ def optimize_pass(
     params = ParamVector(
         *(float(v) for v in values), min_elevation_deg=float(channel.cuts[cut_idx])
     )
-    if trace_rows is not None:
+    if trace_path is not None:
         trace_rows.append("final,%r,%r,%r,%r,%r,%r,%r" % (*astuple(params), value))
         header = "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n"
         Path(trace_path).write_text(header + "\n".join(trace_rows) + "\n")

@@ -1,5 +1,7 @@
 """Whole-pass optimizer: determinism, dominance, and physical orderings."""
 import csv
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 
 from satqkd.channel import presift_rows, sifted_rows
 from satqkd.finitekey import skl_real_arrays
+from satqkd import optimizer
 from satqkd.linkbudget import compute_breakdowns
 from satqkd.optimizer import (
     CHUNK_BLOCKS,
+    CoarseSearchError,
     MIN_ELEVATION_GRID,
     P_Z_BOX,
     HardwareStack,
@@ -181,6 +185,83 @@ def test_chunked_coarse_grid_matches_per_block_reference(name, tmp_path):
             ]
             assert float(row["min_elevation_deg"]) == MIN_ELEVATION_GRID[idx]
             assert float(row["skl_real"]) == pytest.approx(l_real[j, idx], rel=1e-12, abs=0)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedCoarseSearch:
+    """The coarse grid runs in forked workers, one per available CPU."""
+
+    @staticmethod
+    def run(snspd, coarse_pass, trace):
+        params, result = optimize_pass(
+            coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=trace
+        )
+        return repr((params, result)), trace.read_bytes()
+
+    def test_output_bytes_do_not_depend_on_cpu_count(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        assert len(_coarse_blocks(FAST, 2)) > 3 * CHUNK_BLOCKS
+        default = self.run(snspd, coarse_pass, tmp_path / "default.csv")
+        _assert_no_child_left()
+
+        def no_fork():
+            raise AssertionError("one CPU must not fork")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            m.setattr(os, "fork", no_fork)
+            one_cpu = self.run(snspd, coarse_pass, tmp_path / "one.csv")
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+            three_cpus = self.run(snspd, coarse_pass, tmp_path / "three.csv")
+        assert one_cpu == default
+        assert three_cpus == default
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["raises", "exits_silently", "truncated"])
+    def test_failed_worker_raises_internal_error(self, fault, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A worker that fails, sends nothing or sends part of its result
+        fails the search with an error that is not a ValueError, so the
+        CLI does not report it as invalid input."""
+        parent = os.getpid()
+        shard, dumps = optimizer._coarse_shard, pickle.dumps
+
+        def faulty_shard(*args):
+            if os.getpid() != parent:
+                if fault == "raises":
+                    raise RuntimeError("worker failure")
+                if fault == "exits_silently":
+                    os._exit(0)
+            return shard(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(optimizer, "_coarse_shard", faulty_shard)
+        if fault == "truncated":
+            monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-7])
+        with pytest.raises(CoarseSearchError) as info:
+            self.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        assert not isinstance(info.value, ValueError)
+        _assert_no_child_left()
+
+    def test_failure_in_calling_process_reaps_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """An interrupt in the calling process's own shard kills and reaps
+        the workers still running."""
+        parent = os.getpid()
+        shard = optimizer._coarse_shard
+
+        def fails_in_parent(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return shard(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(optimizer, "_coarse_shard", fails_in_parent)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        _assert_no_child_left()
 
 
 class TestPointwiseProfile:

@@ -219,6 +219,19 @@ class TestCliCommands:
         assert doc["skl_bits"] > 0
         assert doc["params"]["mu"] == 0.58
 
+    def test_shared_parser_keeps_no_options_between_calls(self, tmp_path, snspd_doc):
+        """main() reuses one parser; an option given to one call does not
+        leak into the next."""
+        scenario_path = write_scenario(tmp_path, snspd_doc)
+        args = ["skl", "--scenario", str(scenario_path), "--out"]
+        assert main([*args, str(tmp_path / "a"), "--mu", "0.5"]) == 0
+        assert main([*args, str(tmp_path / "b")]) == 0
+        first = json.loads((tmp_path / "a" / "skl.json").read_text())
+        second = json.loads((tmp_path / "b" / "skl.json").read_text())
+        assert first["params"]["mu"] == 0.5
+        assert second["params"]["mu"] == snspd_doc["source"]["signal_intensity"]
+        assert second["params"]["mu"] != 0.5
+
     def test_skl_aborted_exit_code(self, tmp_path, snspd_doc):
         doc = copy.deepcopy(snspd_doc)
         doc["detector"]["dark_count_rate_hz"] = 5e7
