@@ -155,33 +155,13 @@ class TallySet:
     n_sent: float = 0.0
     truth: TruePhotonCounts | None = None
 
-    def n_z(self, key: str) -> float:
-        return getattr(self, f"n_z_{key}")
-
-    def n_x(self, key: str) -> float:
-        return getattr(self, f"n_x_{key}")
-
-    def m_z(self, key: str) -> float:
-        return getattr(self, f"m_z_{key}")
-
-    def m_x(self, key: str) -> float:
-        return getattr(self, f"m_x_{key}")
-
     @property
     def n_z_total(self) -> float:
         return self.n_z_mu + self.n_z_nu + self.n_z_vac
 
     @property
-    def n_x_total(self) -> float:
-        return self.n_x_mu + self.n_x_nu + self.n_x_vac
-
-    @property
     def m_z_total(self) -> float:
         return self.m_z_mu + self.m_z_nu + self.m_z_vac
-
-    @property
-    def m_x_total(self) -> float:
-        return self.m_x_mu + self.m_x_nu + self.m_x_vac
 
     def scaled(self, factor: float) -> "TallySet":
         """All counts multiplied by factor (truth dropped)."""

@@ -17,10 +17,10 @@ from .constants import C_LIGHT_M_S, H_PLANCK_J_S
 from .orbit import PassGeometry
 
 # Far-field coupling efficiency of a Gaussian beam truncated at alpha = 1.12,
-# the ratio that maximizes on-axis antenna gain. Calibrated so that the
-# 85 mm / M^2 = 1.2 terminal reproduces its quoted 102.2 / 107.5 dB gains.
+# the ratio that maximizes on-axis antenna gain and the only one modelled.
+# Calibrated so that the 85 mm / M^2 = 1.2 terminal reproduces its quoted
+# 102.2 / 107.5 dB gains.
 TRUNCATION_GAIN_FACTOR = 0.81
-SUPPORTED_TRUNCATION_RATIO = 1.12
 
 # Signed dB terms of a breakdown row; total_db is their sum.
 TERM_FIELDS = (
@@ -40,11 +40,11 @@ class LinkBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class TransmitterSpec:
-    """Satellite laser terminal parameters."""
+    """Satellite laser terminal parameters; the beam is truncated at the
+    optimal ratio alpha = 1.12 (see TRUNCATION_GAIN_FACTOR)."""
 
     aperture_diam_m: float
     wavelength_nm: float
-    truncation_ratio: float = 1.12
     m_squared: float = 1.2
     pointing_loss_db: float = 3.0
 
@@ -53,8 +53,6 @@ class TransmitterSpec:
             raise LinkBudgetError(f"transmitter.aperture_diam_m must be > 0, got {self.aperture_diam_m}")
         if self.wavelength_nm <= 0:
             raise LinkBudgetError(f"transmitter.wavelength_nm must be > 0, got {self.wavelength_nm}")
-        if self.truncation_ratio < 1.0:
-            raise LinkBudgetError(f"transmitter.truncation_ratio must be >= 1, got {self.truncation_ratio}")
         if self.m_squared < 1.0:
             raise LinkBudgetError(f"transmitter.m_squared must be >= 1, got {self.m_squared}")
         if self.pointing_loss_db < 0:
@@ -157,14 +155,9 @@ class AtmosphereModel:
 def tx_antenna_gain(tx: TransmitterSpec) -> float:
     """Transmit antenna gain in dB.
 
-    G = g(alpha) * (pi D / lambda)^2 / (M^2)^2 with g(1.12) = 0.81. Other
-    truncation ratios are outside the calibrated model and rejected.
+    G = g * (pi D / lambda)^2 / (M^2)^2 with g = 0.81, the gain factor of a
+    beam truncated at alpha = 1.12.
     """
-    if not math.isclose(tx.truncation_ratio, SUPPORTED_TRUNCATION_RATIO):
-        raise LinkBudgetError(
-            f"truncation_ratio {tx.truncation_ratio} unsupported; the gain factor "
-            f"is calibrated for alpha = {SUPPORTED_TRUNCATION_RATIO}"
-        )
     lam_m = tx.wavelength_nm * 1e-9
     gain = TRUNCATION_GAIN_FACTOR * (math.pi * tx.aperture_diam_m / lam_m) ** 2 / tx.m_squared**2
     return 10.0 * math.log10(gain)

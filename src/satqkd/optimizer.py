@@ -230,10 +230,6 @@ def _p_vac(p_mu, p_nu, n_decoys: int):
     return 1.0 - p_mu - p_nu if n_decoys == 2 else 0.0 * p_mu
 
 
-def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.linspace(lo, hi, steps)
-
-
 def _golden_max(f, lo: float, hi: float, abs_tol: float, max_iter: int = 80) -> tuple[float, float]:
     """Golden-section maximization of f on [lo, hi]; returns (x, f(x))."""
     if hi <= lo:
@@ -266,14 +262,14 @@ def _coarse_blocks(config: OptimizerConfig, n_decoys: int) -> np.ndarray:
     p_z is gridded per block."""
     g = config.coarse_grid_steps
     blocks = []
-    for mu in _grid(*MU_BOX, g):
-        for nu in _grid(NU_MIN, mu - NU_MARGIN, g):
-            for p_mu in _grid(*P_MU_BOX, g):
+    for mu in np.linspace(*MU_BOX, g):
+        for nu in np.linspace(NU_MIN, mu - NU_MARGIN, g):
+            for p_mu in np.linspace(*P_MU_BOX, g):
                 if n_decoys == 2:
                     nu_hi = min(P_NU_BOX[1], MAX_P_SUM - p_mu)
                     if nu_hi <= P_NU_BOX[0]:
                         continue
-                    p_nu_values = _grid(P_NU_BOX[0], nu_hi, g)
+                    p_nu_values = np.linspace(P_NU_BOX[0], nu_hi, g)
                 else:
                     p_nu_values = [1.0 - p_mu]
                 blocks.extend((mu, nu, p_mu, p_nu) for p_nu in p_nu_values)
@@ -455,7 +451,7 @@ def optimize_pass(
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
     value, cand, trace_rows = _coarse_search(
         channel, _coarse_blocks(config, n_decoys),
-        _grid(*P_Z_BOX, config.coarse_grid_steps), traced=trace_path is not None,
+        np.linspace(*P_Z_BOX, config.coarse_grid_steps), traced=trace_path is not None,
     )
     point, _ = _refine(
         lambda c: channel.objective(**c)[0], dict(zip(PARAM_NAMES, cand)), value, n_decoys, config
@@ -504,7 +500,7 @@ def pointwise_asymptotic_profile(
     breakdowns = compute_breakdowns(
         pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
     )
-    p_z_values = _grid(*P_Z_BOX, config.coarse_grid_steps)
+    p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
     blocks = _coarse_blocks(config, n_decoys)
     mu_c, nu_c, p_mu_c, p_nu_c = np.repeat(blocks, len(p_z_values), axis=0).T
     p_z_c = np.tile(p_z_values, len(blocks))

@@ -1,8 +1,11 @@
 """Analytic circular-orbit geometry for single ground-station passes.
 
-Model: non-rotating spherical Earth, circular orbit. Earth rotation shifts
-the pass shape by under a percent at LEO time scales, which is below the
-accuracy needed for desk-scale link analysis, so it is ignored here.
+Model: non-rotating spherical Earth of radius R_EARTH_KM, circular orbit.
+A pass is set by the altitude and the station's elevation window alone; the
+orbit's inclination only decides which passes occur, not their shape. Earth
+rotation shifts the pass shape by under a percent at LEO time scales, which
+is below the accuracy needed for desk-scale link analysis, so it is ignored
+here.
 """
 from __future__ import annotations
 
@@ -20,27 +23,22 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class OrbitSpec:
-    """Circular orbit: altitude and inclination above the equatorial radius."""
+    """Circular orbit at altitude_km above the Earth radius R_EARTH_KM.
+
+    The orbit plane does not enter the pass model, which places every pass
+    by its peak elevation, so no inclination is kept; sso_inclination gives
+    the sun-synchronous one for an altitude.
+    """
 
     altitude_km: float
-    inclination_deg: float = 97.66
-    earth_radius_km: float = R_EARTH_KM
 
     def __post_init__(self) -> None:
         if self.altitude_km <= 0:
             raise GeometryError(f"orbit.altitude_km must be > 0, got {self.altitude_km}")
-        if not 0.0 <= self.inclination_deg < 180.0:
-            raise GeometryError(
-                f"orbit.inclination_deg must be in [0, 180), got {self.inclination_deg}"
-            )
-        if self.earth_radius_km != R_EARTH_KM:
-            raise GeometryError(
-                f"orbit.earth_radius_km is fixed at {R_EARTH_KM}, got {self.earth_radius_km}"
-            )
 
     @property
     def radius_km(self) -> float:
-        return self.earth_radius_km + self.altitude_km
+        return R_EARTH_KM + self.altitude_km
 
 
 @dataclass(frozen=True)

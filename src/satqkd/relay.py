@@ -158,18 +158,13 @@ class KeyStore:
     def import_snapshot(cls, path: str | Path) -> "KeyStore":
         """Read an export_snapshot file; anything malformed raises RelayError."""
         data = Path(path).read_bytes()
-        view = memoryview(data)
-        if bytes(view[:4]) != SNAPSHOT_MAGIC:
-            raise RelayError("not a key-store snapshot (bad magic)")
-        if view[4] != SNAPSHOT_VERSION:
-            raise RelayError(f"unsupported snapshot version {view[4]}")
-        offset = 5
+        offset = 0
 
         def take(n: int) -> bytes:
             nonlocal offset
             if offset + n > len(data):
                 raise RelayError("truncated snapshot")
-            out = bytes(view[offset : offset + n])
+            out = data[offset : offset + n]
             offset += n
             return out
 
@@ -177,12 +172,24 @@ class KeyStore:
             (length,) = struct.unpack(">I", take(4))
             return take(length)
 
+        def take_text() -> str:
+            try:
+                return take_block().decode()
+            except UnicodeDecodeError:
+                raise RelayError("snapshot text field is not valid UTF-8") from None
+
+        if take(4) != SNAPSHOT_MAGIC:
+            raise RelayError("not a key-store snapshot (bad magic)")
+        (version,) = take(1)
+        if version != SNAPSHOT_VERSION:
+            raise RelayError(f"unsupported snapshot version {version}")
+
         store = cls()
         (n_records,) = struct.unpack(">I", take(4))
         for _ in range(n_records):
-            key_id = take_block().decode()
-            peer = take_block().decode()
-            status = take_block().decode()
+            key_id = take_text()
+            peer = take_text()
+            status = take_text()
             (n_bits,) = struct.unpack(">I", take(4))
             bits = take_block()
             if key_id in store._records:
@@ -196,8 +203,8 @@ class KeyStore:
             )
         (n_messages,) = struct.unpack(">I", take(4))
         for _ in range(n_messages):
-            key_id_a = take_block().decode()
-            key_id_b = take_block().decode()
+            key_id_a = take_text()
+            key_id_b = take_text()
             (n_bits,) = struct.unpack(">I", take(4))
             payload = take_block()
             if n_bits != 8 * len(payload):

@@ -2,16 +2,22 @@
 
 A scenario is one JSON document with the sections orbit, station,
 transmitter, receiver, atmosphere, detector, source, security and
-optimizer, plus the encoding and decoy-count selectors. Loading is
-fail-closed: unknown fields are rejected and every module-level invariant
-is re-validated, with errors naming the offending field.
+optimizer, plus the encoding and decoy-count selectors. Each section is
+read against its spec dataclass, which is the only statement of the
+section's fields: a field without a default is required, the others take
+the dataclass default, and the declared type picks the JSON reader
+(finite number, integer, boolean or string). Loading is fail-closed:
+unknown fields and wrong JSON types are rejected and every module-level
+invariant is re-validated, with errors naming the offending field.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,12 +33,9 @@ from .optimizer import HardwareStack, OptimizerConfig
 from .orbit import GroundStation, OrbitSpec, PassGeometry, synth_pass
 
 ENCODINGS = ("polarisation", "time_bin")
-# Misalignment defaults by encoding: time-bin arrival separation keeps the
-# Z basis nearly error free, the interferometric X basis does not benefit.
-DEFAULT_MISALIGNMENT = {
-    "polarisation": {"misalignment_z": 0.01, "misalignment_x": 0.01},
-    "time_bin": {"misalignment_z": 0.001, "misalignment_x": 0.01},
-}
+# Time-bin arrival separation keeps the Z basis nearly error free; the
+# interferometric X basis does not benefit and keeps the SourceSpec default.
+TIME_BIN_MISALIGNMENT_Z = 0.001
 TIME_BIN_SLOTS_PER_QUBIT = 3
 
 
@@ -40,58 +43,113 @@ class ScenarioError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
 
 
-_REQUIRED = object()
-
-
-def _require(section: dict, field: str, where: str):
-    if field not in section:
-        raise ScenarioError(f"missing field {where}.{field}")
-    return section[field]
-
-
-def _number(section: dict, field: str, where: str, default=_REQUIRED, integer: bool = False):
-    """The finite JSON number at where.field, or default when the field is
-    absent. Bools, strings, NaN and infinities are rejected; integer fields
-    also reject non-integral values instead of truncating them."""
-    if default is not _REQUIRED and field not in section:
-        return default
-    value = _require(section, field, where)
+def _number(value, name: str) -> float:
+    """A finite JSON number; bools, strings, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ScenarioError(f"{where}.{field} must be a finite number, got {value!r}")
-    if integer:
-        if value != int(value):
-            raise ScenarioError(f"{where}.{field} must be an integer, got {value!r}")
-        return int(value)
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _check_known(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown field {where}.{sorted(unknown)[0]}")
+def _integer(value, name: str) -> int:
+    """An integral JSON number; non-integral values are rejected, not truncated."""
+    if _number(value, name) != int(value):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _wavelength_map(raw: dict, where: str) -> dict[float, float]:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be an object")
+def _optional_number(value, name: str) -> float | None:
+    return None if value is None else _number(value, name)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be a JSON object")
+    return value
+
+
+def _wavelength_map(value, name: str) -> dict[float, float]:
     out = {}
-    for key in raw:
+    for key, entry in _object(value, name).items():
         try:
             wavelength = float(key)
         except ValueError:
-            raise ScenarioError(f"non-numeric entry in {where}: {key!r}") from None
-        out[wavelength] = _number(raw, key, where)
+            raise ScenarioError(f"non-numeric entry in {name}: {key!r}") from None
+        out[wavelength] = _number(entry, f"{name}.{key}")
     return out
 
 
-@dataclass(frozen=True)
+# The JSON reader of each field type the spec dataclasses declare.
+_READERS = {
+    float: _number,
+    int: _integer,
+    bool: _flag,
+    str: _text,
+    float | None: _optional_number,
+    dict[float, float]: _wavelength_map,
+}
+
+_REQUIRED = object()
+
+
+def _take(section: dict, field: str, where: str, reader, default=_REQUIRED):
+    """reader applied to the field popped from section, or default when the
+    field is absent."""
+    if field not in section:
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing field {where}.{field}")
+        return default
+    return reader(section.pop(field), f"{where}.{field}")
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, reader, required) for each field of the dataclass cls; the
+    reader is None for a type no JSON field holds."""
+    types = typing.get_type_hints(cls)
+    return tuple((f.name, _READERS.get(types[f.name]), f.default is MISSING) for f in fields(cls))
+
+
+def _build(cls, raw: dict, where: str, /, **values):
+    """cls built from one scenario section.
+
+    Every field of cls that the caller did not pass in values is read from
+    raw with the reader of its declared type: it is required when cls gives
+    it no default and takes that default otherwise. Whatever is left in raw
+    is rejected as unknown, and invariant errors raised by cls are prefixed
+    with the section name.
+    """
+    raw = dict(raw)
+    for name, reader, required in _schema(cls):
+        if name not in values and (required or name in raw):
+            values[name] = _take(raw, name, where, reader)
+    if raw:
+        raise ScenarioError(f"unknown field {where}.{sorted(raw)[0]}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Validated scenario: every section as its module-level spec type."""
 
     name: str
     encoding: str
     n_decoys: int
-    sample_dt_s: float
+    sample_dt_s: float = 1.0
     orbit: OrbitSpec
     station: GroundStation
     transmitter: TransmitterSpec
@@ -102,6 +160,10 @@ class Scenario:
     security: SecurityParams
     optimizer: OptimizerConfig
     raw: dict
+
+    def __post_init__(self) -> None:
+        if self.sample_dt_s <= 0:
+            raise ScenarioError(f"scenario.sample_dt_s must be > 0, got {self.sample_dt_s}")
 
     def hardware(self) -> HardwareStack:
         return HardwareStack(
@@ -126,161 +188,71 @@ class Scenario:
         return h.hexdigest()
 
 
-TOP_LEVEL_FIELDS = {
-    "name", "encoding", "n_decoys", "sample_dt_s", "orbit", "station", "transmitter",
-    "receiver", "atmosphere", "detector", "source", "security", "optimizer",
-}
-
-
-def _wrap(section: str, exc: Exception) -> ScenarioError:
-    return ScenarioError(f"{section}: {exc}")
-
-
-def _build(cls, raw: dict, where: str, numbers: tuple[str, ...], defaults: dict | None = None,
-           integers: tuple[str, ...] = (), allowed: tuple[str, ...] = (), **values):
-    """cls built from one scenario section.
-
-    numbers names the required numeric fields and defaults the optional
-    ones; allowed names further fields the caller reads itself, passing the
-    results in values. Unknown fields are rejected, and invariant errors
-    raised by cls are prefixed with the section name.
-    """
-    defaults = defaults or {}
-    _check_known(raw, {*numbers, *defaults, *allowed}, where)
-    for name in numbers:
-        values[name] = _number(raw, name, where, integer=name in integers)
-    for name, default in defaults.items():
-        values[name] = _number(raw, name, where, default=default, integer=name in integers)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise _wrap(where, exc) from None
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _check_known(doc, TOP_LEVEL_FIELDS, "scenario")
+    top = dict(_object(doc, "scenario document"))
 
-    name = str(_require(doc, "name", "scenario"))
-    encoding = _require(doc, "encoding", "scenario")
+    def section(key: str) -> dict:
+        return dict(_take(top, key, "scenario", _object))
+
+    encoding = _take(top, "encoding", "scenario", _text)
     if encoding not in ENCODINGS:
         raise ScenarioError(f"scenario.encoding must be one of {ENCODINGS}, got {encoding!r}")
-    n_decoys = _number(doc, "n_decoys", "scenario", integer=True)
+    n_decoys = _take(top, "n_decoys", "scenario", _integer)
     if n_decoys not in (1, 2):
         raise ScenarioError(f"scenario.n_decoys must be 1 or 2, got {n_decoys!r}")
-    sample_dt_s = _number(doc, "sample_dt_s", "scenario", default=1.0)
-    if sample_dt_s <= 0:
-        raise ScenarioError(f"scenario.sample_dt_s must be > 0, got {sample_dt_s}")
 
-    sections = {}
-    for key in ("orbit", "station", "transmitter", "receiver", "atmosphere",
-                "detector", "source", "security", "optimizer"):
-        section = _require(doc, key, "scenario")
-        if not isinstance(section, dict):
-            raise ScenarioError(f"scenario.{key} must be an object")
-        sections[key] = section
+    orbit = _build(OrbitSpec, section("orbit"), "orbit")
+    station = _build(GroundStation, section("station"), "station")
+    transmitter = _build(TransmitterSpec, section("transmitter"), "transmitter")
+    receiver = _build(ReceiverSpec, section("receiver"), "receiver")
 
-    orbit = _build(OrbitSpec, sections["orbit"], "orbit", ("altitude_km", "inclination_deg"))
-    station = _build(
-        GroundStation, sections["station"], "station", ("min_elevation_deg", "max_elevation_deg")
-    )
-    transmitter = _build(
-        TransmitterSpec, sections["transmitter"], "transmitter",
-        ("aperture_diam_m", "wavelength_nm", "truncation_ratio", "m_squared", "pointing_loss_db"),
-    )
-    r = sections["receiver"]
-    receiver = _build(
-        ReceiverSpec, r, "receiver",
-        (
-            "primary_diam_m", "obscuration_diam_m", "coupling_loss_db", "path_loss_db",
-            "fov_half_angle_urad", "filter_bandwidth_nm",
+    a = section("atmosphere")
+    table_path = a.pop("elevation_table_path", None)
+    atmosphere = _build(
+        AtmosphereModel, a, "atmosphere",
+        elevation_table=None if table_path is None else load_elevation_loss_table(
+            _text(table_path, "atmosphere.elevation_table_path")
         ),
-        allowed=("coupling_mode",),
-        coupling_mode=str(_require(r, "coupling_mode", "receiver")),
     )
-
-    a = sections["atmosphere"]
-    _check_known(
-        a, {"zenith_loss_db", "sky_radiance_w_m2_sr_nm", "elevation_table_path"}, "atmosphere"
-    )
-    elevation_table = None
-    if "elevation_table_path" in a and a["elevation_table_path"] is not None:
-        elevation_table = load_elevation_loss_table(a["elevation_table_path"])
-    try:
-        atmosphere = AtmosphereModel(
-            zenith_loss_db=_wavelength_map(
-                _require(a, "zenith_loss_db", "atmosphere"), "atmosphere.zenith_loss_db"
-            ),
-            sky_radiance_w_m2_sr_nm=_wavelength_map(
-                _require(a, "sky_radiance_w_m2_sr_nm", "atmosphere"),
-                "atmosphere.sky_radiance_w_m2_sr_nm",
-            ),
-            elevation_table=elevation_table,
-        )
-    except ValueError as exc:
-        raise _wrap("atmosphere", exc) from None
-    if elevation_table is None and transmitter.wavelength_nm not in atmosphere.zenith_loss_db:
+    if atmosphere.elevation_table is None and transmitter.wavelength_nm not in atmosphere.zenith_loss_db:
         raise ScenarioError(
             "atmosphere.zenith_loss_db lacks the transmitter wavelength "
             f"{transmitter.wavelength_nm} nm"
         )
 
-    d = sections["detector"]
-    detector = _build(
-        DetectorSpec, d, "detector",
-        ("efficiency", "dark_count_rate_hz", "dead_time_ns", "background_rate_hz"),
-        defaults={"n_detectors": 4},
-        integers=("n_detectors",),
-        allowed=("gate_width_ns",),
-        gate_width_ns=(
-            None if d.get("gate_width_ns") is None else _number(d, "gate_width_ns", "detector")
-        ),
-    )
+    detector = _build(DetectorSpec, section("detector"), "detector")
 
-    src = sections["source"]
-    pulse_rate = _number(src, "pulse_rate_hz", "source")
+    src = section("source")
+    pulse_rate = _take(src, "pulse_rate_hz", "source", _number)
     # Optional slot-rate accounting: a time-bin qubit occupies several pulse
     # slots, so holding the slot rate fixed divides the qubit rate.
-    if bool(src.get("hold_slot_rate", False)):
+    if _take(src, "hold_slot_rate", "source", _flag, default=False):
         if encoding != "time_bin":
             raise ScenarioError("source.hold_slot_rate only applies to time_bin encoding")
         pulse_rate /= TIME_BIN_SLOTS_PER_QUBIT
-    vacuum_included = bool(src.get("vacuum_included", n_decoys == 2))
+    vacuum_included = _take(src, "vacuum_included", "source", _flag, default=n_decoys == 2)
     if vacuum_included != (n_decoys == 2):
         raise ScenarioError(
             f"source.vacuum_included must be {n_decoys == 2} for n_decoys={n_decoys}"
         )
+    if encoding == "time_bin":
+        src.setdefault("misalignment_z", TIME_BIN_MISALIGNMENT_Z)
     source = _build(
-        SourceSpec, src, "source",
-        ("signal_intensity", "decoy_intensity", "p_mu", "p_nu", "p_z_alice", "p_z_bob"),
-        defaults=DEFAULT_MISALIGNMENT[encoding],
-        allowed=("pulse_rate_hz", "vacuum_included", "hold_slot_rate"),
-        pulse_rate_hz=pulse_rate,
-        vacuum_included=vacuum_included,
+        SourceSpec, src, "source", pulse_rate_hz=pulse_rate, vacuum_included=vacuum_included
     )
-    security = _build(SecurityParams, sections["security"], "security", ("eps_sec", "eps_corr", "f_ec"))
-    optimizer = _build(
-        OptimizerConfig, sections["optimizer"], "optimizer", (),
-        defaults={"coarse_grid_steps": 8, "refine_iterations": 2, "rel_tolerance": 1e-3},
-        integers=("coarse_grid_steps", "refine_iterations"),
-    )
+    # skl and optimize search one Z-basis probability and apply it on both sides.
+    if source.p_z_bob != source.p_z_alice:
+        raise ScenarioError(
+            f"source.p_z_bob must equal source.p_z_alice = {source.p_z_alice}, "
+            f"got {source.p_z_bob}"
+        )
 
-    return Scenario(
-        name=name,
-        encoding=encoding,
-        n_decoys=n_decoys,
-        sample_dt_s=sample_dt_s,
-        orbit=orbit,
-        station=station,
-        transmitter=transmitter,
-        receiver=receiver,
-        atmosphere=atmosphere,
-        detector=detector,
-        source=source,
-        security=security,
-        optimizer=optimizer,
-        raw=doc,
+    return _build(
+        Scenario, top, "scenario", encoding=encoding, n_decoys=n_decoys, orbit=orbit,
+        station=station, transmitter=transmitter, receiver=receiver, atmosphere=atmosphere,
+        detector=detector, source=source, raw=doc,
+        security=_build(SecurityParams, section("security"), "security"),
+        optimizer=_build(OptimizerConfig, section("optimizer"), "optimizer"),
     )
 
 

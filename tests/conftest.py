@@ -23,7 +23,7 @@ class StrongLink:
     meaningful Monte Carlo statistics."""
 
     def __init__(self) -> None:
-        self.orbit = OrbitSpec(400.0, 97.03)
+        self.orbit = OrbitSpec(400.0)
         self.station = GroundStation(20.0, 80.0)
         self.pass_geometry = synth_pass(self.orbit, self.station, sample_dt_s=10.0)
         self.tx = TransmitterSpec(aperture_diam_m=0.3, wavelength_nm=1550.0, pointing_loss_db=0.5)

@@ -178,7 +178,7 @@ def test_criterion_6_altitude_scaling():
         hardware = scenario.hardware()
         previous = math.inf
         for altitude in (400.0, 600.0, 800.0, 1000.0):
-            orbit = OrbitSpec(altitude, 97.0)
+            orbit = OrbitSpec(altitude)
             pg = synth_pass(orbit, scenario.station, 1.0)
             _, result = optimize_pass(pg, hardware, scenario.security, 2, scenario.optimizer)
             _, availability = coverage_and_availability(altitude)

@@ -59,11 +59,6 @@ class TestTxAntennaGain:
         expected = 10.0 * math.log10((math.pi * 0.085 / 1550e-9) ** 2)
         assert ideal == pytest.approx(expected, abs=1e-12)
 
-    def test_unsupported_truncation_rejected(self):
-        tx = TransmitterSpec(aperture_diam_m=0.085, wavelength_nm=1550.0, truncation_ratio=1.5)
-        with pytest.raises(LinkBudgetError, match="truncation"):
-            tx_antenna_gain(tx)
-
 
 class TestFreeSpaceLoss:
     def test_reference_value(self):

@@ -151,7 +151,3 @@ class TestSynthPass:
 def test_orbit_spec_validation():
     with pytest.raises(GeometryError):
         OrbitSpec(-1.0)
-    with pytest.raises(GeometryError):
-        OrbitSpec(500.0, inclination_deg=185.0)
-    with pytest.raises(GeometryError):
-        OrbitSpec(500.0, earth_radius_km=6371.0)

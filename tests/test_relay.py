@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satqkd.relay import KeyStore, RelayError, recover, xor_bytes
+from satqkd.relay import SNAPSHOT_MAGIC, KeyStore, RelayError, recover, xor_bytes
 
 
 def random_bytes(rng: np.random.Generator, n: int) -> bytes:
@@ -202,6 +202,8 @@ class TestSnapshot:
         ("record n_bits", "claims 24 bits"),
         ("message n_bits", "claims 8 bits"),
         ("duplicate key id", "duplicate key id"),
+        ("magic only", "truncated"),
+        ("non-UTF-8 key id", "UTF-8"),
     ])
     def test_malformed_snapshot_rejected(self, tmp_path, corrupt, match):
         store = KeyStore()
@@ -222,6 +224,10 @@ class TestSnapshot:
         store.export_snapshot(path)
         if corrupt == "trailing bytes":
             path.write_bytes(path.read_bytes() + b"\x00")
+        elif corrupt == "magic only":
+            path.write_bytes(SNAPSHOT_MAGIC)
+        elif corrupt == "non-UTF-8 key id":
+            path.write_bytes(path.read_bytes().replace(carol.key_id.encode(), b"k\xff" + bytes(5)))
         with pytest.raises(RelayError, match=match):
             KeyStore.import_snapshot(path)
 

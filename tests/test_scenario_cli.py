@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from satqkd.channel import DetectorSpec
 from satqkd.cli import main
 from satqkd.scenario import (
     ScenarioError,
@@ -20,10 +21,14 @@ from satqkd.scenario import (
 FAST_OPTIMIZER = {"coarse_grid_steps": 4, "refine_iterations": 1, "rel_tolerance": 1e-3}
 
 
+def bundled_doc(name: str) -> dict:
+    path = Path(__file__).resolve().parents[1] / f"src/satqkd/scenarios/{name}.json"
+    return json.loads(path.read_text())
+
+
 @pytest.fixture()
 def snspd_doc():
-    path = Path(__file__).resolve().parents[1] / "src/satqkd/scenarios/snspd_pol_2decoy.json"
-    return json.loads(path.read_text())
+    return bundled_doc("snspd_pol_2decoy")
 
 
 class TestScenarioValidation:
@@ -65,6 +70,9 @@ class TestScenarioValidation:
             ("detector", "timing_jitter_ps", 30.0),
             ("receiver", "effective_focal_length_m", 2.0),
             ("optimizer", "rng_seed", 7),
+            ("orbit", "inclination_deg", 97.66),
+            ("orbit", "earth_radius_km", 6371.0),
+            ("transmitter", "truncation_ratio", 1.12),
         ],
     )
     def test_removed_knob_rejected(self, snspd_doc, section, field, value):
@@ -117,6 +125,39 @@ class TestScenarioValidation:
         doc = copy.deepcopy(snspd_doc)
         doc["transmitter"]["wavelength_nm"] = 1310.0
         with pytest.raises(ScenarioError, match="wavelength"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["vacuum_included", "hold_slot_rate"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_bool_field_rejects_other_json_types(self, field, value):
+        """A flag is JSON true or false; "false" used to load as true."""
+        doc = bundled_doc("snspd_tb_2decoy")
+        doc["source"][field] = value
+        with pytest.raises(ScenarioError, match=f"source.{field} must be true or false"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("section,field", [
+        ("scenario", "name"), ("scenario", "encoding"), ("receiver", "coupling_mode"),
+    ])
+    @pytest.mark.parametrize("value", [5, ["polarisation"]], ids=["number", "list"])
+    def test_string_field_rejects_other_json_types(self, snspd_doc, section, field, value):
+        doc = copy.deepcopy(snspd_doc)
+        (doc if section == "scenario" else doc[section])[field] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{field} must be a string"):
+            scenario_from_dict(doc)
+
+    def test_absent_detector_fields_take_spec_defaults(self, snspd_doc):
+        doc = copy.deepcopy(snspd_doc)
+        del doc["detector"]["n_detectors"], doc["detector"]["gate_width_ns"]
+        detector = scenario_from_dict(doc).detector
+        assert detector == DetectorSpec(**doc["detector"])
+        assert (detector.n_detectors, detector.gate_width_ns) == (1, 1.0)
+
+    def test_asymmetric_basis_bias_rejected(self, snspd_doc):
+        """skl and optimize apply one p_z on both sides, so p_z_bob would be ignored."""
+        doc = copy.deepcopy(snspd_doc)
+        doc["source"]["p_z_bob"] = 0.5
+        with pytest.raises(ScenarioError, match="source.p_z_bob"):
             scenario_from_dict(doc)
 
     def test_vacuum_flag_must_match_decoys(self, snspd_doc):
