@@ -2,14 +2,18 @@
 
 Every command is a deterministic batch job: the same scenario file (and,
 for mc-validate and relay-demo, the same seed) produce byte-identical
-output files. Exit codes: 0 success, 2 validation failure, 3 aborted-key
-outcome.
+output files. Exit codes: 0 success; 1 an internal error, with a traceback
+(an untyped exception such as a bare ValueError is a bug, not bad input);
+2 bad input (a typed input error or an unreadable file, named on stderr) or
+a failed check (mc-validate outside 3 sigma, a relay round trip that does
+not recover the key); 3 aborted-key outcome.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -17,15 +21,35 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import TALLY_FIELDS, expected_tallies, monte_carlo_tallies
-from .linkbudget import TERM_FIELDS, compute_breakdowns
-from .optimizer import ParamVector, evaluate_params, optimize_pass, sweep_max_elevation
-from .relay import KeyStore, recover
+from .channel import TALLY_FIELDS, ChannelError, expected_tallies, monte_carlo_tallies
+from .finitekey import FiniteKeyError
+from .linkbudget import LinkBudgetError, compute_breakdowns
+from .optimizer import (
+    OptimizerError, ParamVector, evaluate_params, optimize_pass, sweep_max_elevation,
+)
+from .orbit import GeometryError
+from .relay import KeyStore, RelayError, recover
 from .scenario import Scenario, ScenarioError, load_bundled_scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ABORTED = 3
+
+# The input errors that end a command with EXIT_VALIDATION and a one-line
+# message; any other exception is a bug and ends with a traceback.
+INPUT_ERRORS = (ScenarioError, ChannelError, LinkBudgetError, OptimizerError, FiniteKeyError,
+                GeometryError, RelayError, OSError)
+
+
+def _flag_items(text: str, flag: str, parse) -> list:
+    """The comma-separated items of a list flag, each read with parse."""
+    try:
+        items = [parse(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ScenarioError(f"{flag} items must be numbers, got {text!r}") from None
+    if not items:
+        raise ScenarioError(f"{flag} needs at least one item")
+    return items
 
 
 def _load(ref: str) -> Scenario:
@@ -58,33 +82,33 @@ def _report(out_dir: Path, scenario: Scenario | None, command: str, seed: int | 
     _write(out_dir, "report.json", _json_text(doc))
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns) -> str:
+    """CSV of float columns, each distinct value of a column formatted once
+    with repr; values are told apart by their bits, so 0.0, -0.0 and NaN
+    payloads keep their own text."""
+    cells = []
+    for col in columns:
+        bits, inverse = np.unique(np.asarray(col, np.float64).view(np.int64), return_inverse=True)
+        cells.append(np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse])
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> str:
-    return _json_text([dict(zip(header, row)) for row in rows])
-
-
-def _emit_table(args, name: str, header: list[str], rows: list[list]) -> list[str]:
-    out_dir = Path(args.out)
+def _emit_table(args, name: str, header: list[str], columns) -> list[str]:
+    """Write a table given as one float column per header name."""
     if args.format == "json":
-        filename = f"{name}.json"
-        _write(out_dir, filename, _rows_to_json(header, rows))
+        rows = zip(*(np.asarray(col, np.float64).tolist() for col in columns))
+        filename, text = f"{name}.json", _json_text([dict(zip(header, row)) for row in rows])
     else:
-        filename = f"{name}.csv"
-        _write(out_dir, filename, _csv(header, rows))
+        filename, text = f"{name}.csv", _csv(header, columns)
+    _write(Path(args.out), filename, text)
     return [filename]
 
 
 def cmd_pass(args) -> int:
     scenario = _load(args.scenario)
-    pass_geometry = scenario.synth_pass()
-    header = ["t_s", "elevation_deg", "slant_range_km"]
-    outputs = _emit_table(args, "pass", header, pass_geometry.samples.tolist())
+    samples = scenario.synth_pass().samples
+    header = list(samples.dtype.names)
+    outputs = _emit_table(args, "pass", header, [samples[f] for f in header])
     _report(Path(args.out), scenario, "pass", None, outputs)
     return EXIT_OK
 
@@ -95,9 +119,8 @@ def cmd_budget(args) -> int:
     breakdowns = compute_breakdowns(
         pass_geometry, scenario.transmitter, scenario.receiver, scenario.atmosphere
     )
-    header = ["t_s", "elevation_deg", "slant_range_km", *TERM_FIELDS, "total_db", "eta"]
-    rows = [s + b for s, b in zip(pass_geometry.samples.tolist(), breakdowns.tolist())]
-    outputs = _emit_table(args, "budget", header, rows)
+    fields = [(table, f) for table in (pass_geometry.samples, breakdowns) for f in table.dtype.names]
+    outputs = _emit_table(args, "budget", [f for _, f in fields], [table[f] for table, f in fields])
     _report(Path(args.out), scenario, "budget", None, outputs)
     return EXIT_OK
 
@@ -165,17 +188,17 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep_elevation(args) -> int:
     scenario = _load(args.scenario)
-    max_elevations = [float(v) for v in args.max_elevations.split(",") if v.strip()]
-    if not max_elevations:
-        raise ScenarioError("sweep-elevation needs at least one max elevation")
+    max_elevations = _flag_items(args.max_elevations, "--max-elevations", float)
+    if not all(map(math.isfinite, max_elevations)):
+        raise ScenarioError(f"--max-elevations items must be finite, got {args.max_elevations!r}")
     rows_raw = sweep_max_elevation(
         scenario.orbit, scenario.station.min_elevation_deg, max_elevations,
         scenario.hardware(), scenario.security, scenario.n_decoys,
         scenario.optimizer, scenario.sample_dt_s,
     )
     header = ["max_elevation_deg", "skl_bits", "mu", "nu", "p_mu", "p_nu", "p_z", "min_elevation_deg"]
-    rows = [[row.get(h, 0.0) for h in header] for row in rows_raw]
-    outputs = _emit_table(args, "sweep_elevation", header, rows)
+    columns = [[row.get(h, 0.0) for row in rows_raw] for h in header]
+    outputs = _emit_table(args, "sweep_elevation", header, columns)
     _report(Path(args.out), scenario, "sweep-elevation", None, outputs)
     return EXIT_OK
 
@@ -223,9 +246,9 @@ def cmd_mc_validate(args) -> int:
 
 
 def cmd_relay_demo(args) -> int:
-    lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
-    if not lengths or any(n <= 0 or n % 8 for n in lengths):
-        raise ScenarioError("relay-demo lengths must be positive multiples of 8 bits")
+    lengths = _flag_items(args.lengths, "--lengths", int)
+    if any(n <= 0 or n % 8 for n in lengths):
+        raise ScenarioError(f"--lengths items must be positive multiples of 8 bits, got {args.lengths!r}")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     store = KeyStore()
     transcript = []
@@ -327,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

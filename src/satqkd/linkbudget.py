@@ -272,18 +272,25 @@ def background_click_rate(rx: ReceiverSpec, atm: AtmosphereModel, wavelength_nm:
 def load_elevation_loss_table(path: str | Path) -> tuple[tuple[float, float], ...]:
     """Read a two-column (elevation_deg, loss_db) override table.
 
-    Blank lines and lines starting with '#' are skipped. Rows must cover a
-    strictly increasing elevation grid.
+    Blank lines and lines starting with '#' are skipped. Every cell must be
+    a finite number, and rows must cover a strictly increasing elevation
+    grid; a bad row is named by path and line.
     """
     rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(errors="replace").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
         if len(parts) != 2:
             raise LinkBudgetError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-        rows.append((float(parts[0]), float(parts[1])))
+        try:
+            row = (float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise LinkBudgetError(f"{path}:{lineno}: non-numeric cell in {stripped!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise LinkBudgetError(f"{path}:{lineno}: cells must be finite, got {stripped!r}")
+        rows.append(row)
     if len(rows) < 2:
         raise LinkBudgetError(f"{path}: need at least two rows, got {len(rows)}")
     elevations = [r[0] for r in rows]

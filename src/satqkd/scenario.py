@@ -85,7 +85,9 @@ def _wavelength_map(value, name: str) -> dict[float, float]:
         try:
             wavelength = float(key)
         except ValueError:
-            raise ScenarioError(f"non-numeric entry in {name}: {key!r}") from None
+            wavelength = math.nan
+        if not 0.0 < wavelength < math.inf:
+            raise ScenarioError(f"{name} keys must be positive finite wavelengths, got {key!r}")
         out[wavelength] = _number(entry, f"{name}.{key}")
     return out
 
@@ -259,7 +261,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(doc)
 

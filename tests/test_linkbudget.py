@@ -1,5 +1,6 @@
 """Link budget terms against published anchors and frozen hand calculations."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,15 @@ class TestElevationTable:
         not_increasing.write_text("40 1.2\n20 2.0\n")
         with pytest.raises(LinkBudgetError, match="increasing"):
             load_elevation_loss_table(not_increasing)
+
+    @pytest.mark.parametrize("row", ["nan 1.0", "40 inf", "-inf 1.0", "40 nan", "abc 1.0", "40 abc"])
+    def test_bad_cells_rejected_naming_line(self, tmp_path, row):
+        """A NaN, an infinity or an unparsable cell fails closed, naming the
+        file and line, instead of loading a table that interpolates to NaN."""
+        path = tmp_path / "atm.txt"
+        path.write_text(f"# elevation_deg loss_db\n20 2.0\n{row}\n90 0.5\n")
+        with pytest.raises(LinkBudgetError, match=re.escape(f"{path}:3:")):
+            load_elevation_loss_table(path)
 
 
 def test_wavelength_gain_relation_exact():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from satqkd import cli
 from satqkd.channel import DetectorSpec
 from satqkd.cli import main
 from satqkd.scenario import (
@@ -320,6 +321,56 @@ class TestCliCommands:
         scenario_path = write_scenario(tmp_path, doc)
         assert main(["skl", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["zenith_loss_db", "sky_radiance_w_m2_sr_nm"])
+    @pytest.mark.parametrize("key", ["nan", "inf", "-1"])
+    def test_bad_wavelength_key_exits_with_validation_code(self, tmp_path, capsys, snspd_doc,
+                                                           field, key):
+        """Wavelength keys must be positive and finite; the error names the field."""
+        doc = copy.deepcopy(snspd_doc)
+        doc["atmosphere"][field][key] = 0.4
+        with pytest.raises(ScenarioError, match=f"atmosphere.{field}"):
+            scenario_from_dict(doc)
+        scenario_path = write_scenario(tmp_path, doc)
+        assert main(["skl", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"atmosphere.{field}" in capsys.readouterr().err
+
+    def test_bad_elevation_table_exits_with_validation_code(self, tmp_path, capsys, snspd_doc):
+        table = tmp_path / "atm.txt"
+        table.write_text("20 2.0\nnan 1.0\n90 0.5\n")
+        doc = copy.deepcopy(snspd_doc)
+        doc["atmosphere"]["elevation_table_path"] = str(table)
+        scenario_path = write_scenario(tmp_path, doc)
+        assert main(["budget", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{table}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy",
+              "--max-elevations", "30,abc"], "--max-elevations"),
+            (["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy",
+              "--max-elevations", "nan"], "--max-elevations"),
+            (["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy",
+              "--max-elevations", ","], "--max-elevations"),
+            (["relay-demo", "--lengths", "64,8.0"], "--lengths"),
+            (["relay-demo", "--lengths", "12"], "--lengths"),
+            (["relay-demo", "--lengths", ""], "--lengths"),
+        ],
+    )
+    def test_bad_list_flag_exits_with_validation_code(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_untyped_value_error_is_a_bug_not_bad_input(self, tmp_path, monkeypatch):
+        """Only the typed input errors exit 2; a bare ValueError from inside a
+        command propagates, so the interpreter prints it and exits 1."""
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "compute_breakdowns", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["budget", "--scenario", "bundled:snspd_pol_2decoy", "--out", str(tmp_path)])
 
     def test_integral_json_numbers_load(self, snspd_doc):
         doc = copy.deepcopy(snspd_doc)
