@@ -204,6 +204,10 @@ def cmd_sweep_elevation(args) -> int:
 
 
 def cmd_mc_validate(args) -> int:
+    if args.seeds < 1:
+        raise ScenarioError(f"--seeds must be >= 1, got {args.seeds}")
+    if not 1.0 <= args.thinning < math.inf:
+        raise ScenarioError(f"--thinning must be a finite number >= 1, got {args.thinning}")
     scenario = _load(args.scenario)
     pass_geometry = scenario.synth_pass()
     breakdowns = compute_breakdowns(

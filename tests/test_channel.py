@@ -1,6 +1,8 @@
 """Detection statistics: analytic pulse model plus Monte Carlo agreement."""
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from satqkd.channel import (
@@ -11,6 +13,7 @@ from satqkd.channel import (
     expected_tallies,
     expected_tallies_fixed_eta,
     monte_carlo_tallies,
+    presift_rows,
     pulse_gain,
     pulse_qber,
 )
@@ -19,6 +22,7 @@ TALLY_FIELDS = (
     "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
     "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
 )
+TRUTH_FIELDS = ("s_z0", "s_z1", "s_x0", "s_x1", "m_z0", "m_z1", "m_x0", "m_x1")
 
 
 def make_detector(**overrides) -> DetectorSpec:
@@ -238,6 +242,143 @@ class TestMonteCarlo:
                 0, strong_link.pass_geometry, strong_link.breakdowns,
                 strong_link.source_two, strong_link.detector, 20.0, thinning=0.5,
             )
+
+
+def per_pulse_tallies(seed, pass_geometry, breakdowns, source, det, min_elevation_deg, thinning):
+    """Reference sampler: a Poisson photon number drawn for every pulse, one
+    sample at a time, then per photon number the same binomial background,
+    signal, dead-time and error draws as monte_carlo_tallies. Returns the
+    TALLY_FIELDS and TRUTH_FIELDS counts."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    y0 = background_yield(det, source.pulse_rate_hz)
+    pulses_per_sample = int(round(source.pulse_rate_hz * pass_geometry.sample_dt_s / thinning))
+    p_sift_z = source.p_z_alice * source.p_z_bob
+    p_sift_x = (1.0 - source.p_z_alice) * (1.0 - source.p_z_bob)
+    intensities = source.intensities()
+    probabilities = source.probabilities()
+    category_p = []
+    for key in intensities:
+        p = probabilities[key]
+        category_p += [p * p_sift_z, p * p_sift_x, p * (1.0 - p_sift_z - p_sift_x)]
+    counts = dict.fromkeys(TALLY_FIELDS + TRUTH_FIELDS, 0)
+    eta_all = breakdowns.eta * det.efficiency
+    f_dead_all = presift_rows(
+        eta_all, source.signal_intensity, source.decoy_intensity,
+        source.p_mu, source.p_nu, source.p_vac, source, det,
+    )[3]
+    for elevation, eta, f_dead in zip(pass_geometry.samples.elevation_deg, eta_all, f_dead_all):
+        if elevation < min_elevation_deg:
+            continue
+        split = rng.multinomial(pulses_per_sample, category_p)
+        for i, (key, k) in enumerate(intensities.items()):
+            for basis, group in (("z", split[3 * i]), ("x", split[3 * i + 1])):
+                e_mis = source.misalignment_z if basis == "z" else source.misalignment_x
+                photon_counts = np.bincount(rng.poisson(k, group)) if k > 0 else [group]
+                for n_photons, c_n in enumerate(photon_counts):
+                    n_bg = rng.binomial(c_n, y0)
+                    n_sig = rng.binomial(c_n - n_bg, 1.0 - (1.0 - eta) ** n_photons)
+                    n_bg = rng.binomial(n_bg, f_dead)
+                    n_sig = rng.binomial(n_sig, f_dead)
+                    clicks = n_bg + n_sig
+                    errors = rng.binomial(n_bg, 0.5) + rng.binomial(n_sig, e_mis)
+                    counts[f"n_{basis}_{key}"] += clicks
+                    counts[f"m_{basis}_{key}"] += errors
+                    if n_photons <= 1:
+                        counts[f"s_{basis}{n_photons}"] += clicks
+                        counts[f"m_{basis}{n_photons}"] += errors
+    return counts
+
+
+class TestCountLevelSampler:
+    """The count-level sampler against the per-pulse reference, and its
+    error counts against the two error forms of the module docstring."""
+
+    @staticmethod
+    def short_pass(strong_link):
+        every = slice(None, None, 5)
+        geometry = dataclasses.replace(
+            strong_link.pass_geometry, samples=strong_link.pass_geometry.samples[every]
+        )
+        return geometry, strong_link.breakdowns[every]
+
+    @pytest.mark.parametrize("case", ["two", "one", "bright"])
+    def test_matches_per_pulse_reference(self, strong_link, case):
+        """Pooled over 40 seeds, every tally and truth field of the two
+        samplers agrees within 5 sigma of the difference of two independent
+        counts, each with variance at most its mean. "bright" has a signal
+        intensity of 2.5 (most signal pulses carry n >= 2, the tail cell)
+        and a noisy detector, so background clicks are frequent too."""
+        source, det = strong_link.source_two, strong_link.detector
+        if case == "one":
+            source = strong_link.source_one
+        elif case == "bright":
+            source = dataclasses.replace(source, signal_intensity=2.5, decoy_intensity=0.3)
+            det = dataclasses.replace(det, dark_count_rate_hz=2e6)
+        geometry, breakdowns = self.short_pass(strong_link)
+        args = (geometry, breakdowns, source, det, 20.0)
+        count_level = dict.fromkeys(TALLY_FIELDS + TRUTH_FIELDS, 0.0)
+        reference = dict.fromkeys(TALLY_FIELDS + TRUTH_FIELDS, 0)
+        for seed in range(40):
+            mc = monte_carlo_tallies(seed, *args, thinning=1e5)
+            for name in TALLY_FIELDS:
+                count_level[name] += getattr(mc, name)
+            for name in TRUTH_FIELDS:
+                count_level[name] += getattr(mc.truth, name)
+            for name, value in per_pulse_tallies(1000 + seed, *args, thinning=1e5).items():
+                reference[name] += value
+        for name in TALLY_FIELDS + TRUTH_FIELDS:
+            a, b = count_level[name], reference[name]
+            assert abs(a - b) <= 5.0 * math.sqrt(max(a + b, 1.0)), f"{case} {name}: {a} vs {b}"
+        if case == "bright":
+            tail_clicks = sum(count_level[f"n_{b}_{k}"] for b in "zx" for k in ("mu", "nu", "vac"))
+            tail_clicks -= sum(count_level[f"s_{b}{n}"] for b in "zx" for n in (0, 1))
+            assert tail_clicks > 0.5 * count_level["n_z_mu"]
+            assert count_level["n_z_vac"] > 100
+
+    def test_error_counts_follow_the_one_minus_y0_form(self, strong_link):
+        """At thinning 1 with Y0 = 0.1 and 5% misalignment, the sampler's
+        pooled error counts sit within 5 sigma of Y0/2 + (1 - Y0) e_mis
+        (1 - e^(-k eta)) per pulse (the analytic model with e_mis scaled by
+        1 - Y0) and more than 5 sigma away from the analytic Y0/2 + e_mis
+        (1 - e^(-k eta)) wherever a signal can err."""
+        det = make_detector(efficiency=0.8, dark_count_rate_hz=1e8, background_rate_hz=0.0)
+        y0 = background_yield(det, 1e9)
+        assert y0 == pytest.approx(0.1)
+        source = dataclasses.replace(strong_link.source_two, misalignment_z=0.05, misalignment_x=0.05)
+        scaled = dataclasses.replace(
+            source, misalignment_z=0.05 * (1.0 - y0), misalignment_x=0.05 * (1.0 - y0)
+        )
+        args = (strong_link.pass_geometry, strong_link.breakdowns)
+        analytic = expected_tallies(*args, source, det, 20.0)
+        sampler_form = expected_tallies(*args, scaled, det, 20.0)
+        seeds = range(16)
+        pooled = [monte_carlo_tallies(seed, *args, source, det, 20.0) for seed in seeds]
+        for name in ("m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac"):
+            got = sum(getattr(mc, name) for mc in pooled)
+            mean = len(seeds) * getattr(sampler_form, name)
+            sigma = math.sqrt(mean)
+            assert abs(got - mean) <= 5.0 * sigma, f"{name}: {got} vs {mean}"
+            if not name.endswith("_vac"):
+                assert abs(len(seeds) * getattr(analytic, name) - mean) > 5.0 * sigma, name
+
+    def test_intensity_probabilities_within_validation_tolerance(self, strong_link):
+        """Without a vacuum, SourceSpec accepts p_mu + p_nu = 1 + 5e-10."""
+        source = dataclasses.replace(strong_link.source_one, p_nu=0.3 + 5e-10)
+        mc = monte_carlo_tallies(
+            1, strong_link.pass_geometry, strong_link.breakdowns,
+            source, strong_link.detector, 20.0, thinning=1e5,
+        )
+        assert mc.n_z_mu > 0 and mc.n_z_vac == 0
+
+    def test_full_rate_pass_counts_every_pulse(self, strong_link):
+        """Thinning 1 draws all 1e9 pulses/s of every kept sample."""
+        mc = monte_carlo_tallies(
+            5, strong_link.pass_geometry, strong_link.breakdowns,
+            strong_link.source_two, strong_link.detector, 20.0,
+        )
+        kept = int((strong_link.pass_geometry.samples.elevation_deg >= 20.0).sum())
+        assert mc.n_sent == 1e9 * strong_link.pass_geometry.sample_dt_s * kept
+        assert mc.truth.s_z1 > 0
 
 
 class TestSourceValidation:

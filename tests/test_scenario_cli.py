@@ -362,6 +362,20 @@ class TestCliCommands:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--thinning", "0"), ("--thinning", "0.5"), ("--thinning", "nan"), ("--thinning", "inf"),
+         ("--seeds", "0"), ("--seeds", "-1")],
+    )
+    def test_bad_mc_validate_flag_exits_with_validation_code(self, tmp_path, capsys, flag, value):
+        """A thinning below 1 (or not finite) and a seed count below 1 are
+        bad input: no division by zero, and no pass that checked nothing."""
+        out = tmp_path / "out"
+        assert main(["mc-validate", "--scenario", "bundled:snspd_pol_1decoy",
+                     flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "mc_validate.json").exists()
+
     def test_untyped_value_error_is_a_bug_not_bad_input(self, tmp_path, monkeypatch):
         """Only the typed input errors exit 2; a bare ValueError from inside a
         command propagates, so the interpreter prints it and exits 1."""
