@@ -59,11 +59,11 @@ class DetectorSpec:
         if not 0.0 < self.efficiency <= 1.0:
             raise ChannelError(f"detector.efficiency must be in (0, 1], got {self.efficiency}")
         for name in ("dark_count_rate_hz", "dead_time_ns", "background_rate_hz"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ChannelError(f"detector.{name} must be >= 0, got {getattr(self, name)}")
         if self.n_detectors < 1:
             raise ChannelError(f"detector.n_detectors must be >= 1, got {self.n_detectors}")
-        if self.gate_width_ns is not None and self.gate_width_ns <= 0:
+        if self.gate_width_ns is not None and not self.gate_width_ns > 0:
             raise ChannelError(f"detector.gate_width_ns must be > 0, got {self.gate_width_ns}")
 
 
@@ -83,7 +83,7 @@ class SourceSpec:
     misalignment_x: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.pulse_rate_hz <= 0:
+        if not self.pulse_rate_hz > 0:
             raise ChannelError(f"source.pulse_rate_hz must be > 0, got {self.pulse_rate_hz}")
         if not 0.0 < self.decoy_intensity < self.signal_intensity:
             raise ChannelError(
@@ -188,7 +188,7 @@ def background_yield(det: DetectorSpec, pulse_rate_hz: float) -> float:
     if det.gate_width_ns is not None:
         gate_s = det.gate_width_ns * 1e-9
     else:
-        if pulse_rate_hz <= 0:
+        if not pulse_rate_hz > 0:
             raise ChannelError(f"pulse_rate_hz must be > 0, got {pulse_rate_hz}")
         gate_s = 1.0 / pulse_rate_hz
     y0 = det.n_detectors * (det.dark_count_rate_hz + det.background_rate_hz) * gate_s

@@ -141,6 +141,18 @@ def _params_from_args(args, scenario: Scenario) -> ParamVector:
     )
 
 
+def _key_doc(params: ParamVector, result, n_decoys: int) -> dict:
+    """The key-length document of skl and optimize."""
+    return {
+        "params": asdict(params),
+        "skl_bits": result.skl_bits,
+        "lambda_ec_bits": result.lambda_ec_bits,
+        "aborted": result.aborted,
+        "diagnostics": result.diagnostics,
+        "n_decoys": n_decoys,
+    }
+
+
 def cmd_skl(args) -> int:
     scenario = _load(args.scenario)
     params = _params_from_args(args, scenario)
@@ -148,16 +160,8 @@ def cmd_skl(args) -> int:
         scenario.synth_pass(), scenario.hardware(), scenario.security,
         scenario.n_decoys, params,
     )
-    doc = {
-        "params": asdict(params),
-        "skl_bits": result.skl_bits,
-        "lambda_ec_bits": result.lambda_ec_bits,
-        "aborted": result.aborted,
-        "diagnostics": result.diagnostics,
-        "n_decoys": scenario.n_decoys,
-    }
     outputs = ["skl.json"]
-    _write(Path(args.out), "skl.json", _json_text(doc))
+    _write(Path(args.out), "skl.json", _json_text(_key_doc(params, result, scenario.n_decoys)))
     _report(Path(args.out), scenario, "skl", None, outputs)
     return EXIT_ABORTED if result.aborted else EXIT_OK
 
@@ -171,15 +175,7 @@ def cmd_optimize(args) -> int:
         scenario.synth_pass(), scenario.hardware(), scenario.security,
         scenario.n_decoys, scenario.optimizer, trace_path=trace_path,
     )
-    doc = {
-        "params": asdict(params),
-        "skl_bits": result.skl_bits,
-        "lambda_ec_bits": result.lambda_ec_bits,
-        "aborted": result.aborted,
-        "diagnostics": result.diagnostics,
-        "n_decoys": scenario.n_decoys,
-        "trace": trace_path.name,
-    }
+    doc = {**_key_doc(params, result, scenario.n_decoys), "trace": trace_path.name}
     outputs = ["optimize.json", trace_path.name]
     _write(out_dir, "optimize.json", _json_text(doc))
     _report(out_dir, scenario, "optimize", None, outputs)

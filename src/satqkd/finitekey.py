@@ -10,13 +10,19 @@ s_Z0 / s_Z1 are lower bounds on the vacuum and single-photon detections,
 phi upper-bounds the single-photon phase error rate, and lambda_EC =
 f_ec * n_Z * h(Q_Z) models error-correction leakage.
 
-The yield and error estimators follow the standard one- and two-decoy
-finite-key analyses: observed counts are rescaled by e^k / p_k, padded by
-Hoeffding deviations delta(n, eps) = sqrt(n/2 ln(1/eps)) with eps_sec
-split uniformly over the invocations, and combined into linear-program
-style closed forms. The X-to-Z statistical transfer uses the correction
-gamma(a, b, c, d) with the protocol's epsilon budget. A Monte Carlo
-oracle with true photon-number tags gates these bounds in the test suite.
+The yield and error estimators follow the finite-size decoy analyses of
+Lim et al., PRA 89, 022307 (2014) for two decoys and Rusca et al., APL
+112, 171104 (2018) for one. They are written once, per basis, in
+`_basis_bounds`, which `_estimate_arrays` calls for Z and for X: each
+count is padded by the Hoeffding deviation delta(n, eps) = sqrt(n/2
+ln(1/eps)) of its basis total, with eps_sec split uniformly over the
+invocations, and rescaled by e^k / p_k. The (mu, nu) pair form bounds the
+zero- and one-photon detections (and, in X, the one-photon errors); with
+a vacuum intensity the vacuum form follows and the sharper bound is kept,
+max for s_0 and s_1, min for v_X1. The X-to-Z statistical transfer uses
+the correction gamma(a, b, c, d) with the protocol's epsilon budget. A
+Monte Carlo oracle with true photon-number tags gates these bounds in the
+test suite.
 
 All estimator arithmetic is written against numpy so the whole-pass
 optimizer can evaluate many candidate blocks in one call; the public
@@ -62,7 +68,7 @@ class SecurityParams:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise FiniteKeyError(f"security.{name} must be in (0, 1), got {value}")
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise FiniteKeyError(f"security.f_ec must be >= 1, got {self.f_ec}")
 
 
@@ -160,6 +166,57 @@ def _gamma_transfer(a: float, b, c, d, budget: int):
     return np.where(ok, gamma, 0.0)
 
 
+def _basis_bounds(t: dict[str, np.ndarray], b: str, mu, nu, scale, tau0, tau1, eps1) -> dict:
+    """Decoy bounds of one basis b ("z" or "x") over arrays of tally blocks.
+
+    Each count is shifted by the Hoeffding delta of its basis total and
+    rescaled by e^k / p_k; `scale` holds e^mu / p_mu, e^nu / p_nu and
+    1 / p_vac, the last None without a vacuum intensity. Returns the basis
+    totals n and m, the error-based zero-photon upper bound s0_up, the
+    zero- and one-photon lower bounds s0 and s1, and, for X only, the
+    one-photon error upper bound v1.
+    """
+    n = t[f"n_{b}_mu"] + t[f"n_{b}_nu"] + t[f"n_{b}_vac"]
+    m = t[f"m_{b}_mu"] + t[f"m_{b}_nu"] + t[f"m_{b}_vac"]
+    d_n = hoeffding_delta(n, eps1)
+    d_m = hoeffding_delta(m, eps1)
+    s_mu, s_nu, s_vac = scale
+    n_mu_up = s_mu * (t[f"n_{b}_mu"] + d_n)
+    n_nu_low = np.maximum(s_nu * (t[f"n_{b}_nu"] - d_n), 0.0)
+    m_mu_up = s_mu * (t[f"m_{b}_mu"] + d_m)
+    m_nu_up = s_nu * (t[f"m_{b}_nu"] + d_m)
+    denom = nu * (mu - nu)
+
+    # Pair form, from the (mu, nu) pair alone, avoiding the noisy
+    # low-probability vacuum-intensity counts; with one decoy it is the only
+    # form. Worst case, every observed error came from a vacuum event (QBER
+    # 1/2), which upper-bounds the zero-photon detections feeding the
+    # single-photon bound.
+    s0_up = 2.0 * (tau0 * np.minimum(m_mu_up, m_nu_up) + d_n)
+    s0 = np.maximum(tau0 * (mu * n_nu_low - nu * n_mu_up) / (mu - nu), 0.0)
+    s1 = tau1 * mu * (
+        n_nu_low - (nu**2 / mu**2) * n_mu_up - ((mu**2 - nu**2) / mu**2) * (s0_up / tau0)
+    ) / denom
+    if s_vac is not None:
+        # Vacuum form: vacuum-intensity data bounds the zero-photon
+        # detections directly. The pair form stays valid and often wins when
+        # the vacuum counts are fluctuation dominated, so the sharper of
+        # each pair of valid bounds is kept.
+        s0 = np.maximum(tau0 * np.maximum(s_vac * (t[f"n_{b}_vac"] - d_n), 0.0), s0)
+        s1 = np.maximum(tau1 * mu * (
+            n_nu_low - s_vac * (t[f"n_{b}_vac"] + d_n) - (nu**2 / mu**2) * (n_mu_up - s0 / tau0)
+        ) / denom, s1)
+    v1 = None
+    if b == "x":
+        # Only the X one-photon errors feed the phase-error bound. Pair
+        # form: differencing the two intensities' error counts bounds them
+        # without vacuum data; the vacuum form is kept where it is sharper.
+        v1 = tau1 * (m_mu_up - np.maximum(s_nu * (t["m_x_nu"] - d_m), 0.0)) / (mu - nu)
+        if s_vac is not None:
+            v1 = np.minimum(tau1 * (m_nu_up - np.maximum(s_vac * (t["m_x_vac"] - d_m), 0.0)) / nu, v1)
+    return {"n": n, "m": m, "s0_up": s0_up, "s0": s0, "s1": s1, "v1": v1}
+
+
 def _estimate_arrays(
     t: dict[str, np.ndarray],
     mu,
@@ -175,117 +232,24 @@ def _estimate_arrays(
     `t` maps tally field names (n_z_mu, ..., m_x_vac) to equal-shape arrays;
     the intensities and probabilities are scalars or arrays that broadcast
     against them (one column per row of candidates, say). Returns s_z0_low,
-    s_z1_low, s_x1_low, v_x1_up, phi_up, tau0, tau1 and an `aborted` mask.
+    s_z1_low, s_x1_low, v_x1_up, phi_up, tau0, tau1, the Z totals n_z and
+    m_z and an `aborted` mask.
     """
     budget = EPSILON_BUDGET[n_decoys]
     eps1 = security.eps_sec / budget
-    if n_decoys == 2:
-        intensities = [mu, nu, 0.0]
-        probs = [p_mu, p_nu, p_vac]
-    else:
-        intensities = [mu, nu]
-        probs = [p_mu, p_nu]
+    intensities, probs = [mu, nu, 0.0][: n_decoys + 1], [p_mu, p_nu, p_vac][: n_decoys + 1]
     tau0 = emission_tau(intensities, probs, 0)
     tau1 = emission_tau(intensities, probs, 1)
-
-    n_z_tot = t["n_z_mu"] + t["n_z_nu"] + t["n_z_vac"]
-    n_x_tot = t["n_x_mu"] + t["n_x_nu"] + t["n_x_vac"]
-    m_z_tot = t["m_z_mu"] + t["m_z_nu"] + t["m_z_vac"]
-    m_x_tot = t["m_x_mu"] + t["m_x_nu"] + t["m_x_vac"]
-    delta = {
-        "n_z": hoeffding_delta(n_z_tot, eps1),
-        "n_x": hoeffding_delta(n_x_tot, eps1),
-        "m_z": hoeffding_delta(m_z_tot, eps1),
-        "m_x": hoeffding_delta(m_x_tot, eps1),
-    }
     # e^k / p_k per intensity; the vacuum term exists only with two decoys.
-    scale = {"mu": np.exp(mu) / p_mu, "nu": np.exp(nu) / p_nu}
-    if n_decoys == 2:
-        scale["vac"] = 1.0 / p_vac
+    scale = (np.exp(mu) / p_mu, np.exp(nu) / p_nu, 1.0 / p_vac if n_decoys == 2 else None)
+    z, x = (_basis_bounds(t, b, mu, nu, scale, tau0, tau1, eps1) for b in "zx")
 
-    def up(name):
-        """Rescaled count e^k / p_k (count + delta) of a tally field."""
-        count, key = name.rsplit("_", 1)
-        return scale[key] * (t[name] + delta[count])
+    s_z0 = np.clip(z["s0"], 0.0, z["n"])
+    s_z1 = np.clip(z["s1"], 0.0, z["n"] - s_z0)
+    s_x1 = np.clip(x["s1"], 0.0, x["n"])
+    v_x1 = np.maximum(x["v1"], 0.0)
 
-    def low(name):
-        """Rescaled count e^k / p_k (count - delta), floored at zero."""
-        count, key = name.rsplit("_", 1)
-        return np.maximum(scale[key] * (t[name] - delta[count]), 0.0)
-
-    denom = nu * (mu - nu)
-    # Rescaled counts used by the bounds below, each computed once.
-    rescaled = {
-        b: {
-            "n_mu_up": up(f"n_{b}_mu"),
-            "n_nu_low": low(f"n_{b}_nu"),
-            "m_mu_up": up(f"m_{b}_mu"),
-            "m_nu_up": up(f"m_{b}_nu"),
-        }
-        for b in ("z", "x")
-    }
-
-    def _pair_bounds(b):
-        """Estimators built from the (mu, nu) pair alone, avoiding the noisy
-        low-probability vacuum-intensity counts: an error-based zero-photon
-        upper bound, and the zero- and one-photon lower bounds derived from
-        it."""
-        rb = rescaled[b]
-        s0_up = 2.0 * (tau0 * np.minimum(rb["m_mu_up"], rb["m_nu_up"]) + delta[f"n_{b}"])
-        s0_low = np.maximum(
-            tau0 * (mu * rb["n_nu_low"] - nu * rb["n_mu_up"]) / (mu - nu),
-            0.0,
-        )
-        s1_low = tau1 * mu * (
-            rb["n_nu_low"]
-            - (nu**2 / mu**2) * rb["n_mu_up"]
-            - ((mu**2 - nu**2) / mu**2) * (s0_up / tau0)
-        ) / denom
-        return s0_up, s0_low, s1_low
-
-    # The pair's error-difference bound on the one-photon X errors.
-    v_x1_pair = tau1 * (rescaled["x"]["m_mu_up"] - low("m_x_nu")) / (mu - nu)
-
-    if n_decoys == 2:
-        # Vacuum-intensity data bounds the zero-photon detections directly;
-        # the pair-only estimators stay valid here too and often win when
-        # the vacuum counts are fluctuation dominated, so the sharper of
-        # each pair of valid bounds is used.
-        _, s_z0_pair, s_z1_pair = _pair_bounds("z")
-        _, s_x0_pair, s_x1_pair = _pair_bounds("x")
-        s_z0 = np.maximum(tau0 * low("n_z_vac"), s_z0_pair)
-        s_x0 = np.maximum(tau0 * low("n_x_vac"), s_x0_pair)
-        s_z1 = tau1 * mu * (
-            rescaled["z"]["n_nu_low"]
-            - up("n_z_vac")
-            - (nu**2 / mu**2) * (rescaled["z"]["n_mu_up"] - s_z0 / tau0)
-        ) / denom
-        s_x1 = tau1 * mu * (
-            rescaled["x"]["n_nu_low"]
-            - up("n_x_vac")
-            - (nu**2 / mu**2) * (rescaled["x"]["n_mu_up"] - s_x0 / tau0)
-        ) / denom
-        s_z1 = np.maximum(s_z1, s_z1_pair)
-        s_x1 = np.maximum(s_x1, s_x1_pair)
-        v_x1 = np.minimum(tau1 * (rescaled["x"]["m_nu_up"] - low("m_x_vac")) / nu, v_x1_pair)
-    else:
-        # One decoy: no vacuum intensity, so only the pair estimators exist.
-        # Worst case, every observed error came from a vacuum event (QBER
-        # 1/2), which upper-bounds the zero-photon detections feeding the
-        # single-photon bound; differencing the two intensities' error
-        # counts bounds the single-photon errors without vacuum data.
-        s_z0_up, s_z0, s_z1 = _pair_bounds("z")
-        _, s_x0, s_x1 = _pair_bounds("x")
-        v_x1 = v_x1_pair
-
-    s_z0 = np.clip(s_z0, 0.0, n_z_tot)
-    s_z1_raw = s_z1
-    s_x1_raw = s_x1
-    s_z1 = np.clip(s_z1, 0.0, n_z_tot - s_z0)
-    s_x1 = np.clip(s_x1, 0.0, n_x_tot)
-    v_x1 = np.maximum(v_x1, 0.0)
-
-    usable = (s_z1_raw > 0.0) & (s_x1_raw > 0.0) & (n_z_tot > 0.0)
+    usable = (z["s1"] > 0.0) & (x["s1"] > 0.0) & (z["n"] > 0.0)
     ratio = np.where(usable, v_x1 / np.where(s_x1 > 0.0, s_x1, 1.0), 1.0)
     phi = ratio + _gamma_transfer(security.eps_sec, ratio, s_z1, s_x1, budget)
     aborted = ~usable | (phi > 0.5) | ~np.isfinite(phi)
@@ -298,8 +262,10 @@ def _estimate_arrays(
         "phi_up": phi,
         "tau0": tau0,
         "tau1": tau1,
+        "n_z": z["n"],
+        "m_z": z["m"],
         "aborted": aborted,
-        "s_z0_up": s_z0_up if n_decoys == 1 else None,
+        "s_z0_up": z["s0_up"] if n_decoys == 1 else None,
     }
 
 
@@ -316,9 +282,7 @@ def skl_real_arrays(
     """Unfloored key length and abort mask for arrays of tally blocks."""
     est = _estimate_arrays(t, mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
     terms = _key_length(
-        est["s_z0_low"], est["s_z1_low"], est["phi_up"],
-        t["n_z_mu"] + t["n_z_nu"] + t["n_z_vac"], t["m_z_mu"] + t["m_z_nu"] + t["m_z_vac"],
-        security, n_decoys,
+        est["s_z0_low"], est["s_z1_low"], est["phi_up"], est["n_z"], est["m_z"], security, n_decoys
     )
     l_real = terms["l_real"]
     aborted = est["aborted"] | (l_real <= 0.0)
@@ -345,13 +309,9 @@ def _key_length(s_z0, s_z1, phi, n_z, m_z, security: SecurityParams, n_decoys: i
     }
 
 
-def _tally_dict(tallies: TallySet) -> dict[str, np.ndarray]:
-    return {name: np.asarray(getattr(tallies, name), dtype=float) for name in TALLY_FIELDS}
-
-
 def _decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParams, n_decoys: int) -> DecoyBounds:
     est = _estimate_arrays(
-        _tally_dict(tallies),
+        {name: np.asarray(getattr(tallies, name), dtype=float) for name in TALLY_FIELDS},
         source.signal_intensity,
         source.decoy_intensity,
         source.p_mu,
@@ -389,10 +349,8 @@ def one_decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityPa
 
 
 def estimate_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParams) -> DecoyBounds:
-    """Dispatch on the source's decoy structure."""
-    if source.vacuum_included:
-        return two_decoy_bounds(tallies, source, security)
-    return one_decoy_bounds(tallies, source, security)
+    """Bounds of the protocol the source's decoy structure names."""
+    return _decoy_bounds(tallies, source, security, 2 if source.vacuum_included else 1)
 
 
 def secure_key_length(
@@ -441,7 +399,11 @@ def skl_from_tallies(
     security: SecurityParams,
     n_decoys: int,
 ) -> SklResult:
-    """Bounds plus key length in one step."""
+    """Bounds plus key length in one step. The source picks the bounds and
+    n_decoys the epsilon budget, so the two must name the same protocol."""
+    if n_decoys != (2 if source.vacuum_included else 1):
+        raise FiniteKeyError(f"n_decoys={n_decoys} does not match a source with "
+                             f"vacuum_included={source.vacuum_included}")
     bounds = estimate_bounds(tallies, source, security)
     return secure_key_length(bounds, tallies, security, n_decoys)
 
@@ -491,7 +453,7 @@ def asymptotic_skr(
 ) -> float:
     """Asymptotic secure-key rate per emitted pulse of the source at channel
     transmission eta (detector efficiency excluded); see asymptotic_rate."""
-    if eta < 0:
+    if not eta >= 0:
         raise FiniteKeyError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 0.0

@@ -49,13 +49,13 @@ class TransmitterSpec:
     pointing_loss_db: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.aperture_diam_m <= 0:
+        if not self.aperture_diam_m > 0:
             raise LinkBudgetError(f"transmitter.aperture_diam_m must be > 0, got {self.aperture_diam_m}")
-        if self.wavelength_nm <= 0:
+        if not self.wavelength_nm > 0:
             raise LinkBudgetError(f"transmitter.wavelength_nm must be > 0, got {self.wavelength_nm}")
-        if self.m_squared < 1.0:
+        if not self.m_squared >= 1.0:
             raise LinkBudgetError(f"transmitter.m_squared must be >= 1, got {self.m_squared}")
-        if self.pointing_loss_db < 0:
+        if not self.pointing_loss_db >= 0:
             raise LinkBudgetError(f"transmitter.pointing_loss_db must be >= 0, got {self.pointing_loss_db}")
 
     @property
@@ -81,7 +81,7 @@ class ReceiverSpec:
     filter_bandwidth_nm: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.primary_diam_m <= 0:
+        if not self.primary_diam_m > 0:
             raise LinkBudgetError(f"receiver.primary_diam_m must be > 0, got {self.primary_diam_m}")
         if not 0 <= self.obscuration_diam_m < self.primary_diam_m:
             raise LinkBudgetError(
@@ -92,13 +92,13 @@ class ReceiverSpec:
             raise LinkBudgetError(
                 f"receiver.coupling_mode must be 'fiber_with_AO' or 'free_space', got {self.coupling_mode!r}"
             )
-        if self.coupling_loss_db < 0:
+        if not self.coupling_loss_db >= 0:
             raise LinkBudgetError(f"receiver.coupling_loss_db must be >= 0, got {self.coupling_loss_db}")
-        if self.path_loss_db < 0:
+        if not self.path_loss_db >= 0:
             raise LinkBudgetError(f"receiver.path_loss_db must be >= 0, got {self.path_loss_db}")
-        if self.fov_half_angle_urad <= 0:
+        if not self.fov_half_angle_urad > 0:
             raise LinkBudgetError(f"receiver.fov_half_angle_urad must be > 0, got {self.fov_half_angle_urad}")
-        if self.filter_bandwidth_nm <= 0:
+        if not self.filter_bandwidth_nm > 0:
             raise LinkBudgetError(f"receiver.filter_bandwidth_nm must be > 0, got {self.filter_bandwidth_nm}")
 
     @property
@@ -122,10 +122,10 @@ class AtmosphereModel:
 
     def __post_init__(self) -> None:
         for wl, loss in self.zenith_loss_db.items():
-            if loss < 0:
+            if not loss >= 0:
                 raise LinkBudgetError(f"atmosphere.zenith_loss_db[{wl}] must be >= 0, got {loss}")
         for wl, rad in self.sky_radiance_w_m2_sr_nm.items():
-            if rad < 0:
+            if not rad >= 0:
                 raise LinkBudgetError(f"atmosphere.sky_radiance_w_m2_sr_nm[{wl}] must be >= 0, got {rad}")
 
     def zenith_loss_for(self, wavelength_nm: float) -> float:
@@ -185,7 +185,7 @@ def atmospheric_loss(elevation_deg, zenith_loss_db: float):
     bad = elevation_deg[~((elevation_deg > 0.0) & (elevation_deg <= 90.0))]
     if bad.size:
         raise LinkBudgetError(f"elevation_deg must be in (0, 90], got {bad[0]}")
-    if zenith_loss_db < 0:
+    if not zenith_loss_db >= 0:
         raise LinkBudgetError(f"zenith_loss_db must be >= 0, got {zenith_loss_db}")
     return zenith_loss_db / np.sin(np.radians(elevation_deg))
 

@@ -98,7 +98,7 @@ class ParamVector:
     def __post_init__(self) -> None:
         if not 0.0 < self.nu < self.mu <= 1.0:
             raise OptimizerError(f"require 0 < nu < mu <= 1, got (mu={self.mu}, nu={self.nu})")
-        if self.p_mu <= 0 or self.p_nu <= 0 or self.p_mu + self.p_nu > 1.0 + 1e-12:
+        if not (self.p_mu > 0 and self.p_nu > 0 and self.p_mu + self.p_nu <= 1.0 + 1e-12):
             raise OptimizerError(
                 f"require p_mu, p_nu > 0 with p_mu + p_nu <= 1, got ({self.p_mu}, {self.p_nu})"
             )
@@ -123,7 +123,7 @@ class OptimizerConfig:
             raise OptimizerError(f"coarse_grid_steps must be >= 2, got {self.coarse_grid_steps}")
         if self.refine_iterations < 0:
             raise OptimizerError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
-        if self.rel_tolerance <= 0:
+        if not self.rel_tolerance > 0:
             raise OptimizerError(f"rel_tolerance must be > 0, got {self.rel_tolerance}")
 
 

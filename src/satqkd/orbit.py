@@ -33,7 +33,7 @@ class OrbitSpec:
     altitude_km: float
 
     def __post_init__(self) -> None:
-        if self.altitude_km <= 0:
+        if not self.altitude_km > 0:
             raise GeometryError(f"orbit.altitude_km must be > 0, got {self.altitude_km}")
 
     @property
@@ -89,7 +89,7 @@ def sso_inclination(altitude_km: float) -> float:
     Raises:
         GeometryError: If the altitude admits no sun-synchronous solution.
     """
-    if altitude_km <= 0:
+    if not altitude_km > 0:
         raise GeometryError(f"altitude_km must be > 0, got {altitude_km}")
     cos_i = -(((R_EARTH_KM + altitude_km) / 12352.0) ** 3.5)
     if cos_i < -1.0:
@@ -112,7 +112,7 @@ def max_ground_distance(altitude_km: float, eps_min_deg: float) -> float:
     Returns:
         Great-circle distance in km.
     """
-    if altitude_km <= 0:
+    if not altitude_km > 0:
         raise GeometryError(f"altitude_km must be > 0, got {altitude_km}")
     if not 0.0 <= eps_min_deg < 90.0:
         raise GeometryError(f"eps_min_deg must be in [0, 90), got {eps_min_deg}")
@@ -130,7 +130,7 @@ def coverage_and_availability(altitude_km: float) -> tuple[float, float]:
     Returns:
         (area_km2, availability_fraction); the fraction lies in (0, 0.5).
     """
-    if altitude_km <= 0:
+    if not altitude_km > 0:
         raise GeometryError(f"altitude_km must be > 0, got {altitude_km}")
     ratio = altitude_km / (R_EARTH_KM + altitude_km)
     area = 2.0 * math.pi * R_EARTH_KM**2 * ratio
@@ -174,7 +174,7 @@ def synth_pass(orbit: OrbitSpec, station: GroundStation, sample_dt_s: float = 1.
     Returns:
         PassGeometry whose samples record array is ordered by time.
     """
-    if sample_dt_s <= 0:
+    if not sample_dt_s > 0:
         raise GeometryError(f"sample_dt_s must be > 0, got {sample_dt_s}")
     r_sat = orbit.radius_km
     omega = math.sqrt(MU_EARTH_KM3_S2 / r_sat**3)

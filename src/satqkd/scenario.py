@@ -164,7 +164,7 @@ class Scenario:
     raw: dict
 
     def __post_init__(self) -> None:
-        if self.sample_dt_s <= 0:
+        if not self.sample_dt_s > 0:
             raise ScenarioError(f"scenario.sample_dt_s must be > 0, got {self.sample_dt_s}")
 
     def hardware(self) -> HardwareStack:

@@ -135,6 +135,65 @@ class TestTwoDecoyBounds:
         assert bounds.s_z1_low <= true_s_z1 * (1.0 + 1e-9)
         assert bounds.s_z1_low >= 0.9 * true_s_z1
 
+    @staticmethod
+    def hand_forms(t: TallySet, mu, nu, p_mu, p_nu, p_vac, eps_sec) -> dict:
+        """Both two-decoy estimator forms in plain float arithmetic: the
+        (mu, nu) pair form and the vacuum form of s_Z0, s_Z1 and v_X1."""
+        eps1 = eps_sec / EPSILON_BUDGET[2]
+        tau0 = p_mu * math.exp(-mu) + p_nu * math.exp(-nu) + p_vac
+        tau1 = p_mu * mu * math.exp(-mu) + p_nu * nu * math.exp(-nu)
+        n = {k: getattr(t, f"n_z_{k}") for k in ("mu", "nu", "vac")}
+        m = {k: getattr(t, f"m_z_{k}") for k in ("mu", "nu", "vac")}
+        m_x = {k: getattr(t, f"m_x_{k}") for k in ("mu", "nu", "vac")}
+        dn = math.sqrt(sum(n.values()) / 2.0 * math.log(1.0 / eps1))
+        dm = math.sqrt(sum(m.values()) / 2.0 * math.log(1.0 / eps1))
+        dm_x = math.sqrt(sum(m_x.values()) / 2.0 * math.log(1.0 / eps1))
+        n_mu_up = math.exp(mu) / p_mu * (n["mu"] + dn)
+        n_nu_low = max(math.exp(nu) / p_nu * (n["nu"] - dn), 0.0)
+        s0_up = 2.0 * (tau0 * min(math.exp(mu) / p_mu * (m["mu"] + dm),
+                                  math.exp(nu) / p_nu * (m["nu"] + dm)) + dn)
+        s0_pair = max(tau0 * (mu * n_nu_low - nu * n_mu_up) / (mu - nu), 0.0)
+        s0_vac = tau0 * max((n["vac"] - dn) / p_vac, 0.0)
+        s0 = max(s0_pair, s0_vac)
+        s1_pair = tau1 * mu * (
+            n_nu_low - nu**2 / mu**2 * n_mu_up - (mu**2 - nu**2) / mu**2 * s0_up / tau0
+        ) / (nu * (mu - nu))
+        s1_vac = tau1 * mu * (
+            n_nu_low - (n["vac"] + dn) / p_vac - nu**2 / mu**2 * (n_mu_up - s0 / tau0)
+        ) / (nu * (mu - nu))
+        m_x_mu_up = math.exp(mu) / p_mu * (m_x["mu"] + dm_x)
+        m_x_nu_up = math.exp(nu) / p_nu * (m_x["nu"] + dm_x)
+        m_x_nu_low = max(math.exp(nu) / p_nu * (m_x["nu"] - dm_x), 0.0)
+        m_x_vac_low = max((m_x["vac"] - dm_x) / p_vac, 0.0)
+        return {
+            "s0": (s0_pair, s0_vac),
+            "s1": (s1_pair, s1_vac),
+            "v": (tau1 * (m_x_mu_up - m_x_nu_low) / (mu - nu), tau1 * (m_x_nu_up - m_x_vac_low) / nu),
+        }
+
+    @pytest.mark.parametrize("p_vac, dark_hz, n_pulses, s1_binding", [
+        (0.1, 1e4, 1e11, "vacuum"),
+        (0.01, 1e3, 1e10, "pair"),
+    ])
+    def test_pair_and_vacuum_forms_oracle(self, p_vac, dark_hz, n_pulses, s1_binding):
+        """two_decoy_bounds keeps the sharper of the pair and vacuum forms:
+        max for s_Z0 and s_Z1, min for v_X1, each checked against plain
+        arithmetic, on one block where each form binds s_Z1."""
+        mu, nu, p_nu = 0.6, 0.2, 0.2
+        p_mu = 1.0 - p_nu - p_vac
+        source = make_source(2, p_mu=p_mu, p_nu=p_nu)
+        det = DetectorSpec(
+            efficiency=0.8, dark_count_rate_hz=dark_hz, dead_time_ns=30.0, background_rate_hz=10.0
+        )
+        tallies = expected_tallies_fixed_eta(1e-3, n_pulses, source, det)
+        bounds = two_decoy_bounds(tallies, source, SecurityParams())
+        forms = self.hand_forms(tallies, mu, nu, p_mu, p_nu, p_vac, SecurityParams().eps_sec)
+        s1_pair, s1_vac = forms["s1"]
+        assert (s1_vac > s1_pair) == (s1_binding == "vacuum")
+        assert bounds.s_z0_low == pytest.approx(max(forms["s0"]), rel=1e-12, abs=1e-9)
+        assert bounds.s_z1_low == pytest.approx(max(s1_pair, s1_vac), rel=1e-12)
+        assert bounds.v_x1_up == pytest.approx(min(forms["v"]), rel=1e-12)
+
     def test_all_zero_counts_abort(self):
         source = make_source(2)
         bounds = two_decoy_bounds(TallySet(), source, SecurityParams())
@@ -370,6 +429,19 @@ def test_estimate_bounds_dispatch():
     assert estimate_bounds(t, src2, SecurityParams()).note == "two-decoy"
     t1 = asymptotic_tallies(1e-3, 1e12, src1)
     assert estimate_bounds(t1, src1, SecurityParams()).note == "one-decoy"
+
+
+@pytest.mark.parametrize("source_decoys, n_decoys", [(2, 1), (1, 2)])
+def test_skl_from_tallies_rejects_decoy_mismatch(source_decoys, n_decoys):
+    """One protocol's bounds never meet the other's epsilon budget."""
+    source = make_source(source_decoys)
+    det = DetectorSpec(
+        efficiency=0.8, dark_count_rate_hz=100.0, dead_time_ns=30.0, background_rate_hz=10.0
+    )
+    tallies = expected_tallies_fixed_eta(1e-3, 1e11, source, det)
+    assert not skl_from_tallies(tallies, source, SecurityParams(), source_decoys).aborted
+    with pytest.raises(FiniteKeyError, match="n_decoys"):
+        skl_from_tallies(tallies, source, SecurityParams(), n_decoys)
 
 
 def test_security_params_validation():

@@ -2,15 +2,20 @@
 surface: outputs, exit codes, reproducibility."""
 import copy
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from satqkd import cli
-from satqkd.channel import DetectorSpec
+from satqkd import channel, cli, finitekey, linkbudget, orbit
+from satqkd.channel import ChannelError, DetectorSpec
 from satqkd.cli import main
+from satqkd.finitekey import FiniteKeyError
+from satqkd.linkbudget import LinkBudgetError
+from satqkd.optimizer import OptimizerError, ParamVector
+from satqkd.orbit import GeometryError
 from satqkd.scenario import (
     ScenarioError,
     bundled_scenario_names,
@@ -115,6 +120,62 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert field in str(err.value), f"message should name {field}: {err.value}"
+
+    @pytest.mark.parametrize(
+        "section,field,value,error",
+        [
+            ("detector", "dark_count_rate_hz", math.nan, ChannelError),
+            ("detector", "dead_time_ns", math.nan, ChannelError),
+            ("detector", "background_rate_hz", math.nan, ChannelError),
+            ("detector", "gate_width_ns", math.nan, ChannelError),
+            ("source", "pulse_rate_hz", math.nan, ChannelError),
+            ("security", "f_ec", math.nan, FiniteKeyError),
+            ("transmitter", "aperture_diam_m", math.nan, LinkBudgetError),
+            ("transmitter", "wavelength_nm", math.nan, LinkBudgetError),
+            ("transmitter", "m_squared", math.nan, LinkBudgetError),
+            ("transmitter", "pointing_loss_db", math.nan, LinkBudgetError),
+            ("receiver", "primary_diam_m", math.nan, LinkBudgetError),
+            ("receiver", "coupling_loss_db", math.nan, LinkBudgetError),
+            ("receiver", "path_loss_db", math.nan, LinkBudgetError),
+            ("receiver", "fov_half_angle_urad", math.nan, LinkBudgetError),
+            ("receiver", "filter_bandwidth_nm", math.nan, LinkBudgetError),
+            ("atmosphere", "zenith_loss_db", {1550.0: math.nan}, LinkBudgetError),
+            ("atmosphere", "sky_radiance_w_m2_sr_nm", {1550.0: math.nan}, LinkBudgetError),
+            ("orbit", "altitude_km", math.nan, GeometryError),
+            ("optimizer", "rel_tolerance", math.nan, OptimizerError),
+            ("params", "p_mu", math.nan, OptimizerError),
+            ("scenario", "sample_dt_s", math.nan, ScenarioError),
+        ],
+    )
+    def test_nan_field_rejected_by_spec(self, section, field, value, error):
+        """Every range check fails closed on NaN, also when a spec is built
+        directly rather than loaded, and names the field."""
+        scenario = load_bundled_scenario("snspd_pol_2decoy")
+        specs = {"scenario": scenario, "params": ParamVector(0.6, 0.2, 0.7, 0.2, 0.5, 20.0)}
+        spec = specs[section] if section in specs else getattr(scenario, section)
+        with pytest.raises(error, match=field):
+            dataclasses.replace(spec, **{field: value})
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda sc: orbit.sso_inclination(math.nan), GeometryError),
+            (lambda sc: orbit.max_ground_distance(math.nan, 20.0), GeometryError),
+            (lambda sc: orbit.coverage_and_availability(math.nan), GeometryError),
+            (lambda sc: orbit.synth_pass(sc.orbit, sc.station, sample_dt_s=math.nan), GeometryError),
+            (lambda sc: linkbudget.atmospheric_loss(45.0, math.nan), LinkBudgetError),
+            (lambda sc: channel.background_yield(
+                dataclasses.replace(sc.detector, gate_width_ns=None), math.nan), ChannelError),
+            (lambda sc: finitekey.asymptotic_skr(math.nan, sc.source, sc.detector, sc.security),
+             FiniteKeyError),
+        ],
+        ids=["sso_inclination", "max_ground_distance", "coverage_and_availability", "synth_pass",
+             "atmospheric_loss", "background_yield", "asymptotic_skr"],
+    )
+    def test_nan_argument_rejected(self, call, error):
+        """The library functions' own range checks fail closed on NaN too."""
+        with pytest.raises(error):
+            call(load_bundled_scenario("snspd_pol_2decoy"))
 
     def test_missing_field_rejected(self, snspd_doc):
         doc = copy.deepcopy(snspd_doc)
