@@ -25,12 +25,16 @@ Monte Carlo oracle with true photon-number tags gates these bounds in the
 test suite.
 
 All estimator arithmetic is written against numpy so the whole-pass
-optimizer can evaluate many candidate blocks in one call; the public
-functions accept plain scalars. The key-length formula itself is written
-once, in `_key_length`, which both the scalar `secure_key_length` and the
-array `skl_real_arrays` evaluate; the asymptotic limit is likewise the one
-array function `asymptotic_rate`, built on the channel kernel
-`presift_rows`.
+optimizer can evaluate many candidate blocks in one call. The array
+functions take arrays of at least one dimension and build each
+intermediate as one fresh array that later steps update in place (never an
+input), keeping the operand order of the plain expressions, so results are
+bit for bit those of one fresh array per operation. The public functions
+accept plain scalars and run the same code on one-element arrays. The
+key-length formula itself is written once, in `_key_length`, which both
+the scalar `secure_key_length` and the array `skl_real_arrays` evaluate; the
+asymptotic limit is likewise the one array function `asymptotic_rate`,
+built on the channel kernel `presift_rows`.
 """
 from __future__ import annotations
 
@@ -77,7 +81,9 @@ class DecoyBounds:
     """Estimator outputs feeding the key-length formula.
 
     s_z0_up is the error-based vacuum upper bound used inside the
-    single-photon estimate (one-decoy protocol only).
+    single-photon estimate (one-decoy protocol only). n_decoys names the
+    protocol whose estimator produced the bounds; None for bounds built
+    by hand.
     """
 
     s_z0_low: float
@@ -90,6 +96,7 @@ class DecoyBounds:
     aborted: bool
     s_z0_up: float | None = None
     note: str = ""
+    n_decoys: int | None = None
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,15 @@ class SklResult:
 def _entropy(x):
     """Unchecked binary entropy over arrays, with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
-    safe = np.clip(arr, 1e-300, 1.0 - 1e-16)
-    return np.where(
-        (arr <= 0.0) | (arr >= 1.0),
-        0.0,
-        -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe),
-    )
+    safe = np.clip(np.atleast_1d(arr), 1e-300, 1.0 - 1e-16)
+    one_minus = 1.0 - safe
+    h = np.log2(safe)
+    h *= safe
+    np.negative(h, out=h)
+    one_minus *= np.log2(one_minus, out=safe)
+    h -= one_minus
+    np.copyto(h, 0.0, where=(arr <= 0.0) | (arr >= 1.0))
+    return h.reshape(arr.shape)
 
 
 def binary_entropy(x):
@@ -126,8 +136,11 @@ def hoeffding_delta(n, eps: float):
     """Finite-sample deviation sqrt((n/2) ln(1/eps))."""
     if not 0.0 < eps < 1.0:
         raise FiniteKeyError(f"eps must be in (0, 1), got {eps}")
-    out = np.sqrt(np.asarray(n, dtype=float) / 2.0 * np.log(1.0 / eps))
-    return float(out) if out.ndim == 0 else out
+    n = np.asarray(n, dtype=float)
+    out = np.atleast_1d(n) / 2.0
+    out *= np.log(1.0 / eps)
+    np.sqrt(out, out=out)
+    return float(out[0]) if n.ndim == 0 else out
 
 
 def emission_tau(intensities, probabilities, n: int):
@@ -150,20 +163,28 @@ def emission_tau(intensities, probabilities, n: int):
 
 def _gamma_transfer(a: float, b, c, d, budget: int):
     """Statistical correction when transferring the X-basis error rate to
-    the Z-basis phase error rate."""
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
+    the Z-basis phase error rate, over arrays (ndim >= 1) b, c and d."""
     ok = (b > 0.0) & (b < 1.0) & (c > 0.0) & (d > 0.0)
     b_s = np.where(ok, b, 0.25)
     c_s = np.where(ok, c, 1.0)
     d_s = np.where(ok, d, 1.0)
-    inner = (c_s + d_s) / (c_s * d_s * (1.0 - b_s) * b_s) * (budget / a) ** 2
-    inner = np.maximum(inner, 1.0)
-    gamma = np.sqrt(
-        (c_s + d_s) * (1.0 - b_s) * b_s / (c_s * d_s * np.log(2.0)) * np.log2(inner)
-    )
-    return np.where(ok, gamma, 0.0)
+    cd = c_s * d_s
+    c_plus_d = c_s + d_s
+    one_minus_b = 1.0 - b_s
+    inner = cd * one_minus_b
+    inner *= b_s
+    np.divide(c_plus_d, inner, out=inner)
+    inner *= (budget / a) ** 2
+    np.maximum(inner, 1.0, out=inner)
+    gamma = c_plus_d
+    gamma *= one_minus_b
+    gamma *= b_s
+    cd *= np.log(2.0)
+    gamma /= cd
+    gamma *= np.log2(inner, out=inner)
+    np.sqrt(gamma, out=gamma)
+    np.copyto(gamma, 0.0, where=~ok)
+    return gamma
 
 
 def _basis_bounds(t: dict[str, np.ndarray], b: str, mu, nu, scale, tau0, tau1, eps1) -> dict:
@@ -176,44 +197,88 @@ def _basis_bounds(t: dict[str, np.ndarray], b: str, mu, nu, scale, tau0, tau1, e
     zero- and one-photon lower bounds s0 and s1, and, for X only, the
     one-photon error upper bound v1.
     """
-    n = t[f"n_{b}_mu"] + t[f"n_{b}_nu"] + t[f"n_{b}_vac"]
-    m = t[f"m_{b}_mu"] + t[f"m_{b}_nu"] + t[f"m_{b}_vac"]
+    n_mu, n_nu, n_vac = (t[f"n_{b}_{k}"] for k in ("mu", "nu", "vac"))
+    m_mu, m_nu, m_vac = (t[f"m_{b}_{k}"] for k in ("mu", "nu", "vac"))
+    n = n_mu + n_nu
+    n += n_vac
+    m = m_mu + m_nu
+    m += m_vac
     d_n = hoeffding_delta(n, eps1)
     d_m = hoeffding_delta(m, eps1)
     s_mu, s_nu, s_vac = scale
-    n_mu_up = s_mu * (t[f"n_{b}_mu"] + d_n)
-    n_nu_low = np.maximum(s_nu * (t[f"n_{b}_nu"] - d_n), 0.0)
-    m_mu_up = s_mu * (t[f"m_{b}_mu"] + d_m)
-    m_nu_up = s_nu * (t[f"m_{b}_nu"] + d_m)
-    denom = nu * (mu - nu)
+    n_mu_up = n_mu + d_n
+    n_mu_up *= s_mu
+    n_nu_low = n_nu - d_n
+    n_nu_low *= s_nu
+    np.maximum(n_nu_low, 0.0, out=n_nu_low)
+    m_mu_up = m_mu + d_m
+    m_mu_up *= s_mu
+    m_nu_up = m_nu + d_m
+    m_nu_up *= s_nu
+    gap = mu - nu
+    denom = nu * gap
+    nu2_mu2 = nu**2 / mu**2
 
     # Pair form, from the (mu, nu) pair alone, avoiding the noisy
     # low-probability vacuum-intensity counts; with one decoy it is the only
     # form. Worst case, every observed error came from a vacuum event (QBER
     # 1/2), which upper-bounds the zero-photon detections feeding the
     # single-photon bound.
-    s0_up = 2.0 * (tau0 * np.minimum(m_mu_up, m_nu_up) + d_n)
-    s0 = np.maximum(tau0 * (mu * n_nu_low - nu * n_mu_up) / (mu - nu), 0.0)
-    s1 = tau1 * mu * (
-        n_nu_low - (nu**2 / mu**2) * n_mu_up - ((mu**2 - nu**2) / mu**2) * (s0_up / tau0)
-    ) / denom
+    s0_up = np.minimum(m_mu_up, m_nu_up)
+    s0_up *= tau0
+    s0_up += d_n
+    s0_up *= 2.0
+    s0 = mu * n_nu_low
+    s0 -= nu * n_mu_up
+    s0 *= tau0
+    s0 /= gap
+    np.maximum(s0, 0.0, out=s0)
+    s1 = nu2_mu2 * n_mu_up
+    np.subtract(n_nu_low, s1, out=s1)
+    rest = s0_up / tau0
+    rest *= (mu**2 - nu**2) / mu**2
+    s1 -= rest
+    s1 *= tau1 * mu
+    s1 /= denom
     if s_vac is not None:
         # Vacuum form: vacuum-intensity data bounds the zero-photon
         # detections directly. The pair form stays valid and often wins when
         # the vacuum counts are fluctuation dominated, so the sharper of
         # each pair of valid bounds is kept.
-        s0 = np.maximum(tau0 * np.maximum(s_vac * (t[f"n_{b}_vac"] - d_n), 0.0), s0)
-        s1 = np.maximum(tau1 * mu * (
-            n_nu_low - s_vac * (t[f"n_{b}_vac"] + d_n) - (nu**2 / mu**2) * (n_mu_up - s0 / tau0)
-        ) / denom, s1)
+        vac = n_vac - d_n
+        vac *= s_vac
+        np.maximum(vac, 0.0, out=vac)
+        vac *= tau0
+        np.maximum(vac, s0, out=s0)
+        vac = n_vac + d_n
+        vac *= s_vac
+        np.subtract(n_nu_low, vac, out=vac)
+        rest = s0 / tau0
+        np.subtract(n_mu_up, rest, out=rest)
+        rest *= nu2_mu2
+        vac -= rest
+        vac *= tau1 * mu
+        vac /= denom
+        np.maximum(vac, s1, out=s1)
     v1 = None
     if b == "x":
         # Only the X one-photon errors feed the phase-error bound. Pair
         # form: differencing the two intensities' error counts bounds them
         # without vacuum data; the vacuum form is kept where it is sharper.
-        v1 = tau1 * (m_mu_up - np.maximum(s_nu * (t["m_x_nu"] - d_m), 0.0)) / (mu - nu)
+        v1 = m_nu - d_m
+        v1 *= s_nu
+        np.maximum(v1, 0.0, out=v1)
+        np.subtract(m_mu_up, v1, out=v1)
+        v1 *= tau1
+        v1 /= gap
         if s_vac is not None:
-            v1 = np.minimum(tau1 * (m_nu_up - np.maximum(s_vac * (t["m_x_vac"] - d_m), 0.0)) / nu, v1)
+            vac = m_vac - d_m
+            vac *= s_vac
+            np.maximum(vac, 0.0, out=vac)
+            np.subtract(m_nu_up, vac, out=vac)
+            vac *= tau1
+            vac /= nu
+            np.minimum(vac, v1, out=v1)
     return {"n": n, "m": m, "s0_up": s0_up, "s0": s0, "s1": s1, "v1": v1}
 
 
@@ -244,16 +309,21 @@ def _estimate_arrays(
     scale = (np.exp(mu) / p_mu, np.exp(nu) / p_nu, 1.0 / p_vac if n_decoys == 2 else None)
     z, x = (_basis_bounds(t, b, mu, nu, scale, tau0, tau1, eps1) for b in "zx")
 
-    s_z0 = np.clip(z["s0"], 0.0, z["n"])
-    s_z1 = np.clip(z["s1"], 0.0, z["n"] - s_z0)
-    s_x1 = np.clip(x["s1"], 0.0, x["n"])
-    v_x1 = np.maximum(x["v1"], 0.0)
-
     usable = (z["s1"] > 0.0) & (x["s1"] > 0.0) & (z["n"] > 0.0)
-    ratio = np.where(usable, v_x1 / np.where(s_x1 > 0.0, s_x1, 1.0), 1.0)
-    phi = ratio + _gamma_transfer(security.eps_sec, ratio, s_z1, s_x1, budget)
-    aborted = ~usable | (phi > 0.5) | ~np.isfinite(phi)
-    phi = np.clip(np.where(np.isfinite(phi), phi, 1.0), 0.0, 0.5)
+    s_z0 = np.clip(z["s0"], 0.0, z["n"], out=z["s0"])
+    s_z1 = np.clip(z["s1"], 0.0, z["n"] - s_z0, out=z["s1"])
+    s_x1 = np.clip(x["s1"], 0.0, x["n"], out=x["s1"])
+    v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
+
+    ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
+    np.divide(v_x1, ratio, out=ratio)
+    np.copyto(ratio, 1.0, where=~usable)
+    phi = _gamma_transfer(security.eps_sec, ratio, s_z1, s_x1, budget)
+    phi += ratio
+    bad = ~np.isfinite(phi)
+    aborted = ~usable | (phi > 0.5) | bad
+    np.copyto(phi, 1.0, where=bad)
+    np.clip(phi, 0.0, 0.5, out=phi)
     return {
         "s_z0_low": s_z0,
         "s_z1_low": s_z1,
@@ -284,34 +354,45 @@ def skl_real_arrays(
     terms = _key_length(
         est["s_z0_low"], est["s_z1_low"], est["phi_up"], est["n_z"], est["m_z"], security, n_decoys
     )
-    l_real = terms["l_real"]
-    aborted = est["aborted"] | (l_real <= 0.0)
-    return np.where(aborted, 0.0, l_real), aborted
+    l_real, aborted = terms["l_real"], est["aborted"]
+    aborted |= l_real <= 0.0
+    np.copyto(l_real, 0.0, where=aborted)
+    return l_real, aborted
 
 
 def _key_length(s_z0, s_z1, phi, n_z, m_z, security: SecurityParams, n_decoys: int) -> dict:
-    """The key-length formula and its terms, elementwise over arrays:
-    l = s_Z0 + s_Z1 (1 - h(phi)) - f_ec n_Z h(Q_Z) - 6 log2(b / eps_sec)
-    - log2(2 / eps_corr), with Q_Z = m_Z / n_Z (0 when n_Z = 0)."""
+    """The key-length formula and its terms, elementwise over arrays
+    (ndim >= 1): l = s_Z0 + s_Z1 (1 - h(phi)) - f_ec n_Z h(Q_Z)
+    - 6 log2(b / eps_sec) - log2(2 / eps_corr), with Q_Z = m_Z / n_Z (0 when
+    n_Z = 0)."""
     budget = EPSILON_BUDGET[n_decoys]
-    q_z = np.where(n_z > 0, m_z / np.maximum(n_z, 1e-300), 0.0)
-    lam_ec = security.f_ec * n_z * _entropy(q_z)
+    q_z = np.maximum(n_z, 1e-300)
+    np.divide(m_z, q_z, out=q_z)
+    np.copyto(q_z, 0.0, where=~(n_z > 0))
+    lam_ec = security.f_ec * n_z
+    lam_ec *= _entropy(q_z)
     penalty_sec = 6.0 * np.log2(budget / security.eps_sec)
     penalty_corr = np.log2(2.0 / security.eps_corr)
-    one_minus_h_phi = 1.0 - _entropy(phi)
+    one_minus_h_phi = _entropy(phi)
+    np.subtract(1.0, one_minus_h_phi, out=one_minus_h_phi)
+    l_real = s_z1 * one_minus_h_phi
+    l_real += s_z0
+    l_real -= lam_ec
+    l_real -= penalty_sec + penalty_corr
     return {
         "q_z": q_z,
         "lambda_ec": lam_ec,
         "penalty_sec": penalty_sec,
         "penalty_corr": penalty_corr,
         "one_minus_h_phi": one_minus_h_phi,
-        "l_real": s_z0 + s_z1 * one_minus_h_phi - lam_ec - (penalty_sec + penalty_corr),
+        "l_real": l_real,
     }
 
 
 def _decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParams, n_decoys: int) -> DecoyBounds:
+    """Bounds of one tally set: the array estimator on one-element arrays."""
     est = _estimate_arrays(
-        {name: np.asarray(getattr(tallies, name), dtype=float) for name in TALLY_FIELDS},
+        {name: np.array([getattr(tallies, name)]) for name in TALLY_FIELDS},
         source.signal_intensity,
         source.decoy_intensity,
         source.p_mu,
@@ -320,17 +401,19 @@ def _decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParam
         security,
         n_decoys,
     )
+    value = {name: np.ravel(v)[0].item() for name, v in est.items() if v is not None}
     return DecoyBounds(
-        s_z0_low=float(est["s_z0_low"]),
-        s_z1_low=float(est["s_z1_low"]),
-        phi_z_up=float(est["phi_up"]),
-        tau0=float(est["tau0"]),
-        tau1=float(est["tau1"]),
-        s_x1_low=float(est["s_x1_low"]),
-        v_x1_up=float(est["v_x1_up"]),
-        aborted=bool(est["aborted"]),
-        s_z0_up=None if est["s_z0_up"] is None else float(est["s_z0_up"]),
+        s_z0_low=value["s_z0_low"],
+        s_z1_low=value["s_z1_low"],
+        phi_z_up=value["phi_up"],
+        tau0=value["tau0"],
+        tau1=value["tau1"],
+        s_x1_low=value["s_x1_low"],
+        v_x1_up=value["v_x1_up"],
+        aborted=value["aborted"],
+        s_z0_up=value.get("s_z0_up"),
         note="two-decoy" if n_decoys == 2 else "one-decoy",
+        n_decoys=n_decoys,
     )
 
 
@@ -366,28 +449,33 @@ def secure_key_length(
     """
     if n_decoys not in EPSILON_BUDGET:
         raise FiniteKeyError(f"n_decoys must be 1 or 2, got {n_decoys}")
+    if bounds.n_decoys is not None and bounds.n_decoys != n_decoys:
+        raise FiniteKeyError(f"bounds of the {bounds.n_decoys}-decoy protocol cannot "
+                             f"take the epsilon budget of n_decoys={n_decoys}")
     if not 0.0 <= bounds.phi_z_up <= 1.0:
         raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
     terms = _key_length(
-        bounds.s_z0_low, bounds.s_z1_low, bounds.phi_z_up,
-        tallies.n_z_total, tallies.m_z_total, security, n_decoys,
+        *np.array([[bounds.s_z0_low], [bounds.s_z1_low], [bounds.phi_z_up],
+                   [tallies.n_z_total], [tallies.m_z_total]], dtype=float),
+        security, n_decoys,
     )
-    l_real = float(terms["l_real"])
+    term = {name: np.ravel(v)[0].item() for name, v in terms.items()}
+    l_real = term["l_real"]
     aborted = bool(bounds.aborted or l_real <= 0.0)
     diagnostics = {
         "s_z0_low": bounds.s_z0_low,
         "s_z1_low": bounds.s_z1_low,
         "phi_z_up": bounds.phi_z_up,
-        "one_minus_h_phi": float(terms["one_minus_h_phi"]),
-        "lambda_ec_bits": float(terms["lambda_ec"]),
-        "penalty_sec_bits": float(terms["penalty_sec"]),
-        "penalty_corr_bits": float(terms["penalty_corr"]),
-        "q_z_observed": float(terms["q_z"]),
+        "one_minus_h_phi": term["one_minus_h_phi"],
+        "lambda_ec_bits": term["lambda_ec"],
+        "penalty_sec_bits": term["penalty_sec"],
+        "penalty_corr_bits": term["penalty_corr"],
+        "q_z_observed": term["q_z"],
         "l_real": l_real,
     }
     return SklResult(
         skl_bits=0 if aborted else int(np.floor(l_real)),
-        lambda_ec_bits=float(terms["lambda_ec"]),
+        lambda_ec_bits=term["lambda_ec"],
         aborted=aborted,
         diagnostics=diagnostics,
     )

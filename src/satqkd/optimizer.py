@@ -11,11 +11,14 @@ the same samples.
 
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated in chunks of CHUNK_BLOCKS: per chunk, the per-sample detection
-statistics of every block are folded into suffix sums over the
-elevation-sorted samples, which yields the tallies of every elevation cut at
-once, and one finite-key kernel call covers every block, p_z value and cut
-of the chunk. Refinement and the final evaluation use the same kernel on a
-single row.
+statistics of every block are summed over the samples in descending
+elevation, which yields the tallies of every elevation cut at once, and one
+finite-key kernel call covers every block, p_z value and cut of the chunk.
+The refinement calls the same kernel with one row per candidate point: on
+each call it evaluates the point a golden-section step needs together with
+every point the next LOOKAHEAD steps could need, then replays the
+sequential steps from those values, so it visits the same points in about a
+quarter of the calls. The final evaluation is one more row.
 
 The chunk list is split into contiguous runs, one per CPU this process may
 run on. The first run is evaluated in the calling process and each other
@@ -57,6 +60,10 @@ P_MU_BOX = (0.2, 0.95)
 P_NU_BOX = (0.01, 0.79)
 P_Z_BOX = (0.3, 0.97)
 MAX_P_SUM = 0.99  # two-decoy: keep at least 1% vacuum pulses
+# Golden-section steps whose candidate points each refinement kernel call
+# evaluates ahead: 2 + 2 + 4 + 8 rows on the first call of a search and
+# 1 + 2 + 4 + 8 on each later one, against one row per step.
+LOOKAHEAD = 3
 # Coarse blocks per finite-key kernel call: large enough to amortise the
 # per-call overhead, small enough that a chunk's temporaries stay in cache.
 CHUNK_BLOCKS = 24
@@ -175,54 +182,61 @@ class _PassChannel:
         )
         elevations = pass_geometry.samples.elevation_deg
         order = np.argsort(elevations, kind="stable")
-        self.eta_sorted = breakdowns.eta[order] * hardware.detector.efficiency
+        # Samples in descending elevation (the stable ascending order
+        # reversed), so that a forward running sum gives every cut's tallies.
+        self.eta_sorted = breakdowns.eta[order[::-1]] * hardware.detector.efficiency
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
         # Every cut at or below the lowest sample keeps all the samples; the
         # grid starts at the last of them, so ties go to a cut the station
         # can use rather than to one below its horizon.
         below = np.count_nonzero(MIN_ELEVATION_GRID <= elevations.min()) if len(elevations) else 0
         self.cuts = MIN_ELEVATION_GRID[max(below - 1, 0):]
-        # cut_start[j]: first sorted index with elevation >= cut j
-        self.cut_start = np.searchsorted(elevations[order], self.cuts, side="left")
+        # cut_kept[j]: number of samples with elevation >= cut j, the
+        # leading run of the descending order
+        self.cut_kept = len(elevations) - np.searchsorted(elevations[order], self.cuts, side="left")
 
     def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
-        """Unfloored key length of (mu, nu, p_mu, p_nu) blocks crossed with
-        p_z values; shape (len(blocks) * len(p_z_values), n_cuts), rows
-        block-major.
+        """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z
+        values over the cut grid. p_z_values is either a 1-D grid crossed
+        with every block, giving rows block-major, or a column with one p_z
+        per block, giving one row per block; shape (rows, n_cuts).
 
-        The presift rows of every block are suffix-summed over the
-        elevation-sorted samples, which gives the tallies of every cut at
-        once; the Z/X split is a sifting factor applied afterwards, so one
-        presift serves the whole p_z grid.
+        The presift rows of every block are summed over the samples in
+        descending elevation, which gives the tallies of every cut at once;
+        the Z/X split is a sifting factor applied afterwards, so one presift
+        serves the whole p_z grid.
         """
         mu, nu, p_mu, p_nu = blocks.T
         clicks, err_z, err_x, f_dead = presift_rows(
             self.eta_sorted, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
             self.template, self.detector,
         )
-        per_sample = np.concatenate([clicks, err_z, err_x]) * (self.pulses_per_sample * f_dead)
-        suffix = np.cumsum(per_sample[..., ::-1], axis=-1)[..., ::-1]
-        suffix = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
-        cut = suffix[..., self.cut_start][:, :, None, :]  # (9, blocks, 1, cuts)
-        p_z = np.asarray(p_z_values, dtype=float)[:, None]
-        n_rows = len(blocks) * len(p_z)
+        per_sample = np.concatenate([clicks, err_z, err_x])
+        per_sample *= self.pulses_per_sample * f_dead
+        # running[..., k]: the sum over the k highest samples
+        running = np.empty(per_sample.shape[:-1] + (per_sample.shape[-1] + 1,))
+        running[..., 0] = 0.0
+        np.cumsum(per_sample, axis=-1, out=running[..., 1:])
+        cut = running[..., self.cut_kept][:, :, None, :]  # (9, blocks, 1, cuts)
+        p_z = np.asarray(p_z_values, dtype=float)[..., None]
+        per_block = p_z.shape[-2]
         t = {
-            name: row.reshape(n_rows, -1)
+            name: row.reshape(len(blocks) * per_block, -1)
             for name, row in sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z).items()
         }
-        mu, nu, p_mu, p_nu = (np.repeat(x, len(p_z))[:, None] for x in blocks.T)
+        mu, nu, p_mu, p_nu = (np.repeat(x, per_block)[:, None] for x in blocks.T)
         l_real, _ = skl_real_arrays(
             t, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys), self.security, self.n_decoys
         )
         return l_real
 
-    def objective(self, mu: float, nu: float, p_mu: float, p_nu: float, p_z: float) -> tuple[float, int]:
-        """Best unfloored key length over the cut grid and its cut index;
-        ties resolve to the lower elevation (np.argmax takes the first
-        maximum)."""
-        l_real = self.skl_chunk(np.array([[mu, nu, p_mu, p_nu]]), np.array([p_z]))[0]
-        idx = int(np.argmax(l_real))
-        return float(l_real[idx]), idx
+    def objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best unfloored key length over the cut grid and its cut index,
+        per row of skl_chunk(blocks, p_z_values); ties resolve to the lower
+        elevation (np.argmax takes the first maximum)."""
+        l_real = self.skl_chunk(blocks, p_z_values)
+        cut_idx = np.argmax(l_real, axis=1)
+        return l_real[np.arange(len(l_real)), cut_idx], cut_idx
 
 
 def _p_vac(p_mu, p_nu, n_decoys: int):
@@ -230,50 +244,87 @@ def _p_vac(p_mu, p_nu, n_decoys: int):
     return 1.0 - p_mu - p_nu if n_decoys == 2 else 0.0 * p_mu
 
 
+def _golden_steps(a: float, b: float, x1: float, x2: float) -> tuple[tuple, tuple]:
+    """The two successors of the golden-section state (a, b, x1, x2): the
+    interval [a, x2], kept when f(x1) >= f(x2), whose new point is its x1,
+    and [x1, b], whose new point is its x2."""
+    return (a, x2, x2 - _GOLDEN * (x2 - a), x1), (x1, b, x2, x1 + _GOLDEN * (b - x1))
+
+
 def _golden_max(f, lo: float, hi: float, abs_tol: float, max_iter: int = 80) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]; returns (x, f(x))."""
+    """Golden-section maximization on [lo, hi] of f, which maps a 1-D array
+    of abscissae to their values; returns (x, f(x)).
+
+    The steps are the sequential ones, reading values from a cache. On a
+    miss, one call of f evaluates the points needed and every point the
+    next LOOKAHEAD steps could need: which way a step goes depends on the
+    values, but its two candidates depend only on the interval and its
+    interior points. So the search visits the points, and returns the
+    result, of one evaluation per step, in about 1/(LOOKAHEAD + 1) of the
+    calls.
+    """
     if hi <= lo:
-        return lo, f(lo)
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(max_iter):
-        if b - a <= abs_tol:
+        return lo, float(f(np.array([lo]))[0])
+    cache: dict[float, float] = {}
+
+    def ahead(state: tuple, done: int, depth: int) -> list[float]:
+        """Points the next depth steps from state could evaluate, up to
+        where the search stops."""
+        if depth == 0 or done == max_iter or state[1] - state[0] <= abs_tol:
+            return []
+        left, right = _golden_steps(*state)
+        return [left[2], right[3], *ahead(left, done + 1, depth - 1),
+                *ahead(right, done + 1, depth - 1)]
+
+    def values(points: tuple, state: tuple, done: int) -> list[float]:
+        """f at points, the new interior points of state after done steps."""
+        if any(x not in cache for x in points):
+            xs = [x for x in dict.fromkeys((*points, *ahead(state, done, LOOKAHEAD)))
+                  if x not in cache]
+            cache.update(zip(xs, f(np.array(xs)).tolist()))
+        return [cache[x] for x in points]
+
+    state = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+    f1, f2 = values(state[2:], state, 0)
+    best_x, best_f = (state[2], f1) if f1 >= f2 else (state[3], f2)
+    for done in range(max_iter):
+        if state[1] - state[0] <= abs_tol:
             break
+        left, right = _golden_steps(*state)
         if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            state, f2 = left, f1
+            (f1,) = values(state[2:3], state, done + 1)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            state, f1 = right, f2
+            (f2,) = values(state[3:], state, done + 1)
         if f1 > best_f:
-            best_x, best_f = x1, f1
+            best_x, best_f = state[2], f1
         if f2 > best_f:
-            best_x, best_f = x2, f2
+            best_x, best_f = state[3], f2
     return best_x, best_f
 
 
 def _coarse_blocks(config: OptimizerConfig, n_decoys: int) -> np.ndarray:
-    """Deterministic (mu, nu, p_mu, p_nu) blocks as an (n_blocks, 4) array;
-    p_z is gridded per block."""
+    """Deterministic (mu, nu, p_mu, p_nu) blocks as an (n_blocks, 4) array,
+    mu outermost and p_nu innermost; p_z is gridded per block. Two decoys
+    grid p_nu up to the smaller of its box edge and MAX_P_SUM - p_mu,
+    skipping p_mu values that leave no room; one decoy ties p_nu to
+    1 - p_mu."""
     g = config.coarse_grid_steps
-    blocks = []
-    for mu in np.linspace(*MU_BOX, g):
-        for nu in np.linspace(NU_MIN, mu - NU_MARGIN, g):
-            for p_mu in np.linspace(*P_MU_BOX, g):
-                if n_decoys == 2:
-                    nu_hi = min(P_NU_BOX[1], MAX_P_SUM - p_mu)
-                    if nu_hi <= P_NU_BOX[0]:
-                        continue
-                    p_nu_values = np.linspace(P_NU_BOX[0], nu_hi, g)
-                else:
-                    p_nu_values = [1.0 - p_mu]
-                blocks.extend((mu, nu, p_mu, p_nu) for p_nu in p_nu_values)
-    return np.array(blocks, dtype=float).reshape(-1, 4)
+    mu = np.linspace(*MU_BOX, g)
+    nu = np.linspace(NU_MIN, mu - NU_MARGIN, g, axis=-1)
+    p_mu = np.linspace(*P_MU_BOX, g)
+    if n_decoys == 2:
+        nu_hi = np.minimum(P_NU_BOX[1], MAX_P_SUM - p_mu)
+        room = nu_hi > P_NU_BOX[0]
+        p_mu = p_mu[room]
+        p_nu = np.linspace(P_NU_BOX[0], nu_hi[room], g, axis=-1)
+    else:
+        p_nu = (1.0 - p_mu)[:, None]
+    grids = np.broadcast_arrays(
+        mu[:, None, None, None], nu[:, :, None, None], p_mu[:, None], p_nu
+    )
+    return np.stack(grids, axis=-1).reshape(-1, 4)
 
 
 def _box(dim: str, point: dict, n_decoys: int) -> tuple[float, float]:
@@ -290,30 +341,34 @@ def _box(dim: str, point: dict, n_decoys: int) -> tuple[float, float]:
     return P_Z_BOX
 
 
-def _moved(point: dict, dim: str, x: float, n_decoys: int) -> dict:
-    """point with coordinate dim set to x; one decoy ties p_nu to 1 - p_mu."""
-    out = dict(point, **{dim: x})
+def _moved(point: dict, dim: str, xs, n_decoys: int) -> np.ndarray:
+    """Rows (mu, nu, p_mu, p_nu, p_z) of point with coordinate dim set to
+    each of xs; one decoy ties p_nu to 1 - p_mu."""
+    rows = np.tile([point[k] for k in PARAM_NAMES], (len(xs), 1))
+    rows[:, PARAM_NAMES.index(dim)] = xs
     if n_decoys == 1:
-        out["p_nu"] = 1.0 - out["p_mu"]
-    return out
+        rows[:, 3] = 1.0 - rows[:, 2]
+    return rows
 
 
 def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig) -> tuple[dict, float]:
-    """Coordinate-wise golden-section ascent of f over parameter dicts,
-    starting from point with f(point) = value. Each coordinate is searched
-    in its box to a tolerance of rel_tolerance times the box span, and a
-    move is kept only when it raises value. Returns (point, value)."""
+    """Coordinate-wise golden-section ascent of f, which maps an array of
+    parameter rows (mu, nu, p_mu, p_nu, p_z) to their values, starting from
+    the parameter dict point with value f(point). Each coordinate is
+    searched in its box to a tolerance of rel_tolerance times the box span,
+    and a move is kept only when it raises value. Returns (point, value)."""
     for _ in range(config.refine_iterations):
         for dim in REFINED_DIMS[n_decoys]:
             lo, hi = _box(dim, point, n_decoys)
             if hi <= lo:
                 continue
             x, fx = _golden_max(
-                lambda x: f(_moved(point, dim, x, n_decoys)),
+                lambda xs: f(_moved(point, dim, xs, n_decoys)),
                 lo, hi, abs_tol=config.rel_tolerance * DIM_SPAN[dim],
             )
             if fx > value:
-                point, value = _moved(point, dim, x, n_decoys), fx
+                point = dict(zip(PARAM_NAMES, _moved(point, dim, [x], n_decoys)[0].tolist()))
+                value = fx
     return point, value
 
 
@@ -324,13 +379,12 @@ def _coarse_shard(
     evaluated in chunks of CHUNK_BLOCKS. Returns (value, (mu, nu, p_mu, p_nu,
     p_z), trace rows); the rows are formatted only when traced."""
     p_z_cells = [repr(p_z) for p_z in p_z_values.tolist()]
+    cut_cells = [repr(cut) for cut in channel.cuts.tolist()]
     best = (-math.inf, (0.5, 0.1, 0.7, 0.15, 0.9))
     rows: list[str] = []
     for start in range(0, len(blocks), CHUNK_BLOCKS):
         chunk = blocks[start:start + CHUNK_BLOCKS]
-        matrix = channel.skl_chunk(chunk, p_z_values)
-        cut_idx = np.argmax(matrix, axis=1)
-        row_best = matrix[np.arange(len(matrix)), cut_idx]
+        row_best, cut_idx = channel.objective(chunk, p_z_values)
         # Rows are block-major, p_z-minor. The first maximum of the whole
         # grid wins: argmax takes the first within a chunk, and a later
         # chunk wins only when strictly greater.
@@ -339,16 +393,16 @@ def _coarse_shard(
             block, j = divmod(row, len(p_z_values))
             best = (float(row_best[row]), (*chunk[block].tolist(), float(p_z_values[j])))
         if traced:
-            # Cells are Python-float reprs, each block's formatted once.
+            # Cells are Python-float reprs; each block's, p_z value's and
+            # cut's formatted once.
             heads = [
                 head + p_z
                 for head in ("coarse,%r,%r,%r,%r," % tuple(b) for b in chunk.tolist())
                 for p_z in p_z_cells
             ]
-            rows.extend(
-                "%s,%r,%r" % cells
-                for cells in zip(heads, channel.cuts[cut_idx].tolist(), row_best.tolist())
-            )
+            rows.extend(map(",".join, zip(
+                heads, [cut_cells[i] for i in cut_idx.tolist()], map(repr, row_best.tolist())
+            )))
     return (*best, rows)
 
 
@@ -454,12 +508,14 @@ def optimize_pass(
         np.linspace(*P_Z_BOX, config.coarse_grid_steps), traced=trace_path is not None,
     )
     point, _ = _refine(
-        lambda c: channel.objective(**c)[0], dict(zip(PARAM_NAMES, cand)), value, n_decoys, config
+        lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
+        dict(zip(PARAM_NAMES, cand)), value, n_decoys, config,
     )
-    values = tuple(point[k] for k in PARAM_NAMES)
-    value, cut_idx = channel.objective(*values)
+    values = [point[k] for k in PARAM_NAMES]
+    best, cut_idx = channel.objective(np.array([values[:4]]), np.array([values[4:]]))
+    value = float(best[0])
     params = ParamVector(
-        *(float(v) for v in values), min_elevation_deg=float(channel.cuts[cut_idx])
+        *(float(v) for v in values), min_elevation_deg=float(channel.cuts[cut_idx[0]])
     )
     if trace_path is not None:
         trace_rows.append("final,%r,%r,%r,%r,%r,%r,%r" % (*astuple(params), value))
@@ -517,7 +573,7 @@ def pointwise_asymptotic_profile(
         idx = int(np.argmax(rates))
         start = {k: float(v[idx]) for k, v in zip(PARAM_NAMES, (mu_c, nu_c, p_mu_c, p_nu_c, p_z_c))}
         _, best = _refine(
-            lambda c: float(rate(eta, **c)), start, float(rates[idx]), n_decoys, config
+            lambda rows: rate(eta, *rows.T), start, float(rates[idx]), n_decoys, config
         )
         profile.append((t_s, best))
     return profile

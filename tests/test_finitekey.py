@@ -1,6 +1,7 @@
 """Finite-key engine: primitive anchors, estimator validity via the
 photon-number-tagged Monte Carlo oracle, and key-length behaviour."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from satqkd.channel import (
     DetectorSpec,
     SourceSpec,
     TallySet,
+    expected_tallies,
     expected_tallies_fixed_eta,
     monte_carlo_tallies,
 )
@@ -32,6 +34,10 @@ from satqkd.finitekey import (
     _estimate_arrays,
     two_decoy_bounds,
 )
+from satqkd import optimizer
+from satqkd.linkbudget import compute_breakdowns
+from satqkd.optimizer import OptimizerConfig
+from satqkd.scenario import load_bundled_scenario
 
 
 class TestPrimitives:
@@ -509,3 +515,170 @@ def test_array_kernel_matches_scalar_path(grid):
     n_z = t["n_z_mu"] + t["n_z_nu"] + t["n_z_vac"]
     assert np.all(est["s_z0_low"] + est["s_z1_low"] <= n_z * (1.0 + 1e-12))
     assert np.all((est["phi_up"] >= 0.0) & (est["phi_up"] <= 0.5))
+
+
+def test_secure_key_length_rejects_bounds_of_the_other_protocol():
+    """Two-decoy bounds never meet the one-decoy epsilon budget: the bounds
+    carry the protocol that made them, and bounds built by hand (no
+    protocol) keep working."""
+    scenario = load_bundled_scenario("snspd_pol_2decoy")
+    pass_geometry = scenario.synth_pass()
+    breakdowns = compute_breakdowns(
+        pass_geometry, scenario.transmitter, scenario.receiver, scenario.atmosphere
+    )
+    tallies = expected_tallies(
+        pass_geometry, breakdowns, scenario.source, scenario.detector,
+        scenario.station.min_elevation_deg,
+    )
+    bounds = two_decoy_bounds(tallies, scenario.source, scenario.security)
+    assert bounds.n_decoys == 2
+    assert secure_key_length(bounds, tallies, scenario.security, 2).skl_bits > 0
+    with pytest.raises(FiniteKeyError, match=r"2-decoy.*n_decoys=1"):
+        secure_key_length(bounds, tallies, scenario.security, 1)
+    by_hand = replace(bounds, n_decoys=None)
+    assert secure_key_length(by_hand, tallies, scenario.security, 1).skl_bits > 0
+
+
+# -- frozen expression-form reference of the array kernel ----------------------
+# The kernel builds its intermediates in place; this is the same arithmetic
+# written as plain expressions, one fresh array per operation.
+
+
+def _ref_entropy(x):
+    safe = np.clip(x, 1e-300, 1.0 - 1e-16)
+    return np.where(
+        (x <= 0.0) | (x >= 1.0), 0.0,
+        -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe),
+    )
+
+
+def _ref_gamma(a, b, c, d, budget):
+    ok = (b > 0.0) & (b < 1.0) & (c > 0.0) & (d > 0.0)
+    b_s, c_s, d_s = np.where(ok, b, 0.25), np.where(ok, c, 1.0), np.where(ok, d, 1.0)
+    inner = np.maximum((c_s + d_s) / (c_s * d_s * (1.0 - b_s) * b_s) * (budget / a) ** 2, 1.0)
+    gamma = np.sqrt(
+        (c_s + d_s) * (1.0 - b_s) * b_s / (c_s * d_s * np.log(2.0)) * np.log2(inner)
+    )
+    return np.where(ok, gamma, 0.0)
+
+
+def _ref_basis(t, b, mu, nu, scale, tau0, tau1, eps1):
+    n = t[f"n_{b}_mu"] + t[f"n_{b}_nu"] + t[f"n_{b}_vac"]
+    m = t[f"m_{b}_mu"] + t[f"m_{b}_nu"] + t[f"m_{b}_vac"]
+    d_n = np.sqrt(n / 2.0 * np.log(1.0 / eps1))
+    d_m = np.sqrt(m / 2.0 * np.log(1.0 / eps1))
+    s_mu, s_nu, s_vac = scale
+    n_mu_up = s_mu * (t[f"n_{b}_mu"] + d_n)
+    n_nu_low = np.maximum(s_nu * (t[f"n_{b}_nu"] - d_n), 0.0)
+    m_mu_up = s_mu * (t[f"m_{b}_mu"] + d_m)
+    m_nu_up = s_nu * (t[f"m_{b}_nu"] + d_m)
+    denom = nu * (mu - nu)
+    s0_up = 2.0 * (tau0 * np.minimum(m_mu_up, m_nu_up) + d_n)
+    s0 = np.maximum(tau0 * (mu * n_nu_low - nu * n_mu_up) / (mu - nu), 0.0)
+    s1 = tau1 * mu * (
+        n_nu_low - (nu**2 / mu**2) * n_mu_up - ((mu**2 - nu**2) / mu**2) * (s0_up / tau0)
+    ) / denom
+    if s_vac is not None:
+        s0 = np.maximum(tau0 * np.maximum(s_vac * (t[f"n_{b}_vac"] - d_n), 0.0), s0)
+        s1 = np.maximum(tau1 * mu * (
+            n_nu_low - s_vac * (t[f"n_{b}_vac"] + d_n) - (nu**2 / mu**2) * (n_mu_up - s0 / tau0)
+        ) / denom, s1)
+    v1 = None
+    if b == "x":
+        v1 = tau1 * (m_mu_up - np.maximum(s_nu * (t["m_x_nu"] - d_m), 0.0)) / (mu - nu)
+        if s_vac is not None:
+            v1 = np.minimum(
+                tau1 * (m_nu_up - np.maximum(s_vac * (t["m_x_vac"] - d_m), 0.0)) / nu, v1
+            )
+    return n, m, s0, s1, v1
+
+
+def reference_skl_real_arrays(t, mu, nu, p_mu, p_nu, p_vac, security, n_decoys):
+    budget = EPSILON_BUDGET[n_decoys]
+    intensities, probs = [mu, nu, 0.0][: n_decoys + 1], [p_mu, p_nu, p_vac][: n_decoys + 1]
+    tau0 = emission_tau(intensities, probs, 0)
+    tau1 = emission_tau(intensities, probs, 1)
+    scale = (np.exp(mu) / p_mu, np.exp(nu) / p_nu, 1.0 / p_vac if n_decoys == 2 else None)
+    n_z, m_z, s_z0, s_z1, _ = _ref_basis(t, "z", mu, nu, scale, tau0, tau1, security.eps_sec / budget)
+    n_x, _, _, s_x1, v_x1 = _ref_basis(t, "x", mu, nu, scale, tau0, tau1, security.eps_sec / budget)
+    usable = (s_z1 > 0.0) & (s_x1 > 0.0) & (n_z > 0.0)
+    s_z0 = np.clip(s_z0, 0.0, n_z)
+    s_z1 = np.clip(s_z1, 0.0, n_z - s_z0)
+    s_x1 = np.clip(s_x1, 0.0, n_x)
+    v_x1 = np.maximum(v_x1, 0.0)
+    ratio = np.where(usable, v_x1 / np.where(s_x1 > 0.0, s_x1, 1.0), 1.0)
+    phi = ratio + _ref_gamma(security.eps_sec, ratio, s_z1, s_x1, budget)
+    aborted = ~usable | (phi > 0.5) | ~np.isfinite(phi)
+    phi = np.clip(np.where(np.isfinite(phi), phi, 1.0), 0.0, 0.5)
+    q_z = np.where(n_z > 0, m_z / np.maximum(n_z, 1e-300), 0.0)
+    l_real = (
+        s_z0 + s_z1 * (1.0 - _ref_entropy(phi)) - security.f_ec * n_z * _ref_entropy(q_z)
+        - (6.0 * np.log2(budget / security.eps_sec) + np.log2(2.0 / security.eps_corr))
+    )
+    bounds = (s_z0, s_z1, s_x1, v_x1, phi)
+    aborted = aborted | (l_real <= 0.0)
+    return np.where(aborted, 0.0, l_real), aborted, bounds
+
+
+def _same_bits(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_kernel_matches_reference(t, columns, security, n_decoys):
+    """skl_real_arrays and the bounds under it on read-only inputs: the
+    reference's bit patterns, and the inputs unchanged."""
+    t = {name: np.array(value) for name, value in t.items()}
+    columns = [np.array(c) for c in columns]
+    before = {name: value.copy() for name, value in t.items()}
+    for array in (*t.values(), *columns):
+        array.setflags(write=False)
+    l_real, aborted = skl_real_arrays(t, *columns, security, n_decoys)
+    want, want_aborted, want_bounds = reference_skl_real_arrays(t, *columns, security, n_decoys)
+    assert l_real.shape == want.shape
+    assert _same_bits(l_real, want)
+    assert np.array_equal(aborted, want_aborted)
+    est = _estimate_arrays(t, *columns, security, n_decoys)
+    for name, value in zip(("s_z0_low", "s_z1_low", "s_x1_low", "v_x1_up", "phi_up"), want_bounds):
+        assert _same_bits(est[name], value), name
+    for name, value in t.items():
+        assert np.array_equal(value, before[name])
+
+
+@settings(deadline=None)
+@given(candidate_grids())
+def test_in_place_kernel_matches_expression_form(grid):
+    n_decoys, sources, blocks, dark = grid
+    det = DetectorSpec(
+        efficiency=0.8, dark_count_rate_hz=dark, dead_time_ns=30.0, background_rate_hz=10.0
+    )
+    tallies = [
+        [expected_tallies_fixed_eta(eta, n, src, det) for eta, n in blocks] for src in sources
+    ]
+    t = {
+        name: np.array([[getattr(cell, name) for cell in row] for row in tallies])
+        for name in TALLY_FIELDS
+    }
+    columns = [
+        np.array([[getattr(src, attr)] for src in sources])
+        for attr in ("signal_intensity", "decoy_intensity", "p_mu", "p_nu", "p_vac")
+    ]
+    _assert_kernel_matches_reference(t, columns, SecurityParams(), n_decoys)
+
+
+@pytest.mark.parametrize("name", ["snspd_pol_2decoy", "snspd_pol_1decoy"])
+def test_in_place_kernel_matches_expression_form_on_a_coarse_chunk(name, monkeypatch):
+    """The first coarse chunk of a bundled pass: 192 rows over the cut grid,
+    many of them aborted."""
+    scenario = load_bundled_scenario(name)
+    channel = optimizer._PassChannel(
+        scenario.synth_pass(), scenario.hardware(), scenario.security, scenario.n_decoys
+    )
+    captured = []
+    monkeypatch.setattr(optimizer, "skl_real_arrays", lambda *args: captured.append(args) or
+                        skl_real_arrays(*args))
+    blocks = optimizer._coarse_blocks(OptimizerConfig(), scenario.n_decoys)
+    channel.skl_chunk(blocks[:optimizer.CHUNK_BLOCKS], np.linspace(*optimizer.P_Z_BOX, 8))
+    (t, *columns, security, n_decoys), = captured
+    assert t["n_z_mu"].shape == (192, len(channel.cuts))
+    _assert_kernel_matches_reference(t, columns, security, n_decoys)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqkd.channel import presift_rows, sifted_rows
 from satqkd.finitekey import skl_real_arrays
@@ -311,3 +313,143 @@ def test_optimizer_config_validation():
         OptimizerConfig(coarse_grid_steps=1)
     with pytest.raises(OptimizerError):
         OptimizerConfig(rel_tolerance=0.0)
+
+
+def loop_coarse_blocks(config, n_decoys):
+    """The coarse blocks as nested loops, mu outermost."""
+    g = config.coarse_grid_steps
+    blocks = []
+    for mu in np.linspace(*optimizer.MU_BOX, g):
+        for nu in np.linspace(optimizer.NU_MIN, mu - optimizer.NU_MARGIN, g):
+            for p_mu in np.linspace(*optimizer.P_MU_BOX, g):
+                if n_decoys == 2:
+                    nu_hi = min(optimizer.P_NU_BOX[1], optimizer.MAX_P_SUM - p_mu)
+                    if nu_hi <= optimizer.P_NU_BOX[0]:
+                        continue
+                    p_nu_values = np.linspace(optimizer.P_NU_BOX[0], nu_hi, g)
+                else:
+                    p_nu_values = [1.0 - p_mu]
+                blocks.extend((mu, nu, p_mu, p_nu) for p_nu in p_nu_values)
+    return np.array(blocks, dtype=float).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("n_decoys", [1, 2])
+@pytest.mark.parametrize("steps", [2, 3, 4, 8, 11])
+def test_coarse_blocks_match_loop_reference(steps, n_decoys):
+    config = OptimizerConfig(coarse_grid_steps=steps)
+    blocks = _coarse_blocks(config, n_decoys)
+    want = loop_coarse_blocks(config, n_decoys)
+    assert blocks.shape == want.shape
+    assert blocks.tobytes() == want.tobytes()
+
+
+def sequential_golden_max(f, lo, hi, abs_tol, max_iter=80):
+    """Golden-section search evaluating one point per call of f."""
+    g = lambda x: float(f(np.array([x]))[0])  # noqa: E731
+    if hi <= lo:
+        return lo, g(lo)
+    a, b = lo, hi
+    x1 = b - optimizer._GOLDEN * (b - a)
+    x2 = a + optimizer._GOLDEN * (b - a)
+    f1, f2 = g(x1), g(x2)
+    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
+    for _ in range(max_iter):
+        if b - a <= abs_tol:
+            break
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - optimizer._GOLDEN * (b - a)
+            f1 = g(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + optimizer._GOLDEN * (b - a)
+            f2 = g(x2)
+        if f1 > best_f:
+            best_x, best_f = x1, f1
+        if f2 > best_f:
+            best_x, best_f = x2, f2
+    return best_x, best_f
+
+
+@st.composite
+def golden_problems(draw):
+    """An interval (possibly empty or reversed), a tolerance, an iteration
+    cap and a vectorised objective with plateaus and ties: flat zero (most
+    coarse points abort), a clipped parabola, a quantised sine or a step."""
+    lo = draw(st.floats(-2.0, 2.0))
+    hi = lo + draw(st.one_of(st.floats(-1.0, 0.0), st.floats(1e-6, 3.0)))
+    abs_tol = 10.0 ** draw(st.floats(-9.0, 0.0))
+    max_iter = draw(st.sampled_from([0, 1, 2, 3, 5, 80]))
+    kind = draw(st.sampled_from(["zero", "parabola", "quantised", "step"]))
+    c = draw(st.floats(-2.0, 2.0))
+    k = draw(st.floats(0.5, 20.0))
+    objectives = {
+        "zero": lambda x: np.zeros_like(x),
+        "parabola": lambda x: np.maximum(1.0 - k * (x - c) ** 2, 0.0),
+        "quantised": lambda x: np.round(np.sin(k * x + c), 1),
+        "step": lambda x: np.where(x > c, 1.0, 0.0),
+    }
+    return lo, hi, abs_tol, max_iter, objectives[kind]
+
+
+@settings(deadline=None, max_examples=300)
+@given(golden_problems())
+def test_speculative_golden_max_matches_sequential(problem):
+    lo, hi, abs_tol, max_iter, objective = problem
+    seen, calls = [], []
+
+    def f(xs):
+        assert xs.ndim == 1 and len(xs) >= 1
+        calls.append(len(xs))
+        seen.extend(xs.tolist())
+        return objective(xs)
+
+    want = sequential_golden_max(objective, lo, hi, abs_tol, max_iter)
+    got = optimizer._golden_max(f, lo, hi, abs_tol, max_iter)
+    assert got == want
+    assert [type(v) for v in got] == [float, float]
+    assert len(seen) == len(set(seen))  # no point is evaluated twice
+    assert all(lo <= x <= hi for x in seen) or hi <= lo
+    if hi <= lo or max_iter == 0 or hi - lo <= abs_tol:
+        assert len(seen) == (1 if hi <= lo else 2)  # no step: nothing evaluated ahead
+
+
+@pytest.mark.parametrize("peak", [0.05, 0.3, 0.5, 0.62, 0.9])
+def test_speculative_golden_max_follows_an_interior_peak(peak):
+    """Unimodal objectives whose peak lies inside the interval take both
+    branches; the search lands where the sequential one does."""
+    def objective(xs):
+        return -np.abs(xs - peak) ** 1.5
+
+    got = optimizer._golden_max(objective, 0.0, 1.0, 1e-9)
+    assert got == sequential_golden_max(objective, 0.0, 1.0, 1e-9)
+    assert got[0] == pytest.approx(peak, abs=1e-8)
+
+
+def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
+    """At the default config, refinement reaches the same point in at most
+    55 kernel calls, under half of one call per golden-section step."""
+    channel = optimizer._PassChannel(coarse_pass, snspd.hardware(), snspd.security, 2)
+    calls = []
+    kernel = optimizer.skl_real_arrays
+    monkeypatch.setattr(
+        optimizer, "skl_real_arrays", lambda *args: calls.append(1) or kernel(*args)
+    )
+
+    def f(rows):
+        return channel.objective(rows[:, :4], rows[:, 4:])[0]
+
+    start = dict(zip(optimizer.PARAM_NAMES, (0.5, 0.1, 0.7, 0.15, 0.9)))
+    value = float(f(np.array([[start[k] for k in optimizer.PARAM_NAMES]]))[0])
+    assert value > 0
+    config = OptimizerConfig()
+    calls.clear()
+    batched = optimizer._refine(f, start, value, 2, config)
+    n_batched = len(calls)
+    calls.clear()
+    monkeypatch.setattr(optimizer, "_golden_max", sequential_golden_max)
+    sequential = optimizer._refine(f, start, value, 2, config)
+    assert batched == sequential
+    assert batched[1] > value
+    assert n_batched <= 55
+    assert 2 * n_batched <= len(calls)
