@@ -219,11 +219,6 @@ def pulse_qber(k: float, eta_total: float, y0: float, e_mis: float):
     return err / d_k
 
 
-def dead_time_factor(click_rate_hz, dead_time_ns: float):
-    """Throughput reduction 1 / (1 + R tau) from detector dead time."""
-    return 1.0 / (1.0 + click_rate_hz * dead_time_ns * 1e-9)
-
-
 def presift_rows(eta, mu, nu, p_mu, p_nu, p_vac, source: SourceSpec, det: DetectorSpec):
     """Per-pulse click and error probabilities of the (mu, nu, vac) intensities.
 
@@ -245,7 +240,7 @@ def presift_rows(eta, mu, nu, p_mu, p_nu, p_vac, source: SourceSpec, det: Detect
     y0 = background_yield(det, source.pulse_rate_hz)
     gain, err_z, err_x = _wcp(k, eta, y0, source.misalignment_z, source.misalignment_x)
     clicks = p * gain
-    f_dead = dead_time_factor(source.pulse_rate_hz * clicks.sum(axis=0), det.dead_time_ns)
+    f_dead = 1.0 / (1.0 + source.pulse_rate_hz * clicks.sum(axis=0) * det.dead_time_ns * 1e-9)
     return clicks, p * err_z, p * err_x, f_dead
 
 

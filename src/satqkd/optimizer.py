@@ -22,11 +22,15 @@ quarter of the calls. The final evaluation is one more row.
 
 The chunk list is split into contiguous runs, one per CPU this process may
 run on. The first run is evaluated in the calling process and each other
-one in a child made with os.fork, which sends its best candidate and its
-trace rows back over a pipe. Results are merged in grid order, so the
-chosen parameters and the trace are the same on any number of CPUs. The
-children run only elementwise numpy code, never BLAS, whose thread pool a
-fork does not carry over.
+one in a child made with os.fork, which sends each grid row's best value
+and cut index back over a pipe as two arrays. Results are joined in grid
+order, so the chosen parameters and the trace are the same on any number
+of CPUs. When a trace is asked for and more than one CPU is usable, one
+more child, forked the same way, formats the trace's coarse rows while the
+calling process refines; the calling process then appends the final row
+and writes the file. On one CPU the same formatting runs inline. The
+children run only elementwise numpy code and string formatting, never
+BLAS, whose thread pool a fork does not carry over.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ import os
 import pickle
 import signal
 import traceback
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import BinaryIO
@@ -87,8 +93,9 @@ class OptimizerError(ValueError):
 
 
 class CoarseSearchError(RuntimeError):
-    """Raised when a coarse search worker cannot start, fails or sends an
-    incomplete result: an internal error, not invalid input."""
+    """Raised when a forked optimizer worker, a coarse search shard or the
+    trace writer, cannot start, fails or sends an incomplete result: an
+    internal error, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -373,59 +380,75 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
 
 
 def _coarse_shard(
-    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray, traced: bool
-) -> tuple[float, tuple[float, ...], list[str]]:
-    """First maximum of the coarse grid over blocks crossed with p_z_values,
-    evaluated in chunks of CHUNK_BLOCKS. Returns (value, (mu, nu, p_mu, p_nu,
-    p_z), trace rows); the rows are formatted only when traced."""
+    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best unfloored key length and its cut index for every row of blocks
+    crossed with p_z_values, block-major and p_z-minor, evaluated in chunks
+    of CHUNK_BLOCKS."""
+    chunks = [channel.objective(blocks[start:start + CHUNK_BLOCKS], p_z_values)
+              for start in range(0, len(blocks), CHUNK_BLOCKS)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
+
+
+def _trace_text(channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray,
+                values: np.ndarray, cut_idx: np.ndarray) -> str:
+    """Header and coarse rows of the optimizer trace: one row per grid point
+    in grid order, with its best cut and value. Cells are Python-float
+    reprs; each distinct grid coordinate, p_z value and cut is formatted
+    once. Rows are joined a chunk of CHUNK_BLOCKS blocks at a time, so each
+    chunk's temporaries reuse the memory of the one before."""
+    cells = {x: repr(x) for x in set(blocks.ravel().tolist())}
     p_z_cells = [repr(p_z) for p_z in p_z_values.tolist()]
     cut_cells = [repr(cut) for cut in channel.cuts.tolist()]
-    best = (-math.inf, (0.5, 0.1, 0.7, 0.15, 0.9))
-    rows: list[str] = []
+    parts = ["stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real"]
     for start in range(0, len(blocks), CHUNK_BLOCKS):
-        chunk = blocks[start:start + CHUNK_BLOCKS]
-        row_best, cut_idx = channel.objective(chunk, p_z_values)
-        # Rows are block-major, p_z-minor. The first maximum of the whole
-        # grid wins: argmax takes the first within a chunk, and a later
-        # chunk wins only when strictly greater.
-        row = int(np.argmax(row_best))
-        if row_best[row] > best[0]:
-            block, j = divmod(row, len(p_z_values))
-            best = (float(row_best[row]), (*chunk[block].tolist(), float(p_z_values[j])))
-        if traced:
-            # Cells are Python-float reprs; each block's, p_z value's and
-            # cut's formatted once.
-            heads = [
-                head + p_z
-                for head in ("coarse,%r,%r,%r,%r," % tuple(b) for b in chunk.tolist())
-                for p_z in p_z_cells
-            ]
-            rows.extend(map(",".join, zip(
-                heads, [cut_cells[i] for i in cut_idx.tolist()], map(repr, row_best.tolist())
-            )))
-    return (*best, rows)
+        chunk = blocks[start:start + CHUNK_BLOCKS].tolist()
+        heads = [head + p_z for head in ("coarse,%s,%s,%s,%s," % tuple(map(cells.get, b))
+                                         for b in chunk) for p_z in p_z_cells]
+        rows = slice(start * len(p_z_cells), (start + len(chunk)) * len(p_z_cells))
+        parts.append("\n".join(map(",".join, zip(
+            heads, map(cut_cells.__getitem__, cut_idx[rows].tolist()), map(repr, values[rows].tolist())
+        ))))
+    return "\n".join(parts + [""])  # one copy, ending in a newline
 
 
-def _fork_shard(
-    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray, traced: bool
-) -> tuple[int, BinaryIO]:
-    """Run _coarse_shard in a forked child; returns its pid and the read end
-    of the pipe that carries its pickled result. The child leaves only
-    through os._exit, with status 0 once the whole result is written."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork is missing."""
+    forks = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    return len(os.sched_getaffinity(0)) if forks else 1
+
+
+@contextmanager
+def _children() -> Iterator[dict[int, BinaryIO]]:
+    """Map of forked children not yet joined, pid to result pipe; each one
+    left when the block exits, normally or not, is killed and reaped."""
+    children: dict[int, BinaryIO] = {}
+    try:
+        yield children
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(children: dict[int, BinaryIO], fn, *args) -> int:
+    """Run fn(*args) in a forked child, entered in children with the read
+    end of the pipe that carries its pickled result; returns its pid. The
+    child leaves only through os._exit, with status 0 once the whole result
+    is written."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError as exc:
         os.close(read_fd)
         os.close(write_fd)
-        raise CoarseSearchError(f"cannot fork a coarse search worker: {exc}") from exc
+        raise CoarseSearchError(f"cannot fork an optimizer worker: {exc}") from exc
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(
-                _coarse_shard(channel, blocks, p_z_values, traced), pickle.HIGHEST_PROTOCOL
-            )
+            payload = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             status = 0
@@ -434,55 +457,49 @@ def _fork_shard(
         finally:
             os._exit(status)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    children[pid] = open(read_fd, "rb")
+    return pid
+
+
+def _join(children: dict[int, BinaryIO], pid: int):
+    """Result of the forked child pid, which is reaped and leaves children."""
+    with children[pid] as pipe:
+        # Drain the pipe before waiting: a child blocks on a full pipe.
+        payload = pipe.read()
+    # Unpickle while the child exits; a bad payload is reported after the
+    # exit status, which explains it when the child failed.
+    try:
+        result, error = pickle.loads(payload), None
+    except (EOFError, pickle.UnpicklingError) as exc:
+        result, error = None, exc
+    _, status = os.waitpid(pid, 0)
+    del children[pid]
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise CoarseSearchError(f"optimizer worker {pid} failed (exit status {code})")
+    if error is not None:
+        raise CoarseSearchError(
+            f"optimizer worker {pid} sent an incomplete result ({len(payload)} bytes)"
+        ) from error
+    return result
 
 
 def _coarse_search(
-    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray, traced: bool
-) -> tuple[float, tuple[float, ...], list[str]]:
+    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """_coarse_shard over the whole grid, split into contiguous runs of
-    chunks, one per available CPU. The first run is evaluated here, each
-    other one in a forked child; results are merged in grid order, a later
-    run winning only when strictly greater, so the outcome and the trace
-    rows do not depend on the number of CPUs. No child outlives the call."""
+    chunks, one per usable CPU. The first run is evaluated here, each other
+    one in a forked child; the results are joined in grid order, so they do
+    not depend on the number of CPUs. No child outlives the call."""
     n_chunks = -(-len(blocks) // CHUNK_BLOCKS)
-    n_shards = 1
-    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
-        n_shards = min(len(os.sched_getaffinity(0)), n_chunks)
+    n_shards = min(_usable_cpus(), n_chunks)
     edges = [CHUNK_BLOCKS * (n_chunks * i // n_shards) for i in range(n_shards + 1)]
     shards = [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    workers: list[tuple[int, BinaryIO]] = []
-    reaped: set[int] = set()
-    try:
-        for shard in shards[1:]:
-            workers.append(_fork_shard(channel, shard, p_z_values, traced))
-        results = [_coarse_shard(channel, shards[0], p_z_values, traced)]
-        for pid, pipe in workers:
-            # Drain the pipe before waiting: a child blocks on a full pipe.
-            payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            reaped.add(pid)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise CoarseSearchError(f"coarse search worker {pid} failed (exit status {code})")
-            try:
-                results.append(pickle.loads(payload))
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise CoarseSearchError(
-                    f"coarse search worker {pid} sent an incomplete result ({len(payload)} bytes)"
-                ) from exc
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    value, cand, rows = results[0]
-    for shard_value, shard_cand, shard_rows in results[1:]:
-        if shard_value > value:
-            value, cand = shard_value, shard_cand
-        rows += shard_rows
-    return value, cand, rows
+    with _children() as children:
+        pids = [_fork(children, _coarse_shard, channel, shard, p_z_values) for shard in shards[1:]]
+        results = [_coarse_shard(channel, shards[0], p_z_values)]
+        results += [_join(children, pid) for pid in pids]
+    return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 
 def optimize_pass(
@@ -503,24 +520,32 @@ def optimize_pass(
     """
     config = config or OptimizerConfig()
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
-    value, cand, trace_rows = _coarse_search(
-        channel, _coarse_blocks(config, n_decoys),
-        np.linspace(*P_Z_BOX, config.coarse_grid_steps), traced=trace_path is not None,
-    )
-    point, _ = _refine(
-        lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
-        dict(zip(PARAM_NAMES, cand)), value, n_decoys, config,
-    )
-    values = [point[k] for k in PARAM_NAMES]
-    best, cut_idx = channel.objective(np.array([values[:4]]), np.array([values[4:]]))
-    value = float(best[0])
-    params = ParamVector(
-        *(float(v) for v in values), min_elevation_deg=float(channel.cuts[cut_idx[0]])
-    )
-    if trace_path is not None:
-        trace_rows.append("final,%r,%r,%r,%r,%r,%r,%r" % (*astuple(params), value))
-        header = "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n"
-        Path(trace_path).write_text(header + "\n".join(trace_rows) + "\n")
+    blocks = _coarse_blocks(config, n_decoys)
+    p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
+    values, cut_idx = _coarse_search(channel, blocks, p_z_values)
+    # The first maximum in grid order wins.
+    row = int(np.argmax(values))
+    block, j = divmod(row, len(p_z_values))
+    start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
+    coarse = (channel, blocks, p_z_values, values, cut_idx)
+    with _children() as children:
+        # With a CPU to spare, a child formats the coarse trace while the
+        # refinement runs here.
+        forked = trace_path is not None and _usable_cpus() > 1
+        writer = _fork(children, _trace_text, *coarse) if forked else None
+        point, _ = _refine(
+            lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
+            start, float(values[row]), n_decoys, config,
+        )
+        final = [point[k] for k in PARAM_NAMES]
+        best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
+        value = float(best[0])
+        params = ParamVector(*final, min_elevation_deg=float(channel.cuts[best_cut[0]]))
+        if trace_path is not None:
+            text = _join(children, writer) if forked else _trace_text(*coarse)
+            # CPython appends in place once this line has run a few times.
+            text += "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value)
+            Path(trace_path).write_text(text)
     result = evaluate_params(pass_geometry, hardware, security, n_decoys, params)
     return params, result
 

@@ -2,6 +2,7 @@
 import csv
 import os
 import pickle
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,87 @@ class TestShardedCoarseSearch:
         monkeypatch.setattr(optimizer, "_coarse_shard", fails_in_parent)
         with pytest.raises(KeyboardInterrupt):
             self.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        _assert_no_child_left()
+
+
+class TestTraceWriter:
+    """With more than one usable CPU, a forked child formats the coarse
+    trace while the calling process refines."""
+
+    @staticmethod
+    def counted_forks(monkeypatch) -> list[int]:
+        forks: list[int] = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    @pytest.mark.parametrize("fault", ["raises", "exits_silently", "truncated"])
+    def test_failed_writer_raises_internal_error(self, fault, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A writer that fails, sends nothing or sends part of the trace
+        fails the call with an error that is not a ValueError, and writes
+        no trace."""
+        parent = os.getpid()
+        trace_text, dumps = optimizer._trace_text, pickle.dumps
+
+        def faulty_trace_text(*args):
+            if os.getpid() != parent:
+                if fault == "raises":
+                    raise RuntimeError("writer failure")
+                if fault == "exits_silently":
+                    os._exit(0)
+            return trace_text(*args)
+
+        def truncating_dumps(obj, *args):
+            # Only the writer sends a str; the coarse shards' arrays pass.
+            return dumps(obj, *args)[:-7] if isinstance(obj, str) else dumps(obj, *args)
+
+        forks = self.counted_forks(monkeypatch)
+        monkeypatch.setattr(optimizer, "_trace_text", faulty_trace_text)
+        if fault == "truncated":
+            monkeypatch.setattr(pickle, "dumps", truncating_dumps)
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(CoarseSearchError) as info:
+            TestShardedCoarseSearch.run(snspd, coarse_pass, trace)
+        assert not isinstance(info.value, ValueError)
+        assert len(forks) == 2  # one coarse shard, then the writer
+        assert not trace.exists()
+        _assert_no_child_left()
+
+    def test_interrupt_during_refinement_reaps_writer(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """An interrupt in the calling process while it refines kills and
+        reaps the writer, here one that would not finish for a minute."""
+        parent = os.getpid()
+
+        def hanging_trace_text(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+
+        def interrupted_refine(*args):
+            raise KeyboardInterrupt
+
+        forks = self.counted_forks(monkeypatch)
+        monkeypatch.setattr(optimizer, "_trace_text", hanging_trace_text)
+        monkeypatch.setattr(optimizer, "_refine", interrupted_refine)
+        with pytest.raises(KeyboardInterrupt):
+            TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_untraced_call_forks_only_coarse_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        forks = self.counted_forks(monkeypatch)
+        untraced = optimize_pass(coarse_pass, snspd.hardware(), snspd.security, 2, FAST)
+        assert len(forks) == 1
+        traced = optimize_pass(
+            coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=tmp_path / "t.csv"
+        )
+        assert len(forks) == 3
+        assert repr(untraced) == repr(traced)
         _assert_no_child_left()
 
 
