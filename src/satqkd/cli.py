@@ -296,21 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"satqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True, seeded=False):
+    def common(p, scenario=True, seeded=False, tabular=False):
         if scenario:
             p.add_argument("--scenario", required=True,
                            help="scenario JSON path, or bundled:<name>")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if tabular:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("pass", help="Elevation/range time series of the pass.")
-    common(p)
+    common(p, tabular=True)
     p.set_defaults(func=cmd_pass)
 
     p = sub.add_parser("budget", help="Per-sample link budget breakdown.")
-    common(p)
+    common(p, tabular=True)
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("skl", help="Secure key length at fixed protocol parameters.")
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep-elevation", help="Optimized SKL vs pass peak elevation.")
-    common(p)
+    common(p, tabular=True)
     p.add_argument("--max-elevations", default="30,40,50,60,70,80,90",
                    help="comma-separated peak elevations in degrees")
     p.set_defaults(func=cmd_sweep_elevation)

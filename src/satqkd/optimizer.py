@@ -28,9 +28,11 @@ order, so the chosen parameters and the trace are the same on any number
 of CPUs. When a trace is asked for and more than one CPU is usable, one
 more child, forked the same way, formats the trace's coarse rows while the
 calling process refines; the calling process then appends the final row
-and writes the file. On one CPU the same formatting runs inline. The
-children run only elementwise numpy code and string formatting, never
-BLAS, whose thread pool a fork does not carry over.
+and writes the file. On one CPU the same formatting runs inline. A whole
+pickled result is the only sign of a child's success that is read, and
+every child of a pass is killed, if still running, and reaped when the
+pass ends. The children run only elementwise numpy code and string
+formatting, never BLAS, whose thread pool a fork does not carry over.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import signal
 import traceback
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import BinaryIO
 
@@ -420,8 +422,9 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _children() -> Iterator[dict[int, BinaryIO]]:
-    """Map of forked children not yet joined, pid to result pipe; each one
-    left when the block exits, normally or not, is killed and reaped."""
+    """Map of forked children, pid to result pipe. When the block exits,
+    normally or not, every child is killed, if it is still running, and
+    reaped: this is the one place that ends children."""
     children: dict[int, BinaryIO] = {}
     try:
         yield children
@@ -435,8 +438,8 @@ def _children() -> Iterator[dict[int, BinaryIO]]:
 def _fork(children: dict[int, BinaryIO], fn, *args) -> int:
     """Run fn(*args) in a forked child, entered in children with the read
     end of the pipe that carries its pickled result; returns its pid. The
-    child leaves only through os._exit, with status 0 once the whole result
-    is written."""
+    child writes the pickle only once fn has returned, then leaves through
+    os._exit at once, so a whole pickle means it succeeded."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -462,43 +465,34 @@ def _fork(children: dict[int, BinaryIO], fn, *args) -> int:
 
 
 def _join(children: dict[int, BinaryIO], pid: int):
-    """Result of the forked child pid, which is reaped and leaves children."""
+    """Result of the forked child pid, read from its pipe to the end. An
+    empty or truncated pickle means the child failed; the child itself is
+    left for _children to reap, without waiting for it to exit."""
     with children[pid] as pipe:
-        # Drain the pipe before waiting: a child blocks on a full pipe.
         payload = pipe.read()
-    # Unpickle while the child exits; a bad payload is reported after the
-    # exit status, which explains it when the child failed.
     try:
-        result, error = pickle.loads(payload), None
+        return pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError) as exc:
-        result, error = None, exc
-    _, status = os.waitpid(pid, 0)
-    del children[pid]
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise CoarseSearchError(f"optimizer worker {pid} failed (exit status {code})")
-    if error is not None:
         raise CoarseSearchError(
             f"optimizer worker {pid} sent an incomplete result ({len(payload)} bytes)"
-        ) from error
-    return result
+        ) from exc
 
 
 def _coarse_search(
-    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray
+    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray,
+    children: dict[int, BinaryIO], n_cpus: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_coarse_shard over the whole grid, split into contiguous runs of
-    chunks, one per usable CPU. The first run is evaluated here, each other
-    one in a forked child; the results are joined in grid order, so they do
-    not depend on the number of CPUs. No child outlives the call."""
+    chunks, one per CPU of n_cpus. The first run is evaluated here, each
+    other one in a child forked into children; the results are joined in
+    grid order, so they do not depend on the number of CPUs."""
     n_chunks = -(-len(blocks) // CHUNK_BLOCKS)
-    n_shards = min(_usable_cpus(), n_chunks)
+    n_shards = min(n_cpus, n_chunks)
     edges = [CHUNK_BLOCKS * (n_chunks * i // n_shards) for i in range(n_shards + 1)]
     shards = [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    with _children() as children:
-        pids = [_fork(children, _coarse_shard, channel, shard, p_z_values) for shard in shards[1:]]
-        results = [_coarse_shard(channel, shards[0], p_z_values)]
-        results += [_join(children, pid) for pid in pids]
+    pids = [_fork(children, _coarse_shard, channel, shard, p_z_values) for shard in shards[1:]]
+    results = [_coarse_shard(channel, shards[0], p_z_values)]
+    results += [_join(children, pid) for pid in pids]
     return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 
@@ -522,16 +516,17 @@ def optimize_pass(
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
     blocks = _coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
-    values, cut_idx = _coarse_search(channel, blocks, p_z_values)
-    # The first maximum in grid order wins.
-    row = int(np.argmax(values))
-    block, j = divmod(row, len(p_z_values))
-    start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-    coarse = (channel, blocks, p_z_values, values, cut_idx)
+    n_cpus = _usable_cpus()
     with _children() as children:
+        values, cut_idx = _coarse_search(channel, blocks, p_z_values, children, n_cpus)
+        # The first maximum in grid order wins.
+        row = int(np.argmax(values))
+        block, j = divmod(row, len(p_z_values))
+        start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
+        coarse = (channel, blocks, p_z_values, values, cut_idx)
         # With a CPU to spare, a child formats the coarse trace while the
         # refinement runs here.
-        forked = trace_path is not None and _usable_cpus() > 1
+        forked = trace_path is not None and n_cpus > 1
         writer = _fork(children, _trace_text, *coarse) if forked else None
         point, _ = _refine(
             lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
@@ -546,8 +541,8 @@ def optimize_pass(
             # CPython appends in place once this line has run a few times.
             text += "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value)
             Path(trace_path).write_text(text)
-    result = evaluate_params(pass_geometry, hardware, security, n_decoys, params)
-    return params, result
+        # Children still exiting do so while the scalar path runs.
+        return params, evaluate_params(pass_geometry, hardware, security, n_decoys, params)
 
 
 def evaluate_params(
@@ -627,16 +622,6 @@ def sweep_max_elevation(
         station = GroundStation(min_elevation_deg=min_elevation_deg, max_elevation_deg=max_elev)
         pass_geometry = synth_pass(orbit, station, sample_dt_s)
         params, result = optimize_pass(pass_geometry, hardware, security, n_decoys, config)
-        rows.append(
-            {
-                "max_elevation_deg": float(max_elev),
-                "skl_bits": float(result.skl_bits),
-                "mu": params.mu,
-                "nu": params.nu,
-                "p_mu": params.p_mu,
-                "p_nu": params.p_nu,
-                "p_z": params.p_z,
-                "min_elevation_deg": params.min_elevation_deg,
-            }
-        )
+        rows.append({"max_elevation_deg": float(max_elev), "skl_bits": float(result.skl_bits),
+                     **asdict(params)})
     return rows

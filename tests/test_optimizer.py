@@ -347,6 +347,25 @@ class TestTraceWriter:
         assert repr(untraced) == repr(traced)
         _assert_no_child_left()
 
+    def test_pass_does_not_wait_for_children_to_exit(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A child that has sent its whole result but lingers before it
+        exits, here for 20 s, holds up neither the result nor the trace:
+        the call reads the result and ends the child when the pass ends."""
+        parent, exit_ = os.getpid(), os._exit
+
+        def lingering_exit(status):
+            if os.getpid() != parent:
+                time.sleep(20)
+            exit_(status)
+
+        forks = self.counted_forks(monkeypatch)
+        monkeypatch.setattr(os, "_exit", lingering_exit)
+        start = time.perf_counter()
+        TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        assert time.perf_counter() - start < 10.0
+        assert len(forks) == 2
+        _assert_no_child_left()
+
 
 class TestPointwiseProfile:
     def test_profile_shape(self, snspd):

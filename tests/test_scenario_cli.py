@@ -470,6 +470,17 @@ class TestCliCommands:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["skl", "--scenario", "bundled:snspd_pol_2decoy"],
+        ["optimize", "--scenario", "bundled:snspd_pol_2decoy"],
+        ["mc-validate", "--scenario", "bundled:snspd_pol_2decoy"],
+        ["relay-demo"],
+    ])
+    def test_format_rejected_on_commands_without_a_table(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_mc_validate(self, tmp_path, snspd_doc):
         scenario_path = write_scenario(tmp_path, snspd_doc)
         out = tmp_path / "out"
