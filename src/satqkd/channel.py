@@ -203,6 +203,17 @@ def _wcp(k, eta_total, y0, e_mis_z, e_mis_x):
     return 1.0 - (1.0 - y0) * attenuation, 0.5 * y0 + e_mis_z * signal, 0.5 * y0 + e_mis_x * signal
 
 
+def one_photon_error(eta_total, y0: float, e_mis: float) -> np.ndarray:
+    """Error rate e1 = (Y0/2 + e_mis eta) / (1 - (1 - Y0)(1 - eta)) of a
+    one-photon pulse, the n = 1 term of _wcp's model: expanding D_k and
+    the errors of an intensity-k pulse over its Poisson photon numbers gives
+    the yield 1 - (1 - Y0)(1 - eta)^n and the errors Y0/2 + e_mis (1 -
+    (1 - eta)^n) of n photons. 0.5 where that yield is 0."""
+    eta = np.asarray(eta_total, dtype=float)
+    y1 = 1.0 - (1.0 - y0) * (1.0 - eta)
+    return np.divide(0.5 * y0 + e_mis * eta, y1, out=np.full(eta.shape, 0.5), where=y1 > 0.0)
+
+
 def pulse_gain(k: float, eta_total: float, y0: float):
     """Click probability of an intensity-k pulse: 1 - (1 - Y0) e^(-k eta)."""
     return _wcp(k, eta_total, y0, 0.0, 0.0)[0]
@@ -244,14 +255,23 @@ def presift_rows(eta, mu, nu, p_mu, p_nu, p_vac, source: SourceSpec, det: Detect
     return clicks, p * err_z, p * err_x, f_dead
 
 
+def basis_rows(clicks, errors, p_z_alice, p_z_bob, basis: str) -> dict[str, np.ndarray]:
+    """The TALLY_FIELDS of one basis ("z" or "x"): its presift clicks and
+    errors, each iterated over its intensity axis, times the probability
+    that both sides pick that basis."""
+    if basis == "z":
+        sift = p_z_alice * p_z_bob
+    else:
+        sift = (1.0 - p_z_alice) * (1.0 - p_z_bob)
+    names = [name for name in TALLY_FIELDS if name[2] == basis]  # n_b_mu, ..., m_b_vac
+    return {name: row * sift for name, row in zip(names, (*clicks, *errors))}
+
+
 def sifted_rows(clicks, errors_z, errors_x, p_z_alice, p_z_bob) -> dict[str, np.ndarray]:
     """TALLY_FIELDS mapped to their presift rows times the basis-sifting
     probability; each presift argument is iterated over its intensity axis."""
-    sift_z = p_z_alice * p_z_bob
-    sift_x = (1.0 - p_z_alice) * (1.0 - p_z_bob)
-    rows = (*clicks, *clicks, *errors_z, *errors_x)
-    sifts = (sift_z,) * 3 + (sift_x,) * 3 + (sift_z,) * 3 + (sift_x,) * 3
-    return {name: row * sift for name, row, sift in zip(TALLY_FIELDS, rows, sifts)}
+    return {**basis_rows(clicks, errors_z, p_z_alice, p_z_bob, "z"),
+            **basis_rows(clicks, errors_x, p_z_alice, p_z_bob, "x")}
 
 
 def _check_breakdowns(pass_geometry: PassGeometry, breakdowns: np.recarray) -> None:

@@ -24,6 +24,22 @@ the correction gamma(a, b, c, d) with the protocol's epsilon budget. A
 Monte Carlo oracle with true photon-number tags gates these bounds in the
 test suite.
 
+The array kernel has two halves, which `skl_real_arrays` and
+`_estimate_arrays` both call. `_z_half` gives the Z totals, the clipped
+s_Z0 and s_Z1 and the Z part of the usability check; `_x_half` gives the X
+bounds, the gamma transfer, phi and the abort mask. From the Z half and
+lambda_EC alone, B = s_Z0 + s_Z1 (1 - h(phi_f)) - lambda_EC - penalties,
+plus a rounding slack of 1e-9 |B| + 1 bit, bounds l from above wherever the
+kernel does not abort, for any floor phi_f on the expected tallies' true
+one-photon X error rates e1 = (Y0/2 + e_mis eta) / (1 - (1 - Y0)(1 - eta))
+(see `channel.one_photon_error`): such a block has phi <= 1/2 and phi >=
+v_X1 / s_X1, which is at least the true pooled one-photon X error rate
+because the decoy bounds are one-sided on exact expected tallies (the
+dead-time factor scales every intensity of a sample alike); that rate is a
+weighted mean of the per-sample e1, so at least their minimum; h increases
+on [0, 1/2], s_Z1 >= 0, and every other term is the one l has. The
+optimizer's coarse grid prunes with B.
+
 All estimator arithmetic is written against numpy so the whole-pass
 optimizer can evaluate many candidate blocks in one call. The array
 functions take arrays of at least one dimension and build each
@@ -152,13 +168,24 @@ def emission_tau(intensities, probabilities, n: int):
     """
     if n < 0:
         raise FiniteKeyError(f"photon number must be >= 0, got {n}")
+    k, weights = _poisson_weights(intensities, probabilities)
+    fact = float(math.factorial(n))
+    return _plain(sum(w * k_i**n / fact for k_i, w in zip(k, weights)))
+
+
+def _poisson_weights(intensities, probabilities) -> tuple[list, list]:
+    """The intensities k of a mixture and its weights p_k e^(-k), once the
+    probabilities are checked to sum to 1."""
     k = [np.asarray(x, dtype=float) for x in intensities]
     p = [np.asarray(x, dtype=float) for x in probabilities]
     if np.any(np.abs(sum(p) - 1.0) > 1e-9):
         raise FiniteKeyError(f"intensity probabilities must sum to 1, got {sum(p)}")
-    fact = float(math.factorial(n))
-    total = sum(p_i * np.exp(-k_i) * k_i**n / fact for k_i, p_i in zip(k, p))
-    return float(total) if total.ndim == 0 else total
+    return k, [p_i * np.exp(-k_i) for k_i, p_i in zip(k, p)]
+
+
+def _plain(x):
+    """A float for a 0-d array, the array otherwise."""
+    return float(x) if x.ndim == 0 else x
 
 
 def _gamma_transfer(a: float, b, c, d, budget: int):
@@ -187,12 +214,13 @@ def _gamma_transfer(a: float, b, c, d, budget: int):
     return gamma
 
 
-def _basis_bounds(t: dict[str, np.ndarray], b: str, mu, nu, scale, tau0, tau1, eps1) -> dict:
-    """Decoy bounds of one basis b ("z" or "x") over arrays of tally blocks.
+def _basis_bounds(t: dict[str, np.ndarray], b: str, d: dict) -> dict:
+    """Decoy bounds of one basis b ("z" or "x") over arrays of tally blocks,
+    with the constants d of _decoy_setup.
 
     Each count is shifted by the Hoeffding delta of its basis total and
-    rescaled by e^k / p_k; `scale` holds e^mu / p_mu, e^nu / p_nu and
-    1 / p_vac, the last None without a vacuum intensity. Returns the basis
+    rescaled by s_k = e^k / p_k (s_vac is None without a vacuum intensity).
+    Returns the basis
     totals n and m, the error-based zero-photon upper bound s0_up, the
     zero- and one-photon lower bounds s0 and s1, and, for X only, the
     one-photon error upper bound v1.
@@ -203,9 +231,10 @@ def _basis_bounds(t: dict[str, np.ndarray], b: str, mu, nu, scale, tau0, tau1, e
     n += n_vac
     m = m_mu + m_nu
     m += m_vac
-    d_n = hoeffding_delta(n, eps1)
-    d_m = hoeffding_delta(m, eps1)
-    s_mu, s_nu, s_vac = scale
+    mu, nu, tau0, tau1 = d["mu"], d["nu"], d["tau0"], d["tau1"]
+    d_n = hoeffding_delta(n, d["eps1"])
+    d_m = hoeffding_delta(m, d["eps1"])
+    s_mu, s_nu, s_vac = d["s_mu"], d["s_nu"], d["s_vac"]
     n_mu_up = n_mu + d_n
     n_mu_up *= s_mu
     n_nu_low = n_nu - d_n
@@ -282,6 +311,62 @@ def _basis_bounds(t: dict[str, np.ndarray], b: str, mu, nu, scale, tau0, tau1, e
     return {"n": n, "m": m, "s0_up": s0_up, "s0": s0, "s1": s1, "v1": v1}
 
 
+def _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security: SecurityParams, n_decoys: int) -> dict:
+    """Per-candidate constants of both kernel halves: the intensities, tau0,
+    tau1 and the count scales s_k = e^k / p_k (s_vac None for the one-decoy
+    protocol), each shaped like the parameters, and the scalars budget and
+    eps1, the epsilon budget's per-invocation share."""
+    budget = EPSILON_BUDGET[n_decoys]
+    k, weights = _poisson_weights([mu, nu, 0.0][: n_decoys + 1], [p_mu, p_nu, p_vac][: n_decoys + 1])
+    return {
+        "mu": mu,
+        "nu": nu,
+        # emission_tau for n = 0 and 1, whose k^n / n! leave each term as is
+        "tau0": _plain(sum(weights)),
+        "tau1": _plain(sum(w * k_i for k_i, w in zip(k, weights))),
+        "s_mu": np.exp(mu) / p_mu,
+        "s_nu": np.exp(nu) / p_nu,
+        "s_vac": 1.0 / p_vac if n_decoys == 2 else None,
+        "budget": budget,
+        "eps1": security.eps_sec / budget,
+    }
+
+
+def _z_half(t: dict[str, np.ndarray], d: dict) -> dict:
+    """Z half of the kernel: the Z totals n_z and m_z, the clipped lower
+    bounds s_z0_low and s_z1_low, the Z part `z_ok` of the usability
+    check, and s_z0_up. Reads only the Z fields of t."""
+    z = _basis_bounds(t, "z", d)
+    z_ok = z["s1"] > 0.0
+    z_ok &= z["n"] > 0.0
+    s_z0 = np.clip(z["s0"], 0.0, z["n"], out=z["s0"])
+    s_z1 = np.clip(z["s1"], 0.0, z["n"] - s_z0, out=z["s1"])
+    return {"n_z": z["n"], "m_z": z["m"], "s_z0_low": s_z0, "s_z1_low": s_z1, "z_ok": z_ok,
+            "s_z0_up": z["s0_up"]}
+
+
+def _x_half(t: dict[str, np.ndarray], z: dict, d: dict, security: SecurityParams) -> dict:
+    """X half of the kernel: s_x1_low, v_x1_up, the phase-error bound
+    phi_up through the gamma transfer, and the `aborted` mask. Reads the X
+    fields of t and z's s_z1_low and z_ok."""
+    x = _basis_bounds(t, "x", d)
+    usable = x["s1"] > 0.0
+    usable &= z["z_ok"]
+    s_x1 = np.clip(x["s1"], 0.0, x["n"], out=x["s1"])
+    v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
+
+    ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
+    np.divide(v_x1, ratio, out=ratio)
+    np.copyto(ratio, 1.0, where=~usable)
+    phi = _gamma_transfer(security.eps_sec, ratio, z["s_z1_low"], s_x1, d["budget"])
+    phi += ratio
+    bad = ~np.isfinite(phi)
+    aborted = ~usable | (phi > 0.5) | bad
+    np.copyto(phi, 1.0, where=bad)
+    np.clip(phi, 0.0, 0.5, out=phi)
+    return {"s_x1_low": s_x1, "v_x1_up": v_x1, "phi_up": phi, "aborted": aborted}
+
+
 def _estimate_arrays(
     t: dict[str, np.ndarray],
     mu,
@@ -300,42 +385,17 @@ def _estimate_arrays(
     s_z1_low, s_x1_low, v_x1_up, phi_up, tau0, tau1, the Z totals n_z and
     m_z and an `aborted` mask.
     """
-    budget = EPSILON_BUDGET[n_decoys]
-    eps1 = security.eps_sec / budget
-    intensities, probs = [mu, nu, 0.0][: n_decoys + 1], [p_mu, p_nu, p_vac][: n_decoys + 1]
-    tau0 = emission_tau(intensities, probs, 0)
-    tau1 = emission_tau(intensities, probs, 1)
-    # e^k / p_k per intensity; the vacuum term exists only with two decoys.
-    scale = (np.exp(mu) / p_mu, np.exp(nu) / p_nu, 1.0 / p_vac if n_decoys == 2 else None)
-    z, x = (_basis_bounds(t, b, mu, nu, scale, tau0, tau1, eps1) for b in "zx")
-
-    usable = (z["s1"] > 0.0) & (x["s1"] > 0.0) & (z["n"] > 0.0)
-    s_z0 = np.clip(z["s0"], 0.0, z["n"], out=z["s0"])
-    s_z1 = np.clip(z["s1"], 0.0, z["n"] - s_z0, out=z["s1"])
-    s_x1 = np.clip(x["s1"], 0.0, x["n"], out=x["s1"])
-    v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
-
-    ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
-    np.divide(v_x1, ratio, out=ratio)
-    np.copyto(ratio, 1.0, where=~usable)
-    phi = _gamma_transfer(security.eps_sec, ratio, s_z1, s_x1, budget)
-    phi += ratio
-    bad = ~np.isfinite(phi)
-    aborted = ~usable | (phi > 0.5) | bad
-    np.copyto(phi, 1.0, where=bad)
-    np.clip(phi, 0.0, 0.5, out=phi)
+    d = _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
+    z = _z_half(t, d)
     return {
-        "s_z0_low": s_z0,
-        "s_z1_low": s_z1,
-        "s_x1_low": s_x1,
-        "v_x1_up": v_x1,
-        "phi_up": phi,
-        "tau0": tau0,
-        "tau1": tau1,
-        "n_z": z["n"],
-        "m_z": z["m"],
-        "aborted": aborted,
-        "s_z0_up": z["s0_up"] if n_decoys == 1 else None,
+        **_x_half(t, z, d, security),
+        "s_z0_low": z["s_z0_low"],
+        "s_z1_low": z["s_z1_low"],
+        "tau0": d["tau0"],
+        "tau1": d["tau1"],
+        "n_z": z["n_z"],
+        "m_z": z["m_z"],
+        "s_z0_up": z["s_z0_up"] if n_decoys == 1 else None,
     }
 
 
@@ -351,27 +411,34 @@ def skl_real_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unfloored key length and abort mask for arrays of tally blocks."""
     est = _estimate_arrays(t, mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
-    terms = _key_length(
-        est["s_z0_low"], est["s_z1_low"], est["phi_up"], est["n_z"], est["m_z"], security, n_decoys
-    )
-    l_real, aborted = terms["l_real"], est["aborted"]
+    _, lam_ec = _ec_leakage(est["n_z"], est["m_z"], security)
+    l_real = _key_length(est["s_z0_low"], est["s_z1_low"], est["phi_up"], lam_ec, security, n_decoys)
+    return _floored(l_real["l_real"], est["aborted"])
+
+
+def _floored(l_real: np.ndarray, aborted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l_real, aborted) with a non-positive length counted as an abort and
+    every aborted length set to 0.0, in place."""
     aborted |= l_real <= 0.0
     np.copyto(l_real, 0.0, where=aborted)
     return l_real, aborted
 
 
-def _key_length(s_z0, s_z1, phi, n_z, m_z, security: SecurityParams, n_decoys: int) -> dict:
-    """The key-length formula and its terms, elementwise over arrays
-    (ndim >= 1): l = s_Z0 + s_Z1 (1 - h(phi)) - f_ec n_Z h(Q_Z)
-    - 6 log2(b / eps_sec) - log2(2 / eps_corr), with Q_Z = m_Z / n_Z (0 when
-    n_Z = 0)."""
-    budget = EPSILON_BUDGET[n_decoys]
+def _ec_leakage(n_z, m_z, security: SecurityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Q_Z = m_Z / n_Z (0 when n_Z = 0) and lambda_EC = f_ec n_Z h(Q_Z)."""
     q_z = np.maximum(n_z, 1e-300)
     np.divide(m_z, q_z, out=q_z)
     np.copyto(q_z, 0.0, where=~(n_z > 0))
     lam_ec = security.f_ec * n_z
     lam_ec *= _entropy(q_z)
-    penalty_sec = 6.0 * np.log2(budget / security.eps_sec)
+    return q_z, lam_ec
+
+
+def _key_length(s_z0, s_z1, phi, lam_ec, security: SecurityParams, n_decoys: int) -> dict:
+    """The key-length formula and its terms, elementwise over arrays
+    (ndim >= 1): l = s_Z0 + s_Z1 (1 - h(phi)) - lambda_EC - 6 log2(b /
+    eps_sec) - log2(2 / eps_corr), with lambda_EC from _ec_leakage."""
+    penalty_sec = 6.0 * np.log2(EPSILON_BUDGET[n_decoys] / security.eps_sec)
     penalty_corr = np.log2(2.0 / security.eps_corr)
     one_minus_h_phi = _entropy(phi)
     np.subtract(1.0, one_minus_h_phi, out=one_minus_h_phi)
@@ -380,8 +447,6 @@ def _key_length(s_z0, s_z1, phi, n_z, m_z, security: SecurityParams, n_decoys: i
     l_real -= lam_ec
     l_real -= penalty_sec + penalty_corr
     return {
-        "q_z": q_z,
-        "lambda_ec": lam_ec,
         "penalty_sec": penalty_sec,
         "penalty_corr": penalty_corr,
         "one_minus_h_phi": one_minus_h_phi,
@@ -454,11 +519,13 @@ def secure_key_length(
                              f"take the epsilon budget of n_decoys={n_decoys}")
     if not 0.0 <= bounds.phi_z_up <= 1.0:
         raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
-    terms = _key_length(
-        *np.array([[bounds.s_z0_low], [bounds.s_z1_low], [bounds.phi_z_up],
-                   [tallies.n_z_total], [tallies.m_z_total]], dtype=float),
-        security, n_decoys,
+    s_z0, s_z1, phi, n_z, m_z = np.array(
+        [[bounds.s_z0_low], [bounds.s_z1_low], [bounds.phi_z_up],
+         [tallies.n_z_total], [tallies.m_z_total]], dtype=float,
     )
+    q_z, lam_ec = _ec_leakage(n_z, m_z, security)
+    terms = {"q_z": q_z, "lambda_ec": lam_ec,
+             **_key_length(s_z0, s_z1, phi, lam_ec, security, n_decoys)}
     term = {name: np.ravel(v)[0].item() for name, v in terms.items()}
     l_real = term["l_real"]
     aborted = bool(bounds.aborted or l_real <= 0.0)

@@ -12,13 +12,24 @@ the same samples.
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated in chunks of CHUNK_BLOCKS: per chunk, the per-sample detection
 statistics of every block are summed over the samples in descending
-elevation, which yields the tallies of every elevation cut at once, and one
-finite-key kernel call covers every block, p_z value and cut of the chunk.
-The refinement calls the same kernel with one row per candidate point: on
-each call it evaluates the point a golden-section step needs together with
-every point the next LOOKAHEAD steps could need, then replays the
-sequential steps from those values, so it visits the same points in about a
-quarter of the calls. The final evaluation is one more row.
+elevation, which yields the tallies of every elevation cut at once. A row
+of the grid is one block with one p_z value, a cell one row at one cut, and
+the search needs only each row's first maximum over its cells. So the
+coarse grid prunes within rows, exactly. The Z half of the finite-key
+kernel runs on every cell and gives the upper bound B of the key length
+(see `finitekey`) at the cut's phase-error floor: the smallest one-photon
+X error rate of the samples the cut keeps (0.5 if it keeps none). A cell
+that fails the Z checks or has B <= 0 is exactly 0.0. The X half runs on
+each row's cell of largest B, which gives an exact value L, and then only
+on the cells with B >= L: every other cell lies below L, so each row's
+value and cut, and the trace, are those of the full kernel bit for bit. The
+X halves of X_HALF_CHUNKS chunks share one call. The refinement calls the
+full kernel with one row per candidate point (pruning its 15-row calls cost
+more than it saved): on each call it evaluates the point a golden-section
+step needs together with every point the next LOOKAHEAD steps could need,
+then replays the sequential steps from those values, so it visits the same
+points in about a quarter of the calls. The final evaluation is one more
+row.
 
 The chunk list is split into contiguous runs, one per CPU this process may
 run on. The first run is evaluated in the calling process and each other
@@ -49,10 +60,25 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .channel import DetectorSpec, SourceSpec, expected_tallies, presift_rows, sifted_rows
+from .channel import (
+    DetectorSpec,
+    SourceSpec,
+    background_yield,
+    basis_rows,
+    expected_tallies,
+    one_photon_error,
+    presift_rows,
+    sifted_rows,
+)
 from .finitekey import (
     SecurityParams,
     SklResult,
+    _decoy_setup,
+    _ec_leakage,
+    _floored,
+    _key_length,
+    _x_half,
+    _z_half,
     asymptotic_rate,
     skl_from_tallies,
     skl_real_arrays,
@@ -75,6 +101,10 @@ LOOKAHEAD = 3
 # Coarse blocks per finite-key kernel call: large enough to amortise the
 # per-call overhead, small enough that a chunk's temporaries stay in cache.
 CHUNK_BLOCKS = 24
+# Coarse chunks whose X halves share kernel calls (see pruned_objective):
+# more chunks make fewer calls but hold more Z-half arrays at once. Two ran
+# faster than one and as fast as four, with less memory.
+X_HALF_CHUNKS = 2
 PARAM_NAMES = ("mu", "nu", "p_mu", "p_nu", "p_z")
 # Coordinates refined per protocol, and the span that scales each one's
 # golden-section tolerance.
@@ -203,17 +233,23 @@ class _PassChannel:
         # cut_kept[j]: number of samples with elevation >= cut j, the
         # leading run of the descending order
         self.cut_kept = len(elevations) - np.searchsorted(elevations[order], self.cuts, side="left")
+        # phi_floor[j]: the smallest one-photon X error rate of the samples
+        # cut j keeps, at most 0.5 (0.5 for a cut that keeps none), below
+        # the kernel's phase-error bound phi at cut j wherever it does not
+        # abort; see `finitekey`.
+        e1 = one_photon_error(
+            self.eta_sorted, background_yield(self.detector, self.template.pulse_rate_hz),
+            self.template.misalignment_x,
+        )
+        self.phi_floor = np.minimum.accumulate(np.append(0.5, e1))[self.cut_kept]
 
-    def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
-        """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z
-        values over the cut grid. p_z_values is either a 1-D grid crossed
-        with every block, giving rows block-major, or a column with one p_z
-        per block, giving one row per block; shape (rows, n_cuts).
+    def cut_sums(self, blocks: np.ndarray) -> np.ndarray:
+        """Presift rows of (mu, nu, p_mu, p_nu) blocks summed over the
+        samples each cut keeps: shape (9, blocks, n_cuts), the rows being
+        clicks, Z errors and X errors, each over (mu, nu, vac).
 
         The presift rows of every block are summed over the samples in
-        descending elevation, which gives the tallies of every cut at once;
-        the Z/X split is a sifting factor applied afterwards, so one presift
-        serves the whole p_z grid.
+        descending elevation, which gives the sums of every cut at once.
         """
         mu, nu, p_mu, p_nu = blocks.T
         clicks, err_z, err_x, f_dead = presift_rows(
@@ -226,18 +262,29 @@ class _PassChannel:
         running = np.empty(per_sample.shape[:-1] + (per_sample.shape[-1] + 1,))
         running[..., 0] = 0.0
         np.cumsum(per_sample, axis=-1, out=running[..., 1:])
-        cut = running[..., self.cut_kept][:, :, None, :]  # (9, blocks, 1, cuts)
+        return running[..., self.cut_kept]
+
+    def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
+        """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z
+        values over the cut grid. p_z_values is either a 1-D grid crossed
+        with every block, giving rows block-major, or a column with one p_z
+        per block, giving one row per block; shape (rows, n_cuts). The Z/X
+        split is a sifting factor applied to cut_sums, so one presift serves
+        the whole p_z grid.
+        """
+        cut = self.cut_sums(blocks)[:, :, None, :]  # (9, blocks, 1, cuts)
         p_z = np.asarray(p_z_values, dtype=float)[..., None]
-        per_block = p_z.shape[-2]
-        t = {
-            name: row.reshape(len(blocks) * per_block, -1)
-            for name, row in sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z).items()
-        }
-        mu, nu, p_mu, p_nu = (np.repeat(x, per_block)[:, None] for x in blocks.T)
-        l_real, _ = skl_real_arrays(
-            t, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys), self.security, self.n_decoys
-        )
+        t = {name: row.reshape(-1, len(self.cuts))
+             for name, row in sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z).items()}
+        columns = self._columns(blocks, p_z.shape[-2])
+        l_real, _ = skl_real_arrays(t, *columns, self.security, self.n_decoys)
         return l_real
+
+    def _columns(self, blocks: np.ndarray, per_block: int) -> list:
+        """Columns (mu, nu, p_mu, p_nu, p_vac) of the rows of blocks, each
+        block repeated per_block times; shape (rows, 1) each."""
+        mu, nu, p_mu, p_nu = (np.repeat(x, per_block)[:, None] for x in blocks.T)
+        return [mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys)]
 
     def objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best unfloored key length over the cut grid and its cut index,
@@ -246,6 +293,93 @@ class _PassChannel:
         l_real = self.skl_chunk(blocks, p_z_values)
         cut_idx = np.argmax(l_real, axis=1)
         return l_real[np.arange(len(l_real)), cut_idx], cut_idx
+
+    def pruned_objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """objective(blocks, p_z_values) for a 1-D p_z grid, the same values
+        and cut indices, with the X half of the kernel run only on the cells
+        (row, cut) that can still be their row's first maximum; see the
+        module docstring. The Z half runs CHUNK_BLOCKS blocks at a time; the
+        X half runs once on the probe cells of all of them and once on the
+        other candidates."""
+        stages = [self._z_stage(blocks[start:start + CHUNK_BLOCKS], p_z_values)
+                  for start in range(0, len(blocks), CHUNK_BLOCKS)]
+        values = [np.zeros(stage["bound"].shape) for stage in stages]
+        # Probe each row at its cut of largest bound; then only the cells
+        # whose bound reaches the probe's value can be the first maximum.
+        probes = []
+        for stage in stages:
+            bound = stage["bound"]
+            probe = np.argmax(bound, axis=1)
+            rows = np.flatnonzero(bound[np.arange(len(bound)), probe] > 0.0)
+            probes.append(rows * bound.shape[1] + probe[rows])
+        self._x_key(stages, probes, values, p_z_values)
+        cells = []
+        for stage, value, probe in zip(stages, values, probes):
+            # A bound of at least the smallest positive double is positive.
+            cand = stage.pop("bound") >= np.maximum(value.max(axis=1, keepdims=True), 5e-324)
+            cand.ravel()[probe] = False
+            cells.append(np.flatnonzero(cand))
+        self._x_key(stages, cells, values, p_z_values)
+        values = np.concatenate(values)
+        cut_idx = np.argmax(values, axis=1)
+        return values[np.arange(len(values)), cut_idx], cut_idx
+
+    def _z_stage(self, blocks: np.ndarray, p_z_values: np.ndarray) -> dict:
+        """Z half of the kernel over blocks crossed with a 1-D p_z grid:
+        "bound", the bound B of every cell (-inf where the Z checks fail);
+        "z", s_z0_low, s_z1_low and lambda_EC, flattened over the cells;
+        "x_sums", the X rows of cut_sums (clicks, then X errors), flattened
+        over (block, cut) and sifted only where the X half reads them;
+        "d", the constants of _decoy_setup, and "rows", its per-row arrays
+        stacked."""
+        cut = self.cut_sums(blocks)
+        p_z = p_z_values[:, None]
+        t = {name: row.reshape(-1, len(self.cuts))
+             for name, row in basis_rows(cut[0:3, :, None], cut[3:6, :, None], p_z, p_z, "z").items()}
+        d = _decoy_setup(*self._columns(blocks, len(p_z_values)), self.security, self.n_decoys)
+        z = _z_half(t, d)
+        del t
+        _, lam_ec = _ec_leakage(z["n_z"], z["m_z"], self.security)
+        bound = _key_length(z["s_z0_low"], z["s_z1_low"], self.phi_floor, lam_ec,
+                            self.security, self.n_decoys)["l_real"]
+        bound += 1e-9 * np.abs(bound) + 1.0  # rounding slack
+        np.copyto(bound, -np.inf, where=~z["z_ok"])
+        return {
+            "bound": bound,
+            "z": np.stack([z["s_z0_low"].ravel(), z["s_z1_low"].ravel(), lam_ec.ravel()]),
+            "x_sums": cut[[0, 1, 2, 6, 7, 8]].reshape(6, -1),
+            "d": d,
+            "rows": np.stack([value.ravel() for value in d.values() if np.ndim(value)]),
+        }
+
+    def _x_key(self, stages: list, cells: list, values: list, p_z_values: np.ndarray) -> None:
+        """Write into each stage's values the unfloored key length of its
+        flat cells: the X half of the kernel and the key-length formula, in
+        one call over the cells of every stage."""
+        n_cuts, per_block = len(self.cuts), len(p_z_values)
+        parts = []
+        for stage, c in zip(stages, cells):
+            rows = c // n_cuts
+            block = rows // per_block
+            parts.append((
+                stage["z"].take(c, axis=1),
+                stage["x_sums"].take(c - (rows - block) * n_cuts, axis=1),
+                stage["rows"].take(rows, axis=1),
+                p_z_values.take(rows - block * per_block),
+            ))
+        (s_z0, s_z1, lam_ec), sums, per_row, p_z = (
+            np.concatenate(arrays, axis=-1) for arrays in zip(*parts)
+        )
+        del parts
+        d = dict(stages[0]["d"])
+        d.update(zip([name for name, value in d.items() if np.ndim(value)], per_row))
+        # Every cell read here passed the Z checks.
+        x = _x_half(basis_rows(sums[0:3], sums[3:6], p_z, p_z, "x"),
+                    {"s_z1_low": s_z1, "z_ok": True}, d, self.security)
+        l_real = _key_length(s_z0, s_z1, x["phi_up"], lam_ec, self.security, self.n_decoys)["l_real"]
+        l_real = _floored(l_real, x["aborted"])[0]
+        for value, c, part in zip(values, cells, np.split(l_real, np.cumsum([len(c) for c in cells])[:-1])):
+            value.ravel()[c] = part
 
 
 def _p_vac(p_mu, p_nu, n_decoys: int):
@@ -387,8 +521,9 @@ def _coarse_shard(
     """Best unfloored key length and its cut index for every row of blocks
     crossed with p_z_values, block-major and p_z-minor, evaluated in chunks
     of CHUNK_BLOCKS."""
-    chunks = [channel.objective(blocks[start:start + CHUNK_BLOCKS], p_z_values)
-              for start in range(0, len(blocks), CHUNK_BLOCKS)]
+    step = CHUNK_BLOCKS * X_HALF_CHUNKS
+    chunks = [channel.pruned_objective(blocks[start:start + step], p_z_values)
+              for start in range(0, len(blocks), step)]
     return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
 
 
