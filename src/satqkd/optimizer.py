@@ -303,24 +303,25 @@ class _PassChannel:
         other candidates."""
         stages = [self._z_stage(blocks[start:start + CHUNK_BLOCKS], p_z_values)
                   for start in range(0, len(blocks), CHUNK_BLOCKS)]
-        values = [np.zeros(stage["bound"].shape) for stage in stages]
+        bound = np.concatenate([stage.pop("bound") for stage in stages])
+        z = {name: np.concatenate([stage[name] for stage in stages], axis=-1)
+             for name in ("z", "x_sums", "rows")}
+        z["d"] = stages[0]["d"]
+        del stages
+        values = np.zeros(bound.shape)
         # Probe each row at its cut of largest bound; then only the cells
         # whose bound reaches the probe's value can be the first maximum.
-        probes = []
-        for stage in stages:
-            bound = stage["bound"]
-            probe = np.argmax(bound, axis=1)
-            rows = np.flatnonzero(bound[np.arange(len(bound)), probe] > 0.0)
-            probes.append(rows * bound.shape[1] + probe[rows])
-        self._x_key(stages, probes, values, p_z_values)
-        cells = []
-        for stage, value, probe in zip(stages, values, probes):
-            # A bound of at least the smallest positive double is positive.
-            cand = stage.pop("bound") >= np.maximum(value.max(axis=1, keepdims=True), 5e-324)
-            cand.ravel()[probe] = False
-            cells.append(np.flatnonzero(cand))
-        self._x_key(stages, cells, values, p_z_values)
-        values = np.concatenate(values)
+        probe = np.argmax(bound, axis=1)
+        rows = np.flatnonzero(bound[np.arange(len(bound)), probe] > 0.0)
+        probe = rows * bound.shape[1] + probe[rows]
+        values.ravel()[probe] = self._x_key(z, probe, p_z_values)
+        # A bound of at least the smallest positive double is positive.
+        cand = bound >= np.maximum(values.max(axis=1, keepdims=True), 5e-324)
+        del bound
+        cand.ravel()[probe] = False
+        cells = np.flatnonzero(cand)
+        del cand
+        values.ravel()[cells] = self._x_key(z, cells, p_z_values)
         cut_idx = np.argmax(values, axis=1)
         return values[np.arange(len(values)), cut_idx], cut_idx
 
@@ -352,34 +353,24 @@ class _PassChannel:
             "rows": np.stack([value.ravel() for value in d.values() if np.ndim(value)]),
         }
 
-    def _x_key(self, stages: list, cells: list, values: list, p_z_values: np.ndarray) -> None:
-        """Write into each stage's values the unfloored key length of its
-        flat cells: the X half of the kernel and the key-length formula, in
-        one call over the cells of every stage."""
+    def _x_key(self, z: dict, cells: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
+        """Unfloored key length of the flat cells: the X half of the kernel
+        and the key-length formula on the cells' gathered arrays of the Z
+        stages z."""
         n_cuts, per_block = len(self.cuts), len(p_z_values)
-        parts = []
-        for stage, c in zip(stages, cells):
-            rows = c // n_cuts
-            block = rows // per_block
-            parts.append((
-                stage["z"].take(c, axis=1),
-                stage["x_sums"].take(c - (rows - block) * n_cuts, axis=1),
-                stage["rows"].take(rows, axis=1),
-                p_z_values.take(rows - block * per_block),
-            ))
-        (s_z0, s_z1, lam_ec), sums, per_row, p_z = (
-            np.concatenate(arrays, axis=-1) for arrays in zip(*parts)
-        )
-        del parts
-        d = dict(stages[0]["d"])
-        d.update(zip([name for name, value in d.items() if np.ndim(value)], per_row))
+        rows = cells // n_cuts
+        block = rows // per_block
+        s_z0, s_z1, lam_ec = z["z"].take(cells, axis=1)
+        sums = z["x_sums"].take(cells - (rows - block) * n_cuts, axis=1)
+        p_z = p_z_values.take(rows - block * per_block)
+        d = dict(z["d"])
+        d.update(zip([name for name, value in d.items() if np.ndim(value)],
+                     z["rows"].take(rows, axis=1)))
         # Every cell read here passed the Z checks.
         x = _x_half(basis_rows(sums[0:3], sums[3:6], p_z, p_z, "x"),
                     {"s_z1_low": s_z1, "z_ok": True}, d, self.security)
         l_real = _key_length(s_z0, s_z1, x["phi_up"], lam_ec, self.security, self.n_decoys)["l_real"]
-        l_real = _floored(l_real, x["aborted"])[0]
-        for value, c, part in zip(values, cells, np.split(l_real, np.cumsum([len(c) for c in cells])[:-1])):
-            value.ravel()[c] = part
+        return _floored(l_real, x["aborted"])[0]
 
 
 def _p_vac(p_mu, p_nu, n_decoys: int):
