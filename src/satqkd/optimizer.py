@@ -23,7 +23,7 @@ that fails the Z checks or has B <= 0 is exactly 0.0. The X half runs on
 each row's cell of largest B, which gives an exact value L, and then only
 on the cells with B >= L: every other cell lies below L, so each row's
 value and cut, and the trace, are those of the full kernel bit for bit. The
-X halves of X_HALF_CHUNKS chunks share one call. The refinement calls the
+X halves of X_HALF_CHUNKS chunks share their calls. The refinement calls the
 full kernel with one row per candidate point (pruning its 15-row calls cost
 more than it saved): on each call it evaluates the point a golden-section
 step needs together with every point the next LOOKAHEAD steps could need,
@@ -304,9 +304,9 @@ class _PassChannel:
         stages = [self._z_stage(blocks[start:start + CHUNK_BLOCKS], p_z_values)
                   for start in range(0, len(blocks), CHUNK_BLOCKS)]
         bound = np.concatenate([stage.pop("bound") for stage in stages])
-        z = {name: np.concatenate([stage[name] for stage in stages], axis=-1)
-             for name in ("z", "x_sums", "rows")}
-        z["d"] = stages[0]["d"]
+        group = {name: np.concatenate([stage[name] for stage in stages], axis=-1)
+                 for name in ("z", "x_sums", "rows")}
+        group["d"] = stages[0]["d"]
         del stages
         values = np.zeros(bound.shape)
         # Probe each row at its cut of largest bound; then only the cells
@@ -314,14 +314,14 @@ class _PassChannel:
         probe = np.argmax(bound, axis=1)
         rows = np.flatnonzero(bound[np.arange(len(bound)), probe] > 0.0)
         probe = rows * bound.shape[1] + probe[rows]
-        values.ravel()[probe] = self._x_key(z, probe, p_z_values)
+        values.ravel()[probe] = self._x_key(group, probe, p_z_values)
         # A bound of at least the smallest positive double is positive.
         cand = bound >= np.maximum(values.max(axis=1, keepdims=True), 5e-324)
         del bound
         cand.ravel()[probe] = False
         cells = np.flatnonzero(cand)
         del cand
-        values.ravel()[cells] = self._x_key(z, cells, p_z_values)
+        values.ravel()[cells] = self._x_key(group, cells, p_z_values)
         cut_idx = np.argmax(values, axis=1)
         return values[np.arange(len(values)), cut_idx], cut_idx
 
@@ -353,19 +353,19 @@ class _PassChannel:
             "rows": np.stack([value.ravel() for value in d.values() if np.ndim(value)]),
         }
 
-    def _x_key(self, z: dict, cells: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
+    def _x_key(self, group: dict, cells: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
         """Unfloored key length of the flat cells: the X half of the kernel
-        and the key-length formula on the cells' gathered arrays of the Z
-        stages z."""
+        and the key-length formula on the cells' entries of group, the
+        _z_stage arrays of consecutive chunks joined."""
         n_cuts, per_block = len(self.cuts), len(p_z_values)
         rows = cells // n_cuts
         block = rows // per_block
-        s_z0, s_z1, lam_ec = z["z"].take(cells, axis=1)
-        sums = z["x_sums"].take(cells - (rows - block) * n_cuts, axis=1)
+        s_z0, s_z1, lam_ec = group["z"].take(cells, axis=1)
+        sums = group["x_sums"].take(cells - (rows - block) * n_cuts, axis=1)
         p_z = p_z_values.take(rows - block * per_block)
-        d = dict(z["d"])
+        d = dict(group["d"])
         d.update(zip([name for name, value in d.items() if np.ndim(value)],
-                     z["rows"].take(rows, axis=1)))
+                     group["rows"].take(rows, axis=1)))
         # Every cell read here passed the Z checks.
         x = _x_half(basis_rows(sums[0:3], sums[3:6], p_z, p_z, "x"),
                     {"s_z1_low": s_z1, "z_ok": True}, d, self.security)
