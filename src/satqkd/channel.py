@@ -360,6 +360,8 @@ def monte_carlo_tallies(
     """
     if not 1.0 <= thinning < np.inf:
         raise ChannelError(f"thinning must be a finite number >= 1, got {thinning}")
+    if seed < 0:
+        raise ChannelError(f"seed must be >= 0, got {seed}")
     _check_breakdowns(pass_geometry, breakdowns)
     rng = np.random.Generator(np.random.PCG64(seed))
     y0 = background_yield(det, source.pulse_rate_hz)

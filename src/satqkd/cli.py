@@ -350,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # mc-validate and relay-demo
+            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

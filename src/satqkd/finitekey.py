@@ -345,20 +345,20 @@ def _z_half(t: dict[str, np.ndarray], d: dict) -> dict:
             "s_z0_up": z["s0_up"]}
 
 
-def _x_half(t: dict[str, np.ndarray], z: dict, d: dict, security: SecurityParams) -> dict:
+def _x_half(t: dict[str, np.ndarray], s_z1_low, z_ok, d: dict, security: SecurityParams) -> dict:
     """X half of the kernel: s_x1_low, v_x1_up, the phase-error bound
     phi_up through the gamma transfer, and the `aborted` mask. Reads the X
-    fields of t and z's s_z1_low and z_ok."""
+    fields of t; s_z1_low and z_ok are the Z half's."""
     x = _basis_bounds(t, "x", d)
     usable = x["s1"] > 0.0
-    usable &= z["z_ok"]
+    usable &= z_ok
     s_x1 = np.clip(x["s1"], 0.0, x["n"], out=x["s1"])
     v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
 
     ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
     np.divide(v_x1, ratio, out=ratio)
     np.copyto(ratio, 1.0, where=~usable)
-    phi = _gamma_transfer(security.eps_sec, ratio, z["s_z1_low"], s_x1, d["budget"])
+    phi = _gamma_transfer(security.eps_sec, ratio, s_z1_low, s_x1, d["budget"])
     phi += ratio
     bad = ~np.isfinite(phi)
     aborted = ~usable | (phi > 0.5) | bad
@@ -388,7 +388,7 @@ def _estimate_arrays(
     d = _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
     z = _z_half(t, d)
     return {
-        **_x_half(t, z, d, security),
+        **_x_half(t, z["s_z1_low"], z["z_ok"], d, security),
         "s_z0_low": z["s_z0_low"],
         "s_z1_low": z["s_z1_low"],
         "tau0": d["tau0"],

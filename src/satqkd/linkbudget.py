@@ -272,9 +272,10 @@ def background_click_rate(rx: ReceiverSpec, atm: AtmosphereModel, wavelength_nm:
 def load_elevation_loss_table(path: str | Path) -> tuple[tuple[float, float], ...]:
     """Read a two-column (elevation_deg, loss_db) override table.
 
-    Blank lines and lines starting with '#' are skipped. Every cell must be
-    a finite number, and rows must cover a strictly increasing elevation
-    grid; a bad row is named by path and line.
+    Blank lines and lines starting with '#' are skipped. Each elevation
+    must lie in (0, 90] degrees and each loss be finite and >= 0 dB, and
+    rows must cover a strictly increasing elevation grid; a bad row is named
+    by path and line.
     """
     rows: list[tuple[float, float]] = []
     for lineno, line in enumerate(Path(path).read_text(errors="replace").splitlines(), start=1):
@@ -288,8 +289,8 @@ def load_elevation_loss_table(path: str | Path) -> tuple[tuple[float, float], ..
             row = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise LinkBudgetError(f"{path}:{lineno}: non-numeric cell in {stripped!r}") from None
-        if not all(map(math.isfinite, row)):
-            raise LinkBudgetError(f"{path}:{lineno}: cells must be finite, got {stripped!r}")
+        if not (0.0 < row[0] <= 90.0 and 0.0 <= row[1] < math.inf):
+            raise LinkBudgetError(f"{path}:{lineno}: need 0 < elevation <= 90, 0 <= loss < inf, got {stripped!r}")
         rows.append(row)
     if len(rows) < 2:
         raise LinkBudgetError(f"{path}: need at least two rows, got {len(rows)}")

@@ -10,26 +10,25 @@ last cut at or below the pass's lowest sample, since every lower cut keeps
 the same samples.
 
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
-evaluated in chunks of CHUNK_BLOCKS: per chunk, the per-sample detection
-statistics of every block are summed over the samples in descending
-elevation, which yields the tallies of every elevation cut at once. A row
-of the grid is one block with one p_z value, a cell one row at one cut, and
-the search needs only each row's first maximum over its cells. So the
-coarse grid prunes within rows, exactly. The Z half of the finite-key
-kernel runs on every cell and gives the upper bound B of the key length
-(see `finitekey`) at the cut's phase-error floor: the smallest one-photon
-X error rate of the samples the cut keeps (0.5 if it keeps none). A cell
-that fails the Z checks or has B <= 0 is exactly 0.0. The X half runs on
-each row's cell of largest B, which gives an exact value L, and then only
-on the cells with B >= L: every other cell lies below L, so each row's
-value and cut, and the trace, are those of the full kernel bit for bit. The
-X halves of X_HALF_CHUNKS chunks share their calls. The refinement calls the
-full kernel with one row per candidate point (pruning its 15-row calls cost
-more than it saved): on each call it evaluates the point a golden-section
-step needs together with every point the next LOOKAHEAD steps could need,
-then replays the sequential steps from those values, so it visits the same
-points in about a quarter of the calls. The final evaluation is one more
-row.
+evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
+maxima. A row of the grid is one block with one p_z value, a cell one row at
+one cut, and the search needs only each row's first maximum over its cells,
+so the coarse grid prunes within rows, exactly. Per chunk, the per-sample
+detection statistics of every block are summed over the samples in
+descending elevation, which yields the tallies of every cut at once. The Z
+half of the finite-key kernel runs on every cell and gives the upper bound B
+of the key length (see `finitekey`) at the cut's phase-error floor: the
+smallest one-photon X error rate of the samples the cut keeps (0.5 if it
+keeps none). A cell that fails the Z checks or has B <= 0 is exactly 0.0.
+The X half runs on each row's cell of largest B, the probe, which gives an
+exact value L, and then only on the candidates, the cells with B >= L: every
+other cell lies below L, so each row's value and cut, and the trace, are
+those of the full kernel bit for bit. The refinement calls the full kernel
+with one row per candidate point (pruning its 15-row calls cost more than it
+saved): on each call it evaluates the point a golden-section step needs
+together with every point the next LOOKAHEAD steps could need, then replays
+the sequential steps from those values, so it visits the same points in
+about a quarter of the calls. The final evaluation is one more row.
 
 The chunk list is split into contiguous runs, one per CPU this process may
 run on. The first run is evaluated in the calling process and each other
@@ -101,10 +100,6 @@ LOOKAHEAD = 3
 # Coarse blocks per finite-key kernel call: large enough to amortise the
 # per-call overhead, small enough that a chunk's temporaries stay in cache.
 CHUNK_BLOCKS = 24
-# Coarse chunks whose X halves share kernel calls (see pruned_objective):
-# more chunks make fewer calls but hold more Z-half arrays at once. Two ran
-# faster than one and as fast as four, with less memory.
-X_HALF_CHUNKS = 2
 PARAM_NAMES = ("mu", "nu", "p_mu", "p_nu", "p_z")
 # Coordinates refined per protocol, and the span that scales each one's
 # golden-section tolerance.
@@ -298,41 +293,31 @@ class _PassChannel:
         """objective(blocks, p_z_values) for a 1-D p_z grid, the same values
         and cut indices, with the X half of the kernel run only on the cells
         (row, cut) that can still be their row's first maximum; see the
-        module docstring. The Z half runs CHUNK_BLOCKS blocks at a time; the
-        X half runs once on the probe cells of all of them and once on the
-        other candidates."""
-        stages = [self._z_stage(blocks[start:start + CHUNK_BLOCKS], p_z_values)
-                  for start in range(0, len(blocks), CHUNK_BLOCKS)]
-        bound = np.concatenate([stage.pop("bound") for stage in stages])
-        group = {name: np.concatenate([stage[name] for stage in stages], axis=-1)
-                 for name in ("z", "x_sums", "rows")}
-        group["d"] = stages[0]["d"]
-        del stages
+        module docstring."""
+        stage = self._z_stage(blocks, p_z_values)
+        bound = stage.pop("bound")
         values = np.zeros(bound.shape)
         # Probe each row at its cut of largest bound; then only the cells
         # whose bound reaches the probe's value can be the first maximum.
         probe = np.argmax(bound, axis=1)
         rows = np.flatnonzero(bound[np.arange(len(bound)), probe] > 0.0)
         probe = rows * bound.shape[1] + probe[rows]
-        values.ravel()[probe] = self._x_key(group, probe, p_z_values)
+        values.ravel()[probe] = self._x_key(stage, probe, p_z_values)
         # A bound of at least the smallest positive double is positive.
         cand = bound >= np.maximum(values.max(axis=1, keepdims=True), 5e-324)
         del bound
         cand.ravel()[probe] = False
         cells = np.flatnonzero(cand)
         del cand
-        values.ravel()[cells] = self._x_key(group, cells, p_z_values)
+        values.ravel()[cells] = self._x_key(stage, cells, p_z_values)
         cut_idx = np.argmax(values, axis=1)
         return values[np.arange(len(values)), cut_idx], cut_idx
 
     def _z_stage(self, blocks: np.ndarray, p_z_values: np.ndarray) -> dict:
-        """Z half of the kernel over blocks crossed with a 1-D p_z grid:
-        "bound", the bound B of every cell (-inf where the Z checks fail);
-        "z", s_z0_low, s_z1_low and lambda_EC, flattened over the cells;
-        "x_sums", the X rows of cut_sums (clicks, then X errors), flattened
-        over (block, cut) and sifted only where the X half reads them;
-        "d", the constants of _decoy_setup, and "rows", its per-row arrays
-        stacked."""
+        """Z half of the kernel over blocks crossed with a 1-D p_z grid: the
+        bound B of every cell ("bound", -inf where the Z checks fail) and the
+        cells' "s_z0_low", "s_z1_low" and "lam_ec", each (rows, n_cuts); the
+        cut_sums of blocks, "cut", and their _decoy_setup constants, "d"."""
         cut = self.cut_sums(blocks)
         p_z = p_z_values[:, None]
         t = {name: row.reshape(-1, len(self.cuts))
@@ -345,31 +330,26 @@ class _PassChannel:
                             self.security, self.n_decoys)["l_real"]
         bound += 1e-9 * np.abs(bound) + 1.0  # rounding slack
         np.copyto(bound, -np.inf, where=~z["z_ok"])
-        return {
-            "bound": bound,
-            "z": np.stack([z["s_z0_low"].ravel(), z["s_z1_low"].ravel(), lam_ec.ravel()]),
-            "x_sums": cut[[0, 1, 2, 6, 7, 8]].reshape(6, -1),
-            "d": d,
-            "rows": np.stack([value.ravel() for value in d.values() if np.ndim(value)]),
-        }
+        return {"bound": bound, "s_z0_low": z["s_z0_low"], "s_z1_low": z["s_z1_low"],
+                "lam_ec": lam_ec, "cut": cut, "d": d}
 
-    def _x_key(self, group: dict, cells: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
+    def _x_key(self, stage: dict, cells: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
         """Unfloored key length of the flat cells: the X half of the kernel
-        and the key-length formula on the cells' entries of group, the
-        _z_stage arrays of consecutive chunks joined."""
+        and the key-length formula on their entries of the _z_stage arrays."""
         n_cuts, per_block = len(self.cuts), len(p_z_values)
         rows = cells // n_cuts
         block = rows // per_block
-        s_z0, s_z1, lam_ec = group["z"].take(cells, axis=1)
-        sums = group["x_sums"].take(cells - (rows - block) * n_cuts, axis=1)
+        sums = cells - (rows - block) * n_cuts  # flat (block, cut) index
+        clicks, errors = (stage["cut"][part].reshape(3, -1).take(sums, axis=1)
+                          for part in (slice(0, 3), slice(6, 9)))
         p_z = p_z_values.take(rows - block * per_block)
-        d = dict(group["d"])
-        d.update(zip([name for name, value in d.items() if np.ndim(value)],
-                     group["rows"].take(rows, axis=1)))
+        d = {name: value.ravel().take(rows) if np.ndim(value) else value
+             for name, value in stage["d"].items()}
+        s_z1 = stage["s_z1_low"].ravel().take(cells)
         # Every cell read here passed the Z checks.
-        x = _x_half(basis_rows(sums[0:3], sums[3:6], p_z, p_z, "x"),
-                    {"s_z1_low": s_z1, "z_ok": True}, d, self.security)
-        l_real = _key_length(s_z0, s_z1, x["phi_up"], lam_ec, self.security, self.n_decoys)["l_real"]
+        x = _x_half(basis_rows(clicks, errors, p_z, p_z, "x"), s_z1, True, d, self.security)
+        l_real = _key_length(stage["s_z0_low"].ravel().take(cells), s_z1, x["phi_up"],
+                             stage["lam_ec"].ravel().take(cells), self.security, self.n_decoys)["l_real"]
         return _floored(l_real, x["aborted"])[0]
 
 
@@ -512,9 +492,8 @@ def _coarse_shard(
     """Best unfloored key length and its cut index for every row of blocks
     crossed with p_z_values, block-major and p_z-minor, evaluated in chunks
     of CHUNK_BLOCKS."""
-    step = CHUNK_BLOCKS * X_HALF_CHUNKS
-    chunks = [channel.pruned_objective(blocks[start:start + step], p_z_values)
-              for start in range(0, len(blocks), step)]
+    chunks = [channel.pruned_objective(blocks[start:start + CHUNK_BLOCKS], p_z_values)
+              for start in range(0, len(blocks), CHUNK_BLOCKS)]
     return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
 
 

@@ -187,6 +187,13 @@ class TestMonteCarlo:
         c = monte_carlo_tallies(43, **kwargs)
         assert a != c
 
+    def test_negative_seed_rejected(self, strong_link):
+        with pytest.raises(ChannelError, match="seed"):
+            monte_carlo_tallies(
+                -1, strong_link.pass_geometry, strong_link.breakdowns,
+                strong_link.source_two, strong_link.detector, 20.0, thinning=1e5,
+            )
+
     def test_tallies_are_integers(self, strong_link):
         t = monte_carlo_tallies(
             7, strong_link.pass_geometry, strong_link.breakdowns,

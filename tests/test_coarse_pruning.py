@@ -107,6 +107,21 @@ def test_pruned_coarse_grid_is_exact(name):
     assert np.array_equal(cut_idx, want_idx)
 
 
+@pytest.mark.parametrize("name,n_blocks", [("snspd_pol_1decoy", None), ("snspd_pol_2decoy", 240)])
+def test_coarse_shard_does_not_depend_on_chunk_size(monkeypatch, name, n_blocks):
+    """The same value bits and cut indices for any CHUNK_BLOCKS: no state
+    crosses a chunk boundary."""
+    channel = _channel(name)
+    blocks = _coarse_blocks(OptimizerConfig(), channel.n_decoys)[:n_blocks]
+    results = []
+    for chunk_blocks in (1, 7, 24, 240):
+        monkeypatch.setattr(optimizer, "CHUNK_BLOCKS", chunk_blocks)
+        results.append(_coarse_shard(channel, blocks, P_Z_GRID))
+    for values, cut_idx in results[1:]:
+        assert np.array_equal(values.view(np.int64), results[0][0].view(np.int64))
+        assert np.array_equal(cut_idx, results[0][1])
+
+
 def test_x_half_runs_on_under_45_percent_of_cells(monkeypatch):
     """On snspd_pol_2decoy's coarse grid the X half of the kernel sees
     under 45% of the (row, cut) cells (about 30% when this was written)."""

@@ -233,7 +233,8 @@ class TestElevationTable:
         with pytest.raises(LinkBudgetError, match="increasing"):
             load_elevation_loss_table(not_increasing)
 
-    @pytest.mark.parametrize("row", ["nan 1.0", "40 inf", "-inf 1.0", "40 nan", "abc 1.0", "40 abc"])
+    @pytest.mark.parametrize("row", ["nan 1.0", "40 inf", "-inf 1.0", "40 nan", "abc 1.0", "40 abc",
+                                     "40 -0.5", "0 1.0", "95 1.0"])
     def test_bad_cells_rejected_naming_line(self, tmp_path, row):
         """A NaN, an infinity or an unparsable cell fails closed, naming the
         file and line, instead of loading a table that interpolates to NaN."""

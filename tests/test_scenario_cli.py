@@ -437,6 +437,16 @@ class TestCliCommands:
         assert flag in capsys.readouterr().err
         assert not (out / "mc_validate.json").exists()
 
+    @pytest.mark.parametrize("argv", [["mc-validate", "--scenario", "bundled:snspd_pol_1decoy", "--seed", "-3"],
+                                      ["relay-demo", "--seed", "-1"]])
+    def test_negative_seed_exits_with_validation_code(self, tmp_path, capsys, argv):
+        """A negative --seed is bad input, named on one line: not a numpy
+        ValueError with a traceback."""
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_untyped_value_error_is_a_bug_not_bad_input(self, tmp_path, monkeypatch):
         """Only the typed input errors exit 2; a bare ValueError from inside a
         command propagates, so the interpreter prints it and exits 1."""
