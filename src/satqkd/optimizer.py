@@ -340,8 +340,8 @@ class _PassChannel:
         rows = cells // n_cuts
         block = rows // per_block
         sums = cells - (rows - block) * n_cuts  # flat (block, cut) index
-        clicks, errors = (stage["cut"][part].reshape(3, -1).take(sums, axis=1)
-                          for part in (slice(0, 3), slice(6, 9)))
+        cut = stage["cut"].reshape(9, -1)
+        clicks, errors = cut[0:3].take(sums, axis=1), cut[6:9].take(sums, axis=1)
         p_z = p_z_values.take(rows - block * per_block)
         d = {name: value.ravel().take(rows) if np.ndim(value) else value
              for name, value in stage["d"].items()}
