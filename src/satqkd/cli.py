@@ -185,8 +185,8 @@ def cmd_optimize(args) -> int:
 def cmd_sweep_elevation(args) -> int:
     scenario = _load(args.scenario)
     max_elevations = _flag_items(args.max_elevations, "--max-elevations", float)
-    if not all(map(math.isfinite, max_elevations)):
-        raise ScenarioError(f"--max-elevations items must be finite, got {args.max_elevations!r}")
+    if not all(0.0 < x <= 90.0 for x in max_elevations):
+        raise ScenarioError(f"--max-elevations items must be in (0, 90], got {args.max_elevations!r}")
     rows_raw = sweep_max_elevation(
         scenario.orbit, scenario.station.min_elevation_deg, max_elevations,
         scenario.hardware(), scenario.security, scenario.n_decoys,

@@ -30,15 +30,17 @@ s_Z0 and s_Z1 and the Z part of the usability check; `_x_half` gives the X
 bounds, the gamma transfer, phi and the abort mask. From the Z half and
 lambda_EC alone, B = s_Z0 + s_Z1 (1 - h(phi_f)) - lambda_EC - penalties,
 plus a rounding slack of 1e-9 |B| + 1 bit, bounds l from above wherever the
-kernel does not abort, for any floor phi_f on the expected tallies' true
-one-photon X error rates e1 = (Y0/2 + e_mis eta) / (1 - (1 - Y0)(1 - eta))
-(see `channel.one_photon_error`): such a block has phi <= 1/2 and phi >=
-v_X1 / s_X1, which is at least the true pooled one-photon X error rate
-because the decoy bounds are one-sided on exact expected tallies (the
-dead-time factor scales every intensity of a sample alike); that rate is a
-weighted mean of the per-sample e1, so at least their minimum; h increases
-on [0, 1/2], s_Z1 >= 0, and every other term is the one l has. The
-optimizer's coarse grid prunes with B.
+kernel does not abort, for any floor phi_f of at most 1/2 and at most the
+true one-photon X error rate e1 = (Y0/2 + e_mis eta) / (1 - (1 - Y0)(1 -
+eta)) of each of the one or more samples the expected tallies sum (see
+`channel.one_photon_error`): such a block has phi <= 1/2 and phi >= v_X1 /
+s_X1, which is at least the true pooled one-photon X error rate because
+the decoy bounds are one-sided on exact expected tallies (the dead-time
+factor scales every intensity of a sample alike); that rate is a weighted
+mean of the per-sample e1, so at least their minimum; h increases on [0,
+1/2], s_Z1 >= 0, and every other term is the one l has. The optimizer's
+coarse grid prunes with B, taking as phi_f the smaller of 1/2 and the
+least e1 of the samples a cut keeps.
 
 All estimator arithmetic is written against numpy so the whole-pass
 optimizer can evaluate many candidate blocks in one call. The array

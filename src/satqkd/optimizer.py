@@ -5,9 +5,9 @@ probabilities, basis bias) for the whole accumulation block, and the
 post-processing minimum elevation is itself a parameter. The search is a
 deterministic coarse grid over the continuous parameters crossed with an
 exhaustive 1-degree scan of the minimum elevation, followed by
-coordinate-wise golden-section refinement. The elevation grid starts at the
-last cut at or below the pass's lowest sample, since every lower cut keeps
-the same samples.
+coordinate-wise golden-section refinement. The pass sets the elevation
+grid: the whole degrees from its lowest sample, rounded down, to its
+highest, so the first cut keeps every sample and every cut keeps one.
 
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
@@ -18,8 +18,8 @@ detection statistics of every block are summed over the samples in
 descending elevation, which yields the tallies of every cut at once. The Z
 half of the finite-key kernel runs on every cell and gives the upper bound B
 of the key length (see `finitekey`) at the cut's phase-error floor: the
-smallest one-photon X error rate of the samples the cut keeps (0.5 if it
-keeps none). A cell that fails the Z checks or has B <= 0 is exactly 0.0.
+smallest one-photon X error rate of the samples the cut keeps, at most
+0.5. A cell that fails the Z checks or has B <= 0 is exactly 0.0.
 The X half runs on each row's cell of largest B, the probe, which gives an
 exact value L, and then only on the candidates, the cells with B >= L: every
 other cell lies below L, so each row's value and cut, and the trace, are
@@ -85,7 +85,6 @@ from .finitekey import (
 from .linkbudget import AtmosphereModel, ReceiverSpec, TransmitterSpec, compute_breakdowns
 from .orbit import GroundStation, OrbitSpec, PassGeometry, synth_pass
 
-MIN_ELEVATION_GRID = np.arange(20.0, 81.0, 1.0)
 MU_BOX = (0.1, 1.0)
 NU_MARGIN = 0.01
 NU_MIN = 0.01
@@ -145,9 +144,9 @@ class ParamVector:
             )
         if not 0.0 < self.p_z < 1.0:
             raise OptimizerError(f"require 0 < p_z < 1, got {self.p_z}")
-        if not 20.0 <= self.min_elevation_deg <= 80.0:
+        if not 0.0 <= self.min_elevation_deg <= 90.0:
             raise OptimizerError(
-                f"min_elevation_deg must be within [20, 80], got {self.min_elevation_deg}"
+                f"min_elevation_deg must be within [0, 90], got {self.min_elevation_deg}"
             )
 
 
@@ -211,27 +210,28 @@ class _PassChannel:
         self.n_decoys = n_decoys
         self.detector = hardware.detector
         self.template = hardware.source
+        elevations = pass_geometry.samples.elevation_deg
+        if not len(elevations):
+            raise OptimizerError("the pass has no samples")
         breakdowns = compute_breakdowns(
             pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
         )
-        elevations = pass_geometry.samples.elevation_deg
         order = np.argsort(elevations, kind="stable")
         # Samples in descending elevation (the stable ascending order
         # reversed), so that a forward running sum gives every cut's tallies.
         self.eta_sorted = breakdowns.eta[order[::-1]] * hardware.detector.efficiency
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
-        # Every cut at or below the lowest sample keeps all the samples; the
-        # grid starts at the last of them, so ties go to a cut the station
-        # can use rather than to one below its horizon.
-        below = np.count_nonzero(MIN_ELEVATION_GRID <= elevations.min()) if len(elevations) else 0
-        self.cuts = MIN_ELEVATION_GRID[max(below - 1, 0):]
-        # cut_kept[j]: number of samples with elevation >= cut j, the
+        # The whole degrees from the lowest sample, rounded down, to the
+        # highest: a lower cut keeps the same samples as the first and a
+        # higher one none. Ties go to the first, a cut the station can use.
+        self.cuts = np.arange(math.floor(elevations.min()), math.floor(elevations.max()) + 1.0)
+        # cut_kept[j] >= 1: number of samples with elevation >= cut j, the
         # leading run of the descending order
         self.cut_kept = len(elevations) - np.searchsorted(elevations[order], self.cuts, side="left")
         # phi_floor[j]: the smallest one-photon X error rate of the samples
-        # cut j keeps, at most 0.5 (0.5 for a cut that keeps none), below
-        # the kernel's phase-error bound phi at cut j wherever it does not
-        # abort; see `finitekey`.
+        # cut j keeps, at most 0.5 (the domain of h; e1 can exceed it at
+        # extreme Y0), below the kernel's phase-error bound phi at cut j
+        # wherever it does not abort; see `finitekey`.
         e1 = one_photon_error(
             self.eta_sorted, background_yield(self.detector, self.template.pulse_rate_hz),
             self.template.misalignment_x,
@@ -253,11 +253,8 @@ class _PassChannel:
         )
         per_sample = np.concatenate([clicks, err_z, err_x])
         per_sample *= self.pulses_per_sample * f_dead
-        # running[..., k]: the sum over the k highest samples
-        running = np.empty(per_sample.shape[:-1] + (per_sample.shape[-1] + 1,))
-        running[..., 0] = 0.0
-        np.cumsum(per_sample, axis=-1, out=running[..., 1:])
-        return running[..., self.cut_kept]
+        # Column k of the running sum is the sum over the k + 1 highest samples.
+        return np.cumsum(per_sample, axis=-1)[..., self.cut_kept - 1]
 
     def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
         """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z

@@ -17,7 +17,6 @@ from satqkd.linkbudget import compute_breakdowns
 from satqkd.optimizer import (
     CHUNK_BLOCKS,
     CoarseSearchError,
-    MIN_ELEVATION_GRID,
     P_Z_BOX,
     HardwareStack,
     OptimizerConfig,
@@ -30,7 +29,7 @@ from satqkd.optimizer import (
     source_with_params,
     sweep_max_elevation,
 )
-from satqkd.orbit import synth_pass
+from satqkd.orbit import GroundStation, OrbitSpec, synth_pass
 from satqkd.scenario import load_bundled_scenario
 
 FAST = OptimizerConfig(coarse_grid_steps=4, refine_iterations=1)
@@ -53,8 +52,9 @@ class TestParamVector:
             ParamVector(mu=0.5, nu=0.6, p_mu=0.7, p_nu=0.2, p_z=0.9, min_elevation_deg=20.0)
         with pytest.raises(OptimizerError):
             ParamVector(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.4, p_z=0.9, min_elevation_deg=20.0)
-        with pytest.raises(OptimizerError):
-            ParamVector(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.2, p_z=0.9, min_elevation_deg=10.0)
+        for cut in (-1.0, 95.0):
+            with pytest.raises(OptimizerError):
+                ParamVector(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.2, p_z=0.9, min_elevation_deg=cut)
 
     def test_source_projection(self, snspd):
         params = ParamVector(mu=0.5, nu=0.1, p_mu=0.7, p_nu=0.2, p_z=0.85, min_elevation_deg=25.0)
@@ -144,6 +144,53 @@ class TestOptimizePass:
         assert result.skl_bits == 0
 
 
+@st.composite
+def generated_passes(draw):
+    """A pass of a 400-900 km orbit over a station cut of 1-85 degrees,
+    peaking above the cut, sampled every 0.5-5 s."""
+    cut = draw(st.floats(1.0, 85.0))
+    station = GroundStation(cut, draw(st.floats(cut, 90.0, exclude_min=True)))
+    return synth_pass(OrbitSpec(draw(st.floats(400.0, 900.0))), station, draw(st.floats(0.5, 5.0)))
+
+
+class TestCutGrid:
+    """The pass sets the elevation-cut grid."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(generated_passes())
+    def test_grid_spans_the_pass(self, snspd, pass_geometry):
+        """Whole-degree cuts, the first keeping every sample and each
+        keeping one; the reported cut lies within the pass."""
+        channel = optimizer._PassChannel(pass_geometry, snspd.hardware(), snspd.security, 2)
+        elevations = pass_geometry.samples.elevation_deg
+        assert np.array_equal(channel.cuts, channel.cuts[0] + np.arange(len(channel.cuts)))
+        assert channel.cuts[0] == np.floor(channel.cuts[0])
+        assert channel.cut_kept[0] == len(elevations)
+        assert channel.cut_kept.min() >= 1
+        params, _ = optimize_pass(pass_geometry, snspd.hardware(), snspd.security, 2, FAST)
+        assert channel.cuts[0] <= params.min_elevation_deg <= elevations.max()
+
+    def test_low_station_keeps_its_low_samples(self, snspd):
+        """A 10 degree station is cut below 20 degrees, for at least the
+        3,445,347 bits that the tally path gives at a 10 degree cut with the
+        parameters of the optimum over cuts of 20 degrees and up."""
+        station = replace(snspd.station, min_elevation_deg=10.0)
+        pg = synth_pass(snspd.orbit, station, snspd.sample_dt_s)
+        params, result = optimize_pass(pg, snspd.hardware(), snspd.security, 2, snspd.optimizer)
+        assert params.min_elevation_deg < 20.0
+        assert result.skl_bits >= 3445347
+
+    def test_high_station_is_cut_at_its_horizon(self, snspd):
+        pg = synth_pass(snspd.orbit, GroundStation(85.0, 90.0), snspd.sample_dt_s)
+        params, _ = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
+        assert params.min_elevation_deg >= 85.0
+
+    def test_pass_without_samples_rejected(self, snspd, coarse_pass):
+        empty = replace(coarse_pass, samples=coarse_pass.samples[:0])
+        with pytest.raises(OptimizerError, match="no samples"):
+            optimize_pass(empty, snspd.hardware(), snspd.security, 2, FAST)
+
+
 @pytest.mark.parametrize("name", ["snspd_pol_2decoy", "snspd_pol_1decoy"])
 def test_chunked_coarse_grid_matches_per_block_reference(name, tmp_path):
     """Every coarse trace row equals a reference evaluated one block at a
@@ -161,14 +208,15 @@ def test_chunked_coarse_grid_matches_per_block_reference(name, tmp_path):
     assert len(coarse) == len(blocks) * len(p_z)
 
     elevations = pass_geometry.samples.elevation_deg
-    assert elevations.min() < MIN_ELEVATION_GRID[1]  # no grid cut lies below the pass
+    cuts = optimizer._PassChannel(pass_geometry, hardware, security, n_decoys).cuts
+    assert elevations.min() < cuts[1]  # no grid cut lies below the pass
     order = np.argsort(elevations, kind="stable")
     breakdowns = compute_breakdowns(
         pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
     )
     eta = breakdowns.eta[order] * hardware.detector.efficiency
     pulses = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
-    cut_start = np.searchsorted(elevations[order], MIN_ELEVATION_GRID, side="left")
+    cut_start = np.searchsorted(elevations[order], cuts, side="left")
     rows = iter(coarse)
     for mu, nu, p_mu, p_nu in blocks.tolist():
         p_vac = 1.0 - p_mu - p_nu if n_decoys == 2 else 0.0
@@ -186,7 +234,7 @@ def test_chunked_coarse_grid_matches_per_block_reference(name, tmp_path):
             assert [float(row[k]) for k in ("mu", "nu", "p_mu", "p_nu", "p_z")] == [
                 mu, nu, p_mu, p_nu, p_z_j
             ]
-            assert float(row["min_elevation_deg"]) == MIN_ELEVATION_GRID[idx]
+            assert float(row["min_elevation_deg"]) == cuts[idx]
             assert float(row["skl_real"]) == pytest.approx(l_real[j, idx], rel=1e-12, abs=0)
 
 

@@ -322,6 +322,14 @@ class TestCliCommands:
         assert doc["skl_bits"] > 0
         assert doc["params"]["mu"] == 0.58
 
+    @pytest.mark.parametrize("value,code", [("10", 0), ("-1", 2), ("95", 2), ("nan", 2)])
+    def test_skl_min_elevation_range(self, tmp_path, capsys, value, code):
+        """Any cut in [0, 90] is accepted, one below the pass's lowest sample
+        too; any other value is bad input that names the field."""
+        assert main(["skl", "--scenario", "bundled:snspd_pol_2decoy", f"--min-elevation={value}",
+                     "--out", str(tmp_path)]) == code
+        assert ("min_elevation_deg" in capsys.readouterr().err) == bool(code)
+
     def test_shared_parser_keeps_no_options_between_calls(self, tmp_path, snspd_doc):
         """main() reuses one parser; an option given to one call does not
         leak into the next."""
@@ -417,6 +425,12 @@ class TestCliCommands:
             (["relay-demo", "--lengths", "64,8.0"], "--lengths"),
             (["relay-demo", "--lengths", "12"], "--lengths"),
             (["relay-demo", "--lengths", ""], "--lengths"),
+            (["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy",
+              "--max-elevations=-5"], "--max-elevations"),
+            (["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy",
+              "--max-elevations", "0"], "--max-elevations"),
+            (["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy",
+              "--max-elevations", "95"], "--max-elevations"),
         ],
     )
     def test_bad_list_flag_exits_with_validation_code(self, tmp_path, capsys, argv, flag):
