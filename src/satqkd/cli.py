@@ -62,26 +62,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
-
-
-def _report(out_dir: Path, scenario: Scenario | None, command: str, seed: int | None,
-            outputs: list[str]) -> None:
-    doc = {
-        "command": command,
-        "outputs": sorted(outputs),
-        "scenario_digest": scenario.digest() if scenario else None,
-        "scenario_name": scenario.name if scenario else None,
-        "seed": seed,
-        "toolkit_version": __version__,
-    }
-    _write(out_dir, "report.json", _json_text(doc))
-
-
 def _csv(header: list[str], columns) -> str:
     """CSV of float columns, each distinct value of a column formatted once
     with repr; values are told apart by their bits, so 0.0, -0.0 and NaN
@@ -93,36 +73,30 @@ def _csv(header: list[str], columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _emit_table(args, name: str, header: list[str], columns) -> list[str]:
-    """Write a table given as one float column per header name."""
+def _table(args, name: str, header: list[str], columns) -> dict[str, str]:
+    """The file of a table given as one float column per header name."""
     if args.format == "json":
         rows = zip(*(np.asarray(col, np.float64).tolist() for col in columns))
-        filename, text = f"{name}.json", _json_text([dict(zip(header, row)) for row in rows])
-    else:
-        filename, text = f"{name}.csv", _csv(header, columns)
-    _write(Path(args.out), filename, text)
-    return [filename]
+        return {f"{name}.json": _json_text([dict(zip(header, row)) for row in rows])}
+    return {f"{name}.csv": _csv(header, columns)}
 
 
-def cmd_pass(args) -> int:
+def cmd_pass(args):
     scenario = _load(args.scenario)
     samples = scenario.synth_pass().samples
     header = list(samples.dtype.names)
-    outputs = _emit_table(args, "pass", header, [samples[f] for f in header])
-    _report(Path(args.out), scenario, "pass", None, outputs)
-    return EXIT_OK
+    return scenario, _table(args, "pass", header, [samples[f] for f in header]), EXIT_OK
 
 
-def cmd_budget(args) -> int:
+def cmd_budget(args):
     scenario = _load(args.scenario)
     pass_geometry = scenario.synth_pass()
     breakdowns = compute_breakdowns(
         pass_geometry, scenario.transmitter, scenario.receiver, scenario.atmosphere
     )
     fields = [(table, f) for table in (pass_geometry.samples, breakdowns) for f in table.dtype.names]
-    outputs = _emit_table(args, "budget", [f for _, f in fields], [table[f] for table, f in fields])
-    _report(Path(args.out), scenario, "budget", None, outputs)
-    return EXIT_OK
+    files = _table(args, "budget", [f for _, f in fields], [table[f] for table, f in fields])
+    return scenario, files, EXIT_OK
 
 
 def _params_from_args(args, scenario: Scenario) -> ParamVector:
@@ -153,21 +127,20 @@ def _key_doc(params: ParamVector, result, n_decoys: int) -> dict:
     }
 
 
-def cmd_skl(args) -> int:
+def cmd_skl(args):
     scenario = _load(args.scenario)
     params = _params_from_args(args, scenario)
     result = evaluate_params(
         scenario.synth_pass(), scenario.hardware(), scenario.security,
         scenario.n_decoys, params,
     )
-    outputs = ["skl.json"]
-    _write(Path(args.out), "skl.json", _json_text(_key_doc(params, result, scenario.n_decoys)))
-    _report(Path(args.out), scenario, "skl", None, outputs)
-    return EXIT_ABORTED if result.aborted else EXIT_OK
+    files = {"skl.json": _json_text(_key_doc(params, result, scenario.n_decoys))}
+    return scenario, files, EXIT_ABORTED if result.aborted else EXIT_OK
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args):
     scenario = _load(args.scenario)
+    # optimize_pass writes the trace itself, so --out must exist first.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "optimize_trace.csv"
@@ -176,13 +149,11 @@ def cmd_optimize(args) -> int:
         scenario.n_decoys, scenario.optimizer, trace_path=trace_path,
     )
     doc = {**_key_doc(params, result, scenario.n_decoys), "trace": trace_path.name}
-    outputs = ["optimize.json", trace_path.name]
-    _write(out_dir, "optimize.json", _json_text(doc))
-    _report(out_dir, scenario, "optimize", None, outputs)
-    return EXIT_ABORTED if result.aborted else EXIT_OK
+    files = {"optimize.json": _json_text(doc), trace_path.name: None}
+    return scenario, files, EXIT_ABORTED if result.aborted else EXIT_OK
 
 
-def cmd_sweep_elevation(args) -> int:
+def cmd_sweep_elevation(args):
     scenario = _load(args.scenario)
     max_elevations = _flag_items(args.max_elevations, "--max-elevations", float)
     if not all(0.0 < x <= 90.0 for x in max_elevations):
@@ -194,12 +165,10 @@ def cmd_sweep_elevation(args) -> int:
     )
     header = ["max_elevation_deg", "skl_bits", "mu", "nu", "p_mu", "p_nu", "p_z", "min_elevation_deg"]
     columns = [[row.get(h, 0.0) for row in rows_raw] for h in header]
-    outputs = _emit_table(args, "sweep_elevation", header, columns)
-    _report(Path(args.out), scenario, "sweep-elevation", None, outputs)
-    return EXIT_OK
+    return scenario, _table(args, "sweep_elevation", header, columns), EXIT_OK
 
 
-def cmd_mc_validate(args) -> int:
+def cmd_mc_validate(args):
     if args.seeds < 1:
         raise ScenarioError(f"--seeds must be >= 1, got {args.seeds}")
     if not 1.0 <= args.thinning < math.inf:
@@ -239,13 +208,10 @@ def cmd_mc_validate(args) -> int:
         "all_within_3_sigma": all_ok,
         "results": per_seed,
     }
-    outputs = ["mc_validate.json"]
-    _write(Path(args.out), "mc_validate.json", _json_text(doc))
-    _report(Path(args.out), scenario, "mc-validate", args.seed, outputs)
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return scenario, {"mc_validate.json": _json_text(doc)}, EXIT_OK if all_ok else EXIT_VALIDATION
 
 
-def cmd_relay_demo(args) -> int:
+def cmd_relay_demo(args):
     lengths = _flag_items(args.lengths, "--lengths", int)
     if any(n <= 0 or n % 8 for n in lengths):
         raise ScenarioError(f"--lengths items must be positive multiples of 8 bits, got {args.lengths!r}")
@@ -278,10 +244,7 @@ def cmd_relay_demo(args) -> int:
         "residual_secret_bits": store.residual_secret_bits(),
         "round_trip_ok": all_ok,
     }
-    outputs = ["relay_demo.json"]
-    _write(Path(args.out), "relay_demo.json", _json_text(doc))
-    _report(Path(args.out), None, "relay-demo", args.seed, outputs)
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return None, {"relay_demo.json": _json_text(doc)}, EXIT_OK if all_ok else EXIT_VALIDATION
 
 
 @functools.cache
@@ -346,13 +309,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_outputs(args, scenario: Scenario | None, files: dict[str, str | None]) -> None:
+    """Write what a command returned besides its exit code: its files into
+    --out in their order, skipping those mapped to None (the command wrote
+    them itself), then report.json, which lists them all."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        if text is not None:
+            (out_dir / name).write_text(text)
+    (out_dir / "report.json").write_text(_json_text({
+        "command": args.command,
+        "outputs": sorted(files),
+        "scenario_digest": scenario.digest() if scenario else None,
+        "scenario_name": scenario.name if scenario else None,
+        "seed": getattr(args, "seed", None),  # mc-validate and relay-demo
+        "toolkit_version": __version__,
+    }))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:  # mc-validate and relay-demo
             raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        scenario, files, code = args.func(args)
+        _write_outputs(args, scenario, files)
+        return code
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

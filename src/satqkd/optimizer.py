@@ -418,18 +418,15 @@ def _golden_max(f, lo: float, hi: float, abs_tol: float, max_iter: int = 80) -> 
 def _coarse_blocks(config: OptimizerConfig, n_decoys: int) -> np.ndarray:
     """Deterministic (mu, nu, p_mu, p_nu) blocks as an (n_blocks, 4) array,
     mu outermost and p_nu innermost; p_z is gridded per block. Two decoys
-    grid p_nu up to the smaller of its box edge and MAX_P_SUM - p_mu,
-    skipping p_mu values that leave no room; one decoy ties p_nu to
+    grid p_nu up to the smaller of its box edge and MAX_P_SUM - p_mu, which
+    stays above the lower edge on all of P_MU_BOX; one decoy ties p_nu to
     1 - p_mu."""
     g = config.coarse_grid_steps
     mu = np.linspace(*MU_BOX, g)
     nu = np.linspace(NU_MIN, mu - NU_MARGIN, g, axis=-1)
     p_mu = np.linspace(*P_MU_BOX, g)
     if n_decoys == 2:
-        nu_hi = np.minimum(P_NU_BOX[1], MAX_P_SUM - p_mu)
-        room = nu_hi > P_NU_BOX[0]
-        p_mu = p_mu[room]
-        p_nu = np.linspace(P_NU_BOX[0], nu_hi[room], g, axis=-1)
+        p_nu = np.linspace(P_NU_BOX[0], np.minimum(P_NU_BOX[1], MAX_P_SUM - p_mu), g, axis=-1)
     else:
         p_nu = (1.0 - p_mu)[:, None]
     grids = np.broadcast_arrays(
@@ -637,7 +634,11 @@ def optimize_pass(
         final = [point[k] for k in PARAM_NAMES]
         best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
         value = float(best[0])
-        params = ParamVector(*final, min_elevation_deg=float(channel.cuts[best_cut[0]]))
+        # A whole-degree cut may lie below the station's own cut; every cut up
+        # to the lowest sample keeps the same samples, so report the station's.
+        lowest = float(pass_geometry.samples.elevation_deg.min())
+        cut = max(float(channel.cuts[best_cut[0]]), min(pass_geometry.min_elevation_deg, lowest))
+        params = ParamVector(*final, min_elevation_deg=cut)
         if trace_path is not None:
             text = _join(children, writer) if forked else _trace_text(*coarse)
             # CPython appends in place once this line has run a few times.

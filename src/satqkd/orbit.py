@@ -63,10 +63,13 @@ class PassGeometry:
 
     samples is a record array with the fields t_s (offset from
     culmination), elevation_deg and slant_range_km, one row per time step.
+    min_elevation_deg is the station cut the samples were clipped to (0.0
+    for a pass built by hand).
     """
 
     samples: np.recarray
     sample_dt_s: float
+    min_elevation_deg: float = 0.0
 
     @property
     def duration_s(self) -> float:
@@ -191,4 +194,5 @@ def synth_pass(orbit: OrbitSpec, station: GroundStation, sample_dt_s: float = 1.
         [t, _elevation_from_central_angle(r_sat, psi), slant_range_km(r_sat, psi)],
         names=["t_s", "elevation_deg", "slant_range_km"],
     )
-    return PassGeometry(samples=samples, sample_dt_s=sample_dt_s)
+    return PassGeometry(samples=samples, sample_dt_s=sample_dt_s,
+                        min_elevation_deg=station.min_elevation_deg)

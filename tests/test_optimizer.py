@@ -185,6 +185,30 @@ class TestCutGrid:
         params, _ = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
         assert params.min_elevation_deg >= 85.0
 
+    def test_fractional_station_cut_is_reported_at_its_horizon(self, snspd):
+        """A 35.5 degree station, whose lowest sample is at 35.79 degrees, is
+        reported a cut of at least 35.5 degrees, with the key of the
+        whole-degree cut below it."""
+        pg = synth_pass(snspd.orbit, GroundStation(35.5, 80.0), 1.0)
+        params, result = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
+        assert params.min_elevation_deg >= 35.5
+        assert result.skl_bits == 2477353
+        at_35 = evaluate_params(pg, snspd.hardware(), snspd.security, 2,
+                                replace(params, min_elevation_deg=35.0))
+        assert result.skl_bits == at_35.skl_bits
+
+    @settings(deadline=None, max_examples=20)
+    @given(generated_passes())
+    def test_reported_cut_is_within_the_station_window(self, snspd, pass_geometry):
+        """The reported cut lies between the station's cut and the highest
+        sample. A sample that rounding puts below the station's cut (a peak
+        one ulp above it comes back 6e-14 degrees below) is kept, and the
+        cut reported with it."""
+        params, _ = optimize_pass(pass_geometry, snspd.hardware(), snspd.security, 2, FAST)
+        elevations = pass_geometry.samples.elevation_deg
+        station_cut = min(pass_geometry.min_elevation_deg, elevations.min())
+        assert station_cut <= params.min_elevation_deg <= elevations.max()
+
     def test_pass_without_samples_rejected(self, snspd, coarse_pass):
         empty = replace(coarse_pass, samples=coarse_pass.samples[:0])
         with pytest.raises(OptimizerError, match="no samples"):

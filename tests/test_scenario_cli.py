@@ -559,3 +559,47 @@ class TestCliDeterminism:
         self.run_twice(
             lambda out: ["relay-demo", "--seed", "9", "--out", str(out)], tmp_path
         )
+
+
+class TestCliFileContract:
+    """report.json lists exactly the other files a command wrote and names
+    the command; a command that fails on bad input writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["pass"],
+        ["pass", "--format", "json"],
+        ["budget"],
+        ["skl"],
+        ["optimize"],
+        ["sweep-elevation", "--max-elevations", "40,70"],
+        ["mc-validate", "--seeds", "1", "--thinning", "1e4", "--seed", "5"],
+        ["relay-demo", "--lengths", "64", "--seed", "5"],
+    ], ids=" ".join)
+    def test_report_lists_the_files_written(self, tmp_path, snspd_doc, argv):
+        command = argv[0]
+        if command != "relay-demo":
+            argv = [*argv, "--scenario", str(write_scenario(tmp_path, fast_doc(snspd_doc)))]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "report.json")
+        assert report["command"] == command
+        assert report["seed"] == (5 if command in ("mc-validate", "relay-demo") else None)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-elevation", "--scenario", "bundled:snspd_pol_2decoy", "--max-elevations", "0"],
+        ["relay-demo", "--lengths", "7"],
+        ["mc-validate", "--scenario", "bundled:snspd_pol_1decoy", "--seeds", "0"],
+        ["skl", "--scenario", "bundled:snspd_pol_2decoy", "--min-elevation", "95"],
+    ], ids=" ".join)
+    def test_failed_command_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_failed_optimize_writes_nothing(self, tmp_path, snspd_doc):
+        doc = fast_doc(snspd_doc)
+        doc["station"]["min_elevation_deg"] = -3.0
+        out = tmp_path / "out"
+        assert main(["optimize", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert not out.exists()
