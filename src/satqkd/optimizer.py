@@ -2,12 +2,14 @@
 
 The security analysis requires one parameter set (intensities, their
 probabilities, basis bias) for the whole accumulation block, and the
-post-processing minimum elevation is itself a parameter. The search is a
-deterministic coarse grid over the continuous parameters crossed with an
-exhaustive 1-degree scan of the minimum elevation, followed by
-coordinate-wise golden-section refinement. The pass sets the elevation
-grid: the whole degrees from its lowest sample, rounded down, to its
-highest, so the first cut keeps every sample and every cut keeps one.
+post-processing minimum elevation is itself a parameter. The search runs
+over (mu, nu, share, p_sum, p_z), where p_sum = p_mu + p_nu and share =
+p_mu / p_sum, each in a constant box but for nu, which stays NU_MARGIN
+below mu: a deterministic coarse grid crossed with an exhaustive 1-degree
+scan of the minimum elevation, then coordinate-wise golden-section
+refinement. The pass sets the elevation grid: the whole degrees from its
+lowest sample, rounded down, to its highest, so the first cut keeps every
+sample and every cut keeps one.
 
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
@@ -88,10 +90,11 @@ from .orbit import GroundStation, OrbitSpec, PassGeometry, synth_pass
 MU_BOX = (0.1, 1.0)
 NU_MARGIN = 0.01
 NU_MIN = 0.01
-P_MU_BOX = (0.2, 0.95)
-P_NU_BOX = (0.01, 0.79)
+# share = p_mu / p_sum, and p_sum = p_mu + p_nu per protocol: one decoy
+# sends no vacuum pulses, two keep at least 1% of them.
+SHARE_BOX = (0.2, 0.95)
+P_SUM_BOX = {1: (1.0, 1.0), 2: (0.21, 0.99)}
 P_Z_BOX = (0.3, 0.97)
-MAX_P_SUM = 0.99  # two-decoy: keep at least 1% vacuum pulses
 # Golden-section steps whose candidate points each refinement kernel call
 # evaluates ahead: 2 + 2 + 4 + 8 rows on the first call of a search and
 # 1 + 2 + 4 + 8 on each later one, against one row per step.
@@ -100,16 +103,12 @@ LOOKAHEAD = 3
 # per-call overhead, small enough that a chunk's temporaries stay in cache.
 CHUNK_BLOCKS = 24
 PARAM_NAMES = ("mu", "nu", "p_mu", "p_nu", "p_z")
-# Coordinates refined per protocol, and the span that scales each one's
-# golden-section tolerance.
-REFINED_DIMS = {1: ("mu", "nu", "p_mu", "p_z"), 2: ("mu", "nu", "p_mu", "p_nu", "p_z")}
-DIM_SPAN = {
-    "mu": MU_BOX[1] - MU_BOX[0],
-    "nu": MU_BOX[1] - NU_MIN,
-    "p_mu": P_MU_BOX[1] - P_MU_BOX[0],
-    "p_nu": P_NU_BOX[1] - P_NU_BOX[0],
-    "p_z": P_Z_BOX[1] - P_Z_BOX[0],
-}
+# The coordinates searched, in refinement order, and the span that scales
+# each one's golden-section tolerance.
+SEARCH_NAMES = ("mu", "nu", "share", "p_sum", "p_z")
+DIM_SPAN = {"mu": MU_BOX[1] - MU_BOX[0], "nu": MU_BOX[1] - NU_MIN,
+            "share": SHARE_BOX[1] - SHARE_BOX[0], "p_sum": P_SUM_BOX[2][1] - P_SUM_BOX[2][0],
+            "p_z": P_Z_BOX[1] - P_Z_BOX[0]}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -415,68 +414,62 @@ def _golden_max(f, lo: float, hi: float, abs_tol: float, max_iter: int = 80) -> 
     return best_x, best_f
 
 
+def _params(rows: np.ndarray) -> np.ndarray:
+    """Rows (mu, nu, p_mu, p_nu, ...) of search rows (mu, nu, share, p_sum, ...)."""
+    mu, nu, share, p_sum = rows[:, :4].T
+    return np.column_stack([mu, nu, share * p_sum, p_sum - share * p_sum, rows[:, 4:]])
+
+
 def _coarse_blocks(config: OptimizerConfig, n_decoys: int) -> np.ndarray:
-    """Deterministic (mu, nu, p_mu, p_nu) blocks as an (n_blocks, 4) array,
-    mu outermost and p_nu innermost; p_z is gridded per block. Two decoys
-    grid p_nu up to the smaller of its box edge and MAX_P_SUM - p_mu, which
-    stays above the lower edge on all of P_MU_BOX; one decoy ties p_nu to
-    1 - p_mu."""
+    """Deterministic (mu, nu, p_mu, p_nu) blocks, an (n_blocks, 4) array: the
+    _params of the grid (mu, nu, share, p_sum), mu outermost; p_z is gridded
+    per block. A sum box of zero width is one grid value."""
     g = config.coarse_grid_steps
+    lo, hi = P_SUM_BOX[n_decoys]
     mu = np.linspace(*MU_BOX, g)
     nu = np.linspace(NU_MIN, mu - NU_MARGIN, g, axis=-1)
-    p_mu = np.linspace(*P_MU_BOX, g)
-    if n_decoys == 2:
-        p_nu = np.linspace(P_NU_BOX[0], np.minimum(P_NU_BOX[1], MAX_P_SUM - p_mu), g, axis=-1)
-    else:
-        p_nu = (1.0 - p_mu)[:, None]
-    grids = np.broadcast_arrays(
-        mu[:, None, None, None], nu[:, :, None, None], p_mu[:, None], p_nu
-    )
-    return np.stack(grids, axis=-1).reshape(-1, 4)
+    share = np.linspace(*SHARE_BOX, g)
+    p_sum = np.linspace(lo, hi, g if hi > lo else 1)
+    grids = np.broadcast_arrays(mu[:, None, None, None], nu[:, :, None, None], share[:, None], p_sum)
+    return _params(np.stack(grids, axis=-1).reshape(-1, 4))
 
 
 def _box(dim: str, point: dict, n_decoys: int) -> tuple[float, float]:
-    """Search interval of one coordinate with the others held at point."""
+    """Search interval of one coordinate at point; only mu and nu bound each other."""
     if dim == "mu":
         return max(MU_BOX[0], point["nu"] + NU_MARGIN), MU_BOX[1]
     if dim == "nu":
         return NU_MIN, point["mu"] - NU_MARGIN
-    if dim == "p_mu":
-        cap = MAX_P_SUM - point["p_nu"] if n_decoys == 2 else P_MU_BOX[1]
-        return P_MU_BOX[0], min(P_MU_BOX[1], cap)
-    if dim == "p_nu":
-        return P_NU_BOX[0], min(P_NU_BOX[1], MAX_P_SUM - point["p_mu"])
-    return P_Z_BOX
-
-
-def _moved(point: dict, dim: str, xs, n_decoys: int) -> np.ndarray:
-    """Rows (mu, nu, p_mu, p_nu, p_z) of point with coordinate dim set to
-    each of xs; one decoy ties p_nu to 1 - p_mu."""
-    rows = np.tile([point[k] for k in PARAM_NAMES], (len(xs), 1))
-    rows[:, PARAM_NAMES.index(dim)] = xs
-    if n_decoys == 1:
-        rows[:, 3] = 1.0 - rows[:, 2]
-    return rows
+    return {"share": SHARE_BOX, "p_sum": P_SUM_BOX[n_decoys], "p_z": P_Z_BOX}[dim]
 
 
 def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig) -> tuple[dict, float]:
     """Coordinate-wise golden-section ascent of f, which maps an array of
     parameter rows (mu, nu, p_mu, p_nu, p_z) to their values, starting from
-    the parameter dict point with value f(point). Each coordinate is
-    searched in its box to a tolerance of rel_tolerance times the box span,
-    and a move is kept only when it raises value. Returns (point, value)."""
+    the parameter dict point with value f(point). Each of SEARCH_NAMES is
+    searched in its box to a tolerance of rel_tolerance times its DIM_SPAN,
+    and a move is kept only when it raises value. Returns (point, value),
+    point being the start if no move is kept, else the row that gave value."""
+    lo, hi = P_SUM_BOX[n_decoys]
+    # A sum box of zero width holds the sum, which p_mu + p_nu can round away from.
+    p_sum = point["p_mu"] + point["p_nu"] if hi > lo else lo
+    at = dict(point, share=point["p_mu"] / p_sum, p_sum=p_sum)
+
+    def rows(dim: str, xs) -> np.ndarray:
+        search = np.tile([at[k] for k in SEARCH_NAMES], (len(xs), 1))
+        search[:, SEARCH_NAMES.index(dim)] = xs
+        return _params(search)
+
     for _ in range(config.refine_iterations):
-        for dim in REFINED_DIMS[n_decoys]:
-            lo, hi = _box(dim, point, n_decoys)
+        for dim in SEARCH_NAMES:
+            lo, hi = _box(dim, at, n_decoys)
             if hi <= lo:
                 continue
-            x, fx = _golden_max(
-                lambda xs: f(_moved(point, dim, xs, n_decoys)),
-                lo, hi, abs_tol=config.rel_tolerance * DIM_SPAN[dim],
-            )
+            x, fx = _golden_max(lambda xs: f(rows(dim, xs)), lo, hi,
+                                config.rel_tolerance * DIM_SPAN[dim])
             if fx > value:
-                point = dict(zip(PARAM_NAMES, _moved(point, dim, [x], n_decoys)[0].tolist()))
-                value = fx
+                point = dict(zip(PARAM_NAMES, rows(dim, [x])[0].tolist()))
+                at[dim], value = x, fx
     return point, value
 
 
@@ -636,8 +629,7 @@ def optimize_pass(
         value = float(best[0])
         # A whole-degree cut may lie below the station's own cut; every cut up
         # to the lowest sample keeps the same samples, so report the station's.
-        lowest = float(pass_geometry.samples.elevation_deg.min())
-        cut = max(float(channel.cuts[best_cut[0]]), min(pass_geometry.min_elevation_deg, lowest))
+        cut = max(float(channel.cuts[best_cut[0]]), pass_geometry.min_elevation_deg)
         params = ParamVector(*final, min_elevation_deg=cut)
         if trace_path is not None:
             text = _join(children, writer) if forked else _trace_text(*coarse)
@@ -681,8 +673,8 @@ def pointwise_asymptotic_profile(
     )
     p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
     blocks = _coarse_blocks(config, n_decoys)
-    mu_c, nu_c, p_mu_c, p_nu_c = np.repeat(blocks, len(p_z_values), axis=0).T
-    p_z_c = np.tile(p_z_values, len(blocks))
+    rows = np.column_stack([np.repeat(blocks, len(p_z_values), axis=0),
+                            np.tile(p_z_values, len(blocks))])
 
     def rate(eta, mu, nu, p_mu, p_nu, p_z):
         return asymptotic_rate(
@@ -692,12 +684,10 @@ def pointwise_asymptotic_profile(
 
     profile = []
     for t_s, eta in zip(pass_geometry.samples.t_s.tolist(), breakdowns.eta.tolist()):
-        rates = rate(eta, mu_c, nu_c, p_mu_c, p_nu_c, p_z_c)
+        rates = rate(eta, *rows.T)
         idx = int(np.argmax(rates))
-        start = {k: float(v[idx]) for k, v in zip(PARAM_NAMES, (mu_c, nu_c, p_mu_c, p_nu_c, p_z_c))}
-        _, best = _refine(
-            lambda rows: rate(eta, *rows.T), start, float(rates[idx]), n_decoys, config
-        )
+        start = dict(zip(PARAM_NAMES, rows[idx].tolist()))
+        _, best = _refine(lambda xs: rate(eta, *xs.T), start, float(rates[idx]), n_decoys, config)
         profile.append((t_s, best))
     return profile
 

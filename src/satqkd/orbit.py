@@ -167,7 +167,8 @@ def synth_pass(orbit: OrbitSpec, station: GroundStation, sample_dt_s: float = 1.
     angle psi_min follows from the requested peak elevation, and the
     central angle evolves as cos(psi(t)) = cos(psi_min) cos(w t). Samples
     are emitted on a symmetric grid around culmination (t = 0) and clipped
-    to elevation >= station.min_elevation_deg.
+    to elevation >= station.min_elevation_deg; an elevation that rounding
+    puts below the cut is raised to it.
 
     Args:
         orbit: Circular orbit definition.
@@ -190,8 +191,9 @@ def synth_pass(orbit: OrbitSpec, station: GroundStation, sample_dt_s: float = 1.
 
     t = np.arange(-n_half, n_half + 1) * sample_dt_s
     psi = np.arccos(np.minimum(1.0, math.cos(psi_min) * np.cos(omega * t)))
+    elevation = np.maximum(_elevation_from_central_angle(r_sat, psi), station.min_elevation_deg)
     samples = np.rec.fromarrays(
-        [t, _elevation_from_central_angle(r_sat, psi), slant_range_km(r_sat, psi)],
+        [t, elevation, slant_range_km(r_sat, psi)],
         names=["t_s", "elevation_deg", "slant_range_km"],
     )
     return PassGeometry(samples=samples, sample_dt_s=sample_dt_s,

@@ -131,7 +131,7 @@ class TestOptimizePass:
         at_grid_floor = evaluate_params(
             pg, snspd.hardware(), snspd.security, 2, replace(params, min_elevation_deg=20.0)
         )
-        assert result.skl_bits == at_grid_floor.skl_bits == 2492675
+        assert result.skl_bits == at_grid_floor.skl_bits == 2467475
 
     def test_hopeless_scenario_flags_abort(self, snspd, coarse_pass):
         hardware = snspd.hardware()
@@ -192,7 +192,7 @@ class TestCutGrid:
         pg = synth_pass(snspd.orbit, GroundStation(35.5, 80.0), 1.0)
         params, result = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
         assert params.min_elevation_deg >= 35.5
-        assert result.skl_bits == 2477353
+        assert result.skl_bits == 2452628
         at_35 = evaluate_params(pg, snspd.hardware(), snspd.security, 2,
                                 replace(params, min_elevation_deg=35.0))
         assert result.skl_bits == at_35.skl_bits
@@ -208,6 +208,20 @@ class TestCutGrid:
         elevations = pass_geometry.samples.elevation_deg
         station_cut = min(pass_geometry.min_elevation_deg, elevations.min())
         assert station_cut <= params.min_elevation_deg <= elevations.max()
+
+    def test_cut_one_ulp_below_the_peak_is_reported_at_the_station_cut(self, snspd):
+        """A peak one ulp above the station's cut comes back from the pass
+        geometry 6e-14 degrees below it; the pass and the reported cut stay
+        at the station's cut."""
+        pg = synth_pass(OrbitSpec(567.0), GroundStation(43.0, 43.00000000000001), 1.0)
+        assert pg.samples.elevation_deg.min() >= 43.0
+        params, _ = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
+        assert params.min_elevation_deg >= 43.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(generated_passes())
+    def test_samples_lie_at_or_above_the_station_cut(self, pass_geometry):
+        assert pass_geometry.samples.elevation_deg.min() >= pass_geometry.min_elevation_deg
 
     def test_pass_without_samples_rejected(self, snspd, coarse_pass):
         empty = replace(coarse_pass, samples=coarse_pass.samples[:0])
@@ -489,20 +503,17 @@ def test_optimizer_config_validation():
 
 
 def loop_coarse_blocks(config, n_decoys):
-    """The coarse blocks as nested loops, mu outermost."""
+    """The coarse blocks as nested loops over the search coordinates (mu,
+    nu, share, p_sum), mu outermost; a sum box of zero width is one value."""
     g = config.coarse_grid_steps
+    lo, hi = optimizer.P_SUM_BOX[n_decoys]
     blocks = []
     for mu in np.linspace(*optimizer.MU_BOX, g):
         for nu in np.linspace(optimizer.NU_MIN, mu - optimizer.NU_MARGIN, g):
-            for p_mu in np.linspace(*optimizer.P_MU_BOX, g):
-                if n_decoys == 2:
-                    nu_hi = min(optimizer.P_NU_BOX[1], optimizer.MAX_P_SUM - p_mu)
-                    if nu_hi <= optimizer.P_NU_BOX[0]:
-                        continue
-                    p_nu_values = np.linspace(optimizer.P_NU_BOX[0], nu_hi, g)
-                else:
-                    p_nu_values = [1.0 - p_mu]
-                blocks.extend((mu, nu, p_mu, p_nu) for p_nu in p_nu_values)
+            for share in np.linspace(*optimizer.SHARE_BOX, g):
+                for p_sum in (np.linspace(lo, hi, g) if hi > lo else [lo]):
+                    p_mu = share * p_sum
+                    blocks.append((mu, nu, p_mu, p_sum - p_mu))
     return np.array(blocks, dtype=float).reshape(-1, 4)
 
 
@@ -626,3 +637,20 @@ def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
     assert batched[1] > value
     assert n_batched <= 55
     assert 2 * n_batched <= len(calls)
+
+
+def test_refinement_moves_along_the_two_decoy_edge():
+    """An objective that peaks on p_mu + p_nu = 0.99 at share 0.8 and falls
+    off steeply below that edge is followed along it from snspd_pol_2decoy's
+    former optimum, where p_mu could move only once p_nu had fallen."""
+    def f(rows):
+        _, _, p_mu, p_nu, _ = rows.T
+        total = p_mu + p_nu
+        return 1.0 - (p_mu / total - 0.8) ** 2 - 100.0 * (0.99 - total)
+
+    start = dict(zip(optimizer.PARAM_NAMES, (0.5, 0.1, 0.6286, 0.3614, 0.9)))
+    value = float(f(np.array([[start[k] for k in optimizer.PARAM_NAMES]]))[0])
+    point, best = optimizer._refine(f, start, value, 2, OptimizerConfig())
+    assert best > value
+    assert point["p_mu"] / (point["p_mu"] + point["p_nu"]) == pytest.approx(0.8, abs=0.01)
+    assert point["p_mu"] + point["p_nu"] <= 0.99 + 1e-12
