@@ -583,7 +583,11 @@ def asymptotic_rate(
 
     Infinite-data limit: exact Poisson yields replace the decoy bounds, the
     fluctuation and transfer terms vanish and the log penalties drop out;
-    lambda_EC keeps the f_ec inefficiency.
+    lambda_EC keeps the f_ec inefficiency. The one-photon X error here,
+    (Y0/2 + e_mis (1 - Y0) eta) / y1, is the sampler's form, while
+    channel.one_photon_error, the coarse grid's phase-error floor, takes
+    (Y0/2 + e_mis eta) / y1, the form _wcp implies; they differ by a
+    relative amount of order Y0.
     """
     eta_t = eta * det.efficiency
     clicks, err_z, _, f_dead = presift_rows(eta_t, mu, nu, p_mu, p_nu, p_vac, source, det)
