@@ -203,15 +203,15 @@ def _wcp(k, eta_total, y0, e_mis_z, e_mis_x):
     return 1.0 - (1.0 - y0) * attenuation, 0.5 * y0 + e_mis_z * signal, 0.5 * y0 + e_mis_x * signal
 
 
-def one_photon_error(eta_total, y0: float, e_mis: float) -> np.ndarray:
-    """Error rate e1 = (Y0/2 + e_mis eta) / (1 - (1 - Y0)(1 - eta)) of a
-    one-photon pulse, the n = 1 term of _wcp's model: expanding D_k and
-    the errors of an intensity-k pulse over its Poisson photon numbers gives
-    the yield 1 - (1 - Y0)(1 - eta)^n and the errors Y0/2 + e_mis (1 -
-    (1 - eta)^n) of n photons. 0.5 where that yield is 0."""
+def one_photon(eta_total, y0: float, e_mis: float) -> tuple[np.ndarray, np.ndarray]:
+    """Click probability y1 = 1 - (1 - Y0)(1 - eta) of a one-photon pulse
+    and its error rate e1 = (Y0/2 + e_mis (1 - Y0) eta) / y1, 0.5 where y1
+    is 0: the Monte Carlo sampler's n = 1 cell, whose errors are at most the
+    Y0/2 + e_mis eta of _wcp's n = 1 term (see the module docstring)."""
     eta = np.asarray(eta_total, dtype=float)
     y1 = 1.0 - (1.0 - y0) * (1.0 - eta)
-    return np.divide(0.5 * y0 + e_mis * eta, y1, out=np.full(eta.shape, 0.5), where=y1 > 0.0)
+    errors = 0.5 * y0 + e_mis * (1.0 - y0) * eta
+    return y1, np.divide(errors, y1, out=np.full(eta.shape, 0.5), where=y1 > 0.0)
 
 
 def pulse_gain(k: float, eta_total: float, y0: float):

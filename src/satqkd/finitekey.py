@@ -31,16 +31,17 @@ bounds, the gamma transfer, phi and the abort mask. From the Z half and
 lambda_EC alone, B = s_Z0 + s_Z1 (1 - h(phi_f)) - lambda_EC - penalties,
 plus a rounding slack of 1e-9 |B| + 1 bit, bounds l from above wherever the
 kernel does not abort, for any floor phi_f of at most 1/2 and at most the
-true one-photon X error rate e1 = (Y0/2 + e_mis eta) / (1 - (1 - Y0)(1 -
-eta)) of each of the one or more samples the expected tallies sum (see
-`channel.one_photon_error`): such a block has phi <= 1/2 and phi >= v_X1 /
-s_X1, which is at least the true pooled one-photon X error rate because
-the decoy bounds are one-sided on exact expected tallies (the dead-time
-factor scales every intensity of a sample alike); that rate is a weighted
-mean of the per-sample e1, so at least their minimum; h increases on [0,
-1/2], s_Z1 >= 0, and every other term is the one l has. The optimizer's
-coarse grid prunes with B, taking as phi_f the smaller of 1/2 and the
-least e1 of the samples a cut keeps.
+true one-photon X error rate (Y0/2 + e_mis eta) / y1, y1 = 1 - (1 - Y0)(1
+- eta), of each of the one or more samples the expected tallies sum: such
+a block has phi <= 1/2 and phi >= v_X1 / s_X1, which is at least the true
+pooled one-photon X error rate because the decoy bounds are one-sided on
+exact expected tallies (the dead-time factor scales every intensity of a
+sample alike); that rate is a weighted mean of the per-sample rates, so at
+least their minimum; h increases on [0, 1/2], s_Z1 >= 0, and every other
+term is the one l has. The optimizer's coarse grid prunes with B, taking
+as phi_f the smaller of 1/2 and the least sampler-form rate e1 = (Y0/2 +
+e_mis (1 - Y0) eta) / y1 (`channel.one_photon`) of the samples a cut
+keeps, which is at most the true rate since 1 - Y0 <= 1.
 
 All estimator arithmetic is written against numpy so the whole-pass
 optimizer can evaluate many candidate blocks in one call. The array
@@ -67,6 +68,7 @@ from .channel import (
     SourceSpec,
     TallySet,
     background_yield,
+    one_photon,
     presift_rows,
 )
 
@@ -583,11 +585,9 @@ def asymptotic_rate(
 
     Infinite-data limit: exact Poisson yields replace the decoy bounds, the
     fluctuation and transfer terms vanish and the log penalties drop out;
-    lambda_EC keeps the f_ec inefficiency. The one-photon X error here,
-    (Y0/2 + e_mis (1 - Y0) eta) / y1, is the sampler's form, while
-    channel.one_photon_error, the coarse grid's phase-error floor, takes
-    (Y0/2 + e_mis eta) / y1, the form _wcp implies; they differ by a
-    relative amount of order Y0.
+    lambda_EC keeps the f_ec inefficiency. The one-photon yield and X
+    error are channel.one_photon's, the Monte Carlo sampler's form, which
+    the coarse grid's phase-error floor uses too.
     """
     eta_t = eta * det.efficiency
     clicks, err_z, _, f_dead = presift_rows(eta_t, mu, nu, p_mu, p_nu, p_vac, source, det)
@@ -596,8 +596,7 @@ def asymptotic_rate(
     tau0 = emission_tau((mu, nu, 0.0), (p_mu, p_nu, p_vac), 0)
     tau1 = emission_tau((mu, nu, 0.0), (p_mu, p_nu, p_vac), 1)
     y0 = background_yield(det, source.pulse_rate_hz)
-    y1 = 1.0 - (1.0 - y0) * (1.0 - eta_t)
-    e1_x = (0.5 * y0 + source.misalignment_x * (1.0 - y0) * eta_t) / y1
+    y1, e1_x = one_photon(eta_t, y0, source.misalignment_x)
     rate = p_sift_z * f_dead * (
         tau0 * y0
         + tau1 * y1 * (1.0 - _entropy(np.minimum(e1_x, 0.5)))

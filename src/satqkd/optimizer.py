@@ -35,16 +35,15 @@ about a quarter of the calls. The final evaluation is one more row.
 The chunk list is split into contiguous runs, one per CPU this process may
 run on. The first run is evaluated in the calling process and each other
 one in a child made with os.fork, which sends each grid row's best value
-and cut index back over a pipe as two arrays. Results are joined in grid
-order, so the chosen parameters and the trace are the same on any number
-of CPUs. When a trace is asked for and more than one CPU is usable, one
-more child, forked the same way, formats the trace's coarse rows while the
-calling process refines; the calling process then appends the final row
-and writes the file. On one CPU the same formatting runs inline. A whole
-pickled result is the only sign of a child's success that is read, and
-every child of a pass is killed, if still running, and reaped when the
-pass ends. The children run only elementwise numpy code and string
-formatting, never BLAS, whose thread pool a fork does not carry over.
+and cut index back over a pipe as two arrays. When a trace is asked for,
+each run also formats the trace rows of its own chunks, in the process
+that computed them, and sends that text with its arrays. Results are
+joined in grid order, so the chosen parameters and the trace are the same
+on any number of CPUs. A whole pickled result is the only sign of a
+child's success that is read, and every child of a pass is killed, if
+still running, and reaped when the pass ends. The children run only
+elementwise numpy code and string formatting, never BLAS, whose thread
+pool a fork does not carry over.
 """
 from __future__ import annotations
 
@@ -67,7 +66,7 @@ from .channel import (
     background_yield,
     basis_rows,
     expected_tallies,
-    one_photon_error,
+    one_photon,
     presift_rows,
     sifted_rows,
 )
@@ -118,9 +117,8 @@ class OptimizerError(ValueError):
 
 
 class CoarseSearchError(RuntimeError):
-    """Raised when a forked optimizer worker, a coarse search shard or the
-    trace writer, cannot start, fails or sends an incomplete result: an
-    internal error, not invalid input."""
+    """Raised when a forked coarse search shard cannot start, fails or
+    sends an incomplete result: an internal error, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -231,10 +229,8 @@ class _PassChannel:
         # cut j keeps, at most 0.5 (the domain of h; e1 can exceed it at
         # extreme Y0), below the kernel's phase-error bound phi at cut j
         # wherever it does not abort; see `finitekey`.
-        e1 = one_photon_error(
-            self.eta_sorted, background_yield(self.detector, self.template.pulse_rate_hz),
-            self.template.misalignment_x,
-        )
+        y0 = background_yield(self.detector, self.template.pulse_rate_hz)
+        e1 = one_photon(self.eta_sorted, y0, self.template.misalignment_x)[1]
         self.phi_floor = np.minimum.accumulate(np.append(0.5, e1))[self.cut_kept]
 
     def cut_sums(self, blocks: np.ndarray) -> np.ndarray:
@@ -486,15 +482,16 @@ def _coarse_shard(
 
 def _trace_text(channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray,
                 values: np.ndarray, cut_idx: np.ndarray) -> str:
-    """Header and coarse rows of the optimizer trace: one row per grid point
-    in grid order, with its best cut and value. Cells are Python-float
-    reprs; each distinct grid coordinate, p_z value and cut is formatted
-    once. Rows are joined a chunk of CHUNK_BLOCKS blocks at a time, so each
-    chunk's temporaries reuse the memory of the one before."""
+    """Coarse rows of the optimizer trace for blocks crossed with
+    p_z_values: one line per grid row in grid order, with its best cut and
+    value, each ending in a newline. Cells are Python-float reprs; each
+    distinct grid coordinate, p_z value and cut is formatted once. Rows are
+    joined a chunk of CHUNK_BLOCKS blocks at a time, so each chunk's
+    temporaries reuse the memory of the one before."""
     cells = {x: repr(x) for x in set(blocks.ravel().tolist())}
     p_z_cells = [repr(p_z) for p_z in p_z_values.tolist()]
     cut_cells = [repr(cut) for cut in channel.cuts.tolist()]
-    parts = ["stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real"]
+    parts = []
     for start in range(0, len(blocks), CHUNK_BLOCKS):
         chunk = blocks[start:start + CHUNK_BLOCKS].tolist()
         heads = [head + p_z for head in ("coarse,%s,%s,%s,%s," % tuple(map(cells.get, b))
@@ -572,20 +569,26 @@ def _join(children: dict[int, BinaryIO], pid: int):
 
 def _coarse_search(
     channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray,
-    children: dict[int, BinaryIO], n_cpus: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    children: dict[int, BinaryIO], n_cpus: int, traced: bool,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """_coarse_shard over the whole grid, split into contiguous runs of
-    chunks, one per CPU of n_cpus. The first run is evaluated here, each
-    other one in a child forked into children; the results are joined in
-    grid order, so they do not depend on the number of CPUs."""
+    chunks, one per CPU of n_cpus, and, if traced, the _trace_text of each
+    run, else empty texts. The first run is evaluated here, each other one
+    in a child forked into children; the results are joined in grid order,
+    so they do not depend on the number of CPUs."""
     n_chunks = -(-len(blocks) // CHUNK_BLOCKS)
     n_shards = min(n_cpus, n_chunks)
     edges = [CHUNK_BLOCKS * (n_chunks * i // n_shards) for i in range(n_shards + 1)]
     shards = [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    pids = [_fork(children, _coarse_shard, channel, shard, p_z_values) for shard in shards[1:]]
-    results = [_coarse_shard(channel, shards[0], p_z_values)]
-    results += [_join(children, pid) for pid in pids]
-    return tuple(np.concatenate(arrays) for arrays in zip(*results))
+
+    def shard(run: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+        values, cut_idx = _coarse_shard(channel, run, p_z_values)
+        text = _trace_text(channel, run, p_z_values, values, cut_idx) if traced else ""
+        return values, cut_idx, text
+
+    pids = [_fork(children, shard, run) for run in shards[1:]]
+    values, cut_idx, texts = zip(shard(shards[0]), *[_join(children, pid) for pid in pids])
+    return np.concatenate(values), np.concatenate(cut_idx), texts
 
 
 def optimize_pass(
@@ -608,18 +611,14 @@ def optimize_pass(
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
     blocks = _coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
-    n_cpus = _usable_cpus()
     with _children() as children:
-        values, cut_idx = _coarse_search(channel, blocks, p_z_values, children, n_cpus)
+        values, cut_idx, texts = _coarse_search(
+            channel, blocks, p_z_values, children, _usable_cpus(), trace_path is not None
+        )
         # The first maximum in grid order wins.
         row = int(np.argmax(values))
         block, j = divmod(row, len(p_z_values))
         start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-        coarse = (channel, blocks, p_z_values, values, cut_idx)
-        # With a CPU to spare, a child formats the coarse trace while the
-        # refinement runs here.
-        forked = trace_path is not None and n_cpus > 1
-        writer = _fork(children, _trace_text, *coarse) if forked else None
         point, _ = _refine(
             lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
             start, float(values[row]), n_decoys, config,
@@ -632,9 +631,9 @@ def optimize_pass(
         cut = max(float(channel.cuts[best_cut[0]]), pass_geometry.min_elevation_deg)
         params = ParamVector(*final, min_elevation_deg=cut)
         if trace_path is not None:
-            text = _join(children, writer) if forked else _trace_text(*coarse)
-            # CPython appends in place once this line has run a few times.
-            text += "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value)
+            text = "".join(["stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n", *texts,
+                            "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value)])
+            del texts  # one copy of the file in memory while it is written
             Path(trace_path).write_text(text)
         # Children still exiting do so while the scalar path runs.
         return params, evaluate_params(pass_geometry, hardware, security, n_decoys, params)

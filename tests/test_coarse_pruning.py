@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satqkd import optimizer
-from satqkd.channel import one_photon_error
+from satqkd.channel import one_photon
 from satqkd.optimizer import CHUNK_BLOCKS, P_Z_BOX, OptimizerConfig, _coarse_blocks, _coarse_shard
 from satqkd.orbit import GroundStation, OrbitSpec, synth_pass
 from satqkd.scenario import load_bundled_scenario
@@ -141,6 +141,16 @@ def test_x_half_runs_on_under_45_percent_of_cells(monkeypatch):
 def test_one_photon_error_is_half_where_the_yield_is_zero():
     """With no background and no transmission a one-photon pulse never
     clicks: its error rate is taken as 1/2, without a division by zero."""
-    e1 = one_photon_error(np.array([0.0, 1e-3]), 0.0, 0.01)
+    _, e1 = one_photon(np.array([0.0, 1e-3]), 0.0, 0.01)
     assert e1[0] == 0.5
     assert e1[1] == pytest.approx(0.01)
+
+
+def test_one_photon_error_is_the_samplers():
+    """A one-photon pulse clicks with probability y1 = 1 - (1 - Y0)(1 - eta)
+    and errs on its photon only when the background did not fire: e1 =
+    (Y0/2 + e_mis (1 - Y0) eta) / y1, 0.12 / 0.6 here, not the 0.125 / 0.6
+    of _wcp's n = 1 term."""
+    y1, e1 = one_photon(0.5, 0.2, 0.05)
+    assert y1 == pytest.approx(0.6, rel=1e-12)
+    assert e1 == pytest.approx(0.2, rel=1e-12)

@@ -5,7 +5,9 @@ key length at the scenario's own source parameters, the pass sample count,
 and at a few pass samples the asymptotic rate, the pass columns and the
 link budget's total_db and eta. Refactors must reproduce them to a relative
 1e-9. Regenerate with `PYTHONPATH=src python tests/test_golden.py` only
-when a change is meant to move these figures.
+when a change is meant to move these figures: it keeps every stored value
+the new one lies within that tolerance of, so the file records only what
+moved, and prints each moved field.
 """
 from __future__ import annotations
 
@@ -84,7 +86,25 @@ def test_bundled_scenario_matches_golden(name, bundled_results):
             assert got[table][key] == pytest.approx(row, rel=REL, abs=0), (table, key)
 
 
+def _keep_unmoved(old, new, moved: list[str], path: str = ""):
+    """new, with each float of old kept where new lies within REL of it;
+    integers and keys must match exactly. Appends a line to moved for each
+    field that differs otherwise: its path, old and new value and change."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        moved += [f"{path}/{key}: removed"[1:] for key in sorted(old.keys() - new.keys())]
+        return {key: _keep_unmoved(old.get(key), value, moved, f"{path}/{key}")
+                for key, value in new.items()}
+    if type(old) is type(new) is float and abs(new - old) <= REL * abs(old):
+        return old
+    if new != old:
+        numbers = all(type(x) in (int, float) for x in (old, new)) and old != 0
+        change = f"{100 * (new / old - 1):+.3g}%" if numbers else "-"
+        moved.append(f"{path[1:]}: {old!r} -> {new!r} ({change})")
+    return new
+
+
 if __name__ == "__main__":
+    stored = json.loads(GOLDEN_PATH.read_text())
     golden = {}
     for name in bundled_scenario_names():
         scenario = load_bundled_scenario(name)
@@ -93,4 +113,7 @@ if __name__ == "__main__":
             scenario.n_decoys, scenario.optimizer,
         )
         golden[name] = snapshot(scenario, params, result)
+    moved: list[str] = []
+    golden = _keep_unmoved(stored, golden, moved)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print("\n".join(moved) or "no field moved")

@@ -2,6 +2,7 @@
 import csv
 import os
 import pickle
+import signal
 import time
 from dataclasses import replace
 
@@ -201,9 +202,9 @@ class TestCutGrid:
     @given(generated_passes())
     def test_reported_cut_is_within_the_station_window(self, snspd, pass_geometry):
         """The reported cut lies between the station's cut and the highest
-        sample. A sample that rounding puts below the station's cut (a peak
-        one ulp above it comes back 6e-14 degrees below) is kept, and the
-        cut reported with it."""
+        sample. Every sample lies at or above the station's cut (see
+        test_samples_lie_at_or_above_the_station_cut), so the lower of the
+        two is the station's cut."""
         params, _ = optimize_pass(pass_geometry, snspd.hardware(), snspd.security, 2, FAST)
         elevations = pass_geometry.samples.elevation_deg
         station_cut = min(pass_geometry.min_elevation_deg, elevations.min())
@@ -354,8 +355,8 @@ class TestShardedCoarseSearch:
 
 
 class TestTraceWriter:
-    """With more than one usable CPU, a forked child formats the coarse
-    trace while the calling process refines."""
+    """Each coarse shard, the calling process's and each forked child's,
+    formats the trace rows of its own chunks."""
 
     @staticmethod
     def counted_forks(monkeypatch) -> list[int]:
@@ -372,23 +373,24 @@ class TestTraceWriter:
 
     @pytest.mark.parametrize("fault", ["raises", "exits_silently", "truncated"])
     def test_failed_writer_raises_internal_error(self, fault, snspd, coarse_pass, tmp_path, monkeypatch):
-        """A writer that fails, sends nothing or sends part of the trace
-        fails the call with an error that is not a ValueError, and writes
-        no trace."""
+        """A shard child that fails while formatting its trace rows, sends
+        nothing or sends part of them fails the call with an error that is
+        not a ValueError, and writes no trace."""
         parent = os.getpid()
         trace_text, dumps = optimizer._trace_text, pickle.dumps
 
         def faulty_trace_text(*args):
             if os.getpid() != parent:
                 if fault == "raises":
-                    raise RuntimeError("writer failure")
+                    raise RuntimeError("formatting failure")
                 if fault == "exits_silently":
                     os._exit(0)
             return trace_text(*args)
 
         def truncating_dumps(obj, *args):
-            # Only the writer sends a str; the coarse shards' arrays pass.
-            return dumps(obj, *args)[:-7] if isinstance(obj, str) else dumps(obj, *args)
+            # Only a traced shard's result ends in a non-empty trace text.
+            traced = isinstance(obj, tuple) and isinstance(obj[-1], str) and obj[-1]
+            return dumps(obj, *args)[:-7] if traced else dumps(obj, *args)
 
         forks = self.counted_forks(monkeypatch)
         monkeypatch.setattr(optimizer, "_trace_text", faulty_trace_text)
@@ -398,38 +400,58 @@ class TestTraceWriter:
         with pytest.raises(CoarseSearchError) as info:
             TestShardedCoarseSearch.run(snspd, coarse_pass, trace)
         assert not isinstance(info.value, ValueError)
-        assert len(forks) == 2  # one coarse shard, then the writer
+        assert len(forks) == 1  # one coarse shard, which formats its own rows
         assert not trace.exists()
         _assert_no_child_left()
 
-    def test_interrupt_during_refinement_reaps_writer(self, snspd, coarse_pass, tmp_path, monkeypatch):
-        """An interrupt in the calling process while it refines kills and
-        reaps the writer, here one that would not finish for a minute."""
-        parent = os.getpid()
+    def test_interrupt_while_waiting_reaps_formatting_shard(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """An interrupt in the calling process while it waits for a shard
+        child kills and reaps the child, here one that would not finish
+        formatting its trace rows for a minute."""
+        parent, trace_text = os.getpid(), optimizer._trace_text
 
         def hanging_trace_text(*args):
             if os.getpid() != parent:
                 time.sleep(60)
+            text = trace_text(*args)
+            # The calling process has formatted its own rows and goes on to wait.
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            return text
 
-        def interrupted_refine(*args):
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
         forks = self.counted_forks(monkeypatch)
         monkeypatch.setattr(optimizer, "_trace_text", hanging_trace_text)
-        monkeypatch.setattr(optimizer, "_refine", interrupted_refine)
-        with pytest.raises(KeyboardInterrupt):
-            TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
-        assert len(forks) == 2
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(KeyboardInterrupt) as info:
+                TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.perf_counter() - start < 10.0
+        assert "_join" in [entry.name for entry in info.traceback]
+        assert len(forks) == 1
         _assert_no_child_left()
 
     def test_untraced_call_forks_only_coarse_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A call without a trace formats no trace rows, in any process, and
+        a traced call forks no more children than an untraced one."""
+
+        def no_trace_text(*args):
+            raise AssertionError("an untraced call must not format trace rows")
+
         forks = self.counted_forks(monkeypatch)
-        untraced = optimize_pass(coarse_pass, snspd.hardware(), snspd.security, 2, FAST)
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_trace_text", no_trace_text)
+            untraced = optimize_pass(coarse_pass, snspd.hardware(), snspd.security, 2, FAST)
         assert len(forks) == 1
         traced = optimize_pass(
             coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=tmp_path / "t.csv"
         )
-        assert len(forks) == 3
+        assert len(forks) == 2
         assert repr(untraced) == repr(traced)
         _assert_no_child_left()
 
@@ -449,7 +471,7 @@ class TestTraceWriter:
         start = time.perf_counter()
         TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
         assert time.perf_counter() - start < 10.0
-        assert len(forks) == 2
+        assert len(forks) == 1
         _assert_no_child_left()
 
 
