@@ -7,9 +7,9 @@ over (mu, nu, share, p_sum, p_z), where p_sum = p_mu + p_nu and share =
 p_mu / p_sum, each in a constant box but for nu, which stays NU_MARGIN
 below mu: a deterministic coarse grid crossed with an exhaustive 1-degree
 scan of the minimum elevation, then coordinate-wise golden-section
-refinement. The pass sets the elevation grid: the whole degrees from its
-lowest sample, rounded down, to its highest, so the first cut keeps every
-sample and every cut keeps one.
+refinement from START_COUNT starts. The pass sets the elevation grid: the
+whole degrees from its lowest sample, rounded down, to its highest, so the
+first cut keeps every sample and every cut keeps one.
 
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
@@ -32,18 +32,24 @@ together with every point the next LOOKAHEAD steps could need, then replays
 the sequential steps from those values, so it visits the same points in
 about a quarter of the calls. The final evaluation is one more row.
 
-The chunk list is split into contiguous runs, one per CPU this process may
-run on. The first run is evaluated in the calling process and each other
-one in a child made with os.fork, which sends each grid row's best value
-and cut index back over a pipe as two arrays. When a trace is asked for,
-each run also formats the trace rows of its own chunks, in the process
-that computed them, and sends that text with its arrays. Results are
-joined in grid order, so the chosen parameters and the trace are the same
-on any number of CPUs. A whole pickled result is the only sign of a
-child's success that is read, and every child of a pass is killed, if
-still running, and reaped when the pass ends. The children run only
-elementwise numpy code and string formatting, never BLAS, whose thread
-pool a fork does not carry over.
+The starts are the best rows, each its first maximum in grid order, of
+the START_COUNT nu grid indices whose best rows rank highest by value, ties
+going to the lower row; they are kept in grid order, so the grid's first
+maximum is one of them. A single grid can hold optima in distinct basins
+that differ mostly in nu, and starts from distinct nu indices reach more of
+them than the best rows alone. The result is the first maximum over the
+refined starts, in start order.
+
+The calling process evaluates the whole coarse grid and formats its trace
+rows. When it may run on more than one CPU, every start after the first is
+refined in its own child made with os.fork, which sends its refined point
+and value back over a pipe; the calling process refines the first start and
+then joins the children in start order, so the chosen parameters and the
+trace are the same on any number of CPUs. A whole pickled result is the only
+sign of a child's success that is read, and every child of a pass is
+killed, if still running, and reaped when the pass ends. The children run
+only elementwise numpy code, never BLAS, whose thread pool a fork does not
+carry over.
 """
 from __future__ import annotations
 
@@ -101,6 +107,8 @@ LOOKAHEAD = 3
 # Coarse blocks per finite-key kernel call: large enough to amortise the
 # per-call overhead, small enough that a chunk's temporaries stay in cache.
 CHUNK_BLOCKS = 24
+# Refinement starts per search, each the best coarse row of its own nu index.
+START_COUNT = 3
 PARAM_NAMES = ("mu", "nu", "p_mu", "p_nu", "p_z")
 # The coordinates searched, in refinement order, and the span that scales
 # each one's golden-section tolerance.
@@ -116,9 +124,9 @@ class OptimizerError(ValueError):
     """Raised for invalid optimizer configurations or parameter vectors."""
 
 
-class CoarseSearchError(RuntimeError):
-    """Raised when a forked coarse search shard cannot start, fails or
-    sends an incomplete result: an internal error, not invalid input."""
+class SearchWorkerError(RuntimeError):
+    """Raised when a forked child that refines a start cannot start, fails
+    or sends an incomplete result: an internal error, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +159,8 @@ class ParamVector:
 class OptimizerConfig:
     """Deterministic search configuration."""
 
-    coarse_grid_steps: int = 8
-    refine_iterations: int = 2
+    coarse_grid_steps: int = 4
+    refine_iterations: int = 4
     rel_tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -480,6 +488,16 @@ def _coarse_shard(
     return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
 
 
+def _starts(values: np.ndarray, steps: int) -> list[int]:
+    """Rows of the coarse values to refine from: the best row of each of
+    the START_COUNT nu grid indices whose best rows rank highest, in grid
+    order; see the module docstring. steps is the grid's step count."""
+    nu_index = np.arange(len(values)) // (len(values) // steps**2) % steps
+    best = [int(rows[np.argmax(values[rows])])
+            for rows in (np.flatnonzero(nu_index == k) for k in range(steps))]
+    return sorted(sorted(best, key=lambda row: (-values[row], row))[:START_COUNT])
+
+
 def _trace_text(channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray,
                 values: np.ndarray, cut_idx: np.ndarray) -> str:
     """Coarse rows of the optimizer trace for blocks crossed with
@@ -535,7 +553,7 @@ def _fork(children: dict[int, BinaryIO], fn, *args) -> int:
     except OSError as exc:
         os.close(read_fd)
         os.close(write_fd)
-        raise CoarseSearchError(f"cannot fork an optimizer worker: {exc}") from exc
+        raise SearchWorkerError(f"cannot fork an optimizer worker: {exc}") from exc
     if pid == 0:
         status = 1
         try:
@@ -562,33 +580,9 @@ def _join(children: dict[int, BinaryIO], pid: int):
     try:
         return pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError) as exc:
-        raise CoarseSearchError(
+        raise SearchWorkerError(
             f"optimizer worker {pid} sent an incomplete result ({len(payload)} bytes)"
         ) from exc
-
-
-def _coarse_search(
-    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray,
-    children: dict[int, BinaryIO], n_cpus: int, traced: bool,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """_coarse_shard over the whole grid, split into contiguous runs of
-    chunks, one per CPU of n_cpus, and, if traced, the _trace_text of each
-    run, else empty texts. The first run is evaluated here, each other one
-    in a child forked into children; the results are joined in grid order,
-    so they do not depend on the number of CPUs."""
-    n_chunks = -(-len(blocks) // CHUNK_BLOCKS)
-    n_shards = min(n_cpus, n_chunks)
-    edges = [CHUNK_BLOCKS * (n_chunks * i // n_shards) for i in range(n_shards + 1)]
-    shards = [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
-
-    def shard(run: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-        values, cut_idx = _coarse_shard(channel, run, p_z_values)
-        text = _trace_text(channel, run, p_z_values, values, cut_idx) if traced else ""
-        return values, cut_idx, text
-
-    pids = [_fork(children, shard, run) for run in shards[1:]]
-    values, cut_idx, texts = zip(shard(shards[0]), *[_join(children, pid) for pid in pids])
-    return np.concatenate(values), np.concatenate(cut_idx), texts
 
 
 def optimize_pass(
@@ -611,18 +605,24 @@ def optimize_pass(
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
     blocks = _coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
-    with _children() as children:
-        values, cut_idx, texts = _coarse_search(
-            channel, blocks, p_z_values, children, _usable_cpus(), trace_path is not None
-        )
-        # The first maximum in grid order wins.
-        row = int(np.argmax(values))
+    values, cut_idx = _coarse_shard(channel, blocks, p_z_values)
+    rows = _starts(values, config.coarse_grid_steps)
+
+    def refine(row: int) -> tuple[dict, float]:
         block, j = divmod(row, len(p_z_values))
         start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-        point, _ = _refine(
-            lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
-            start, float(values[row]), n_decoys, config,
-        )
+        return _refine(lambda xs: channel.objective(xs[:, :4], xs[:, 4:])[0],
+                       start, float(values[row]), n_decoys, config)
+
+    with _children() as children:
+        pids = [_fork(children, refine, row) for row in rows[1:]] if _usable_cpus() > 1 else []
+        if trace_path is not None:
+            text = _trace_text(channel, blocks, p_z_values, values, cut_idx)
+        # The starts no child refines, refined here, then the children's, in start order.
+        refined = [*map(refine, rows[:len(rows) - len(pids)]),
+                   *(_join(children, pid) for pid in pids)]
+        # The first maximum in start order wins.
+        point, _ = max(refined, key=lambda result: result[1])
         final = [point[k] for k in PARAM_NAMES]
         best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
         value = float(best[0])
@@ -631,10 +631,10 @@ def optimize_pass(
         cut = max(float(channel.cuts[best_cut[0]]), pass_geometry.min_elevation_deg)
         params = ParamVector(*final, min_elevation_deg=cut)
         if trace_path is not None:
-            text = "".join(["stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n", *texts,
-                            "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value)])
-            del texts  # one copy of the file in memory while it is written
-            Path(trace_path).write_text(text)
+            Path(trace_path).write_text("".join([
+                "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n", text,
+                "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value),
+            ]))
         # Children still exiting do so while the scalar path runs.
         return params, evaluate_params(pass_geometry, hardware, security, n_decoys, params)
 

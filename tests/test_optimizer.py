@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satqkd.channel import presift_rows, sifted_rows
@@ -17,12 +17,13 @@ from satqkd import optimizer
 from satqkd.linkbudget import compute_breakdowns
 from satqkd.optimizer import (
     CHUNK_BLOCKS,
-    CoarseSearchError,
     P_Z_BOX,
+    START_COUNT,
     HardwareStack,
     OptimizerConfig,
     OptimizerError,
     ParamVector,
+    SearchWorkerError,
     _coarse_blocks,
     evaluate_params,
     optimize_pass,
@@ -283,7 +284,8 @@ def _assert_no_child_left():
 
 
 class TestShardedCoarseSearch:
-    """The coarse grid runs in forked workers, one per available CPU."""
+    """On more than one CPU, every start after the first is refined in a
+    forked child of its own; the calling process refines the first."""
 
     @staticmethod
     def run(snspd, coarse_pass, trace):
@@ -293,7 +295,7 @@ class TestShardedCoarseSearch:
         return repr((params, result)), trace.read_bytes()
 
     def test_output_bytes_do_not_depend_on_cpu_count(self, snspd, coarse_pass, tmp_path, monkeypatch):
-        assert len(_coarse_blocks(FAST, 2)) > 3 * CHUNK_BLOCKS
+        assert FAST.coarse_grid_steps >= START_COUNT
         default = self.run(snspd, coarse_pass, tmp_path / "default.csv")
         _assert_no_child_left()
 
@@ -304,125 +306,125 @@ class TestShardedCoarseSearch:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             m.setattr(os, "fork", no_fork)
             one_cpu = self.run(snspd, coarse_pass, tmp_path / "one.csv")
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-            three_cpus = self.run(snspd, coarse_pass, tmp_path / "three.csv")
         assert one_cpu == default
-        assert three_cpus == default
+        for cpus in ({0, 1}, {0, 1, 2}):
+            with monkeypatch.context() as m:
+                forks = TestTraceWriter.counted_forks(m, cpus)
+                assert self.run(snspd, coarse_pass, tmp_path / "many.csv") == default
+            assert len(forks) == START_COUNT - 1
         _assert_no_child_left()
 
     @pytest.mark.parametrize("fault", ["raises", "exits_silently", "truncated"])
     def test_failed_worker_raises_internal_error(self, fault, snspd, coarse_pass, tmp_path, monkeypatch):
-        """A worker that fails, sends nothing or sends part of its result
-        fails the search with an error that is not a ValueError, so the
-        CLI does not report it as invalid input."""
-        parent = os.getpid()
-        shard, dumps = optimizer._coarse_shard, pickle.dumps
-
-        def faulty_shard(*args):
-            if os.getpid() != parent:
-                if fault == "raises":
-                    raise RuntimeError("worker failure")
-                if fault == "exits_silently":
-                    os._exit(0)
-            return shard(*args)
-
+        """A child that fails while refining its start, sends nothing or
+        sends part of its result fails the search with an error that is not
+        a ValueError, so the CLI does not report it as invalid input, and
+        writes no trace."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(optimizer, "_coarse_shard", faulty_shard)
-        if fault == "truncated":
-            monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-7])
-        with pytest.raises(CoarseSearchError) as info:
-            self.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        _inject_child_fault(monkeypatch, fault, lambda: True)
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(SearchWorkerError) as info:
+            self.run(snspd, coarse_pass, trace)
         assert not isinstance(info.value, ValueError)
+        assert not trace.exists()
         _assert_no_child_left()
 
     def test_failure_in_calling_process_reaps_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
-        """An interrupt in the calling process's own shard kills and reaps
-        the workers still running."""
-        parent = os.getpid()
-        shard = optimizer._coarse_shard
+        """An interrupt while the calling process refines its own start
+        kills and reaps the children still refining theirs."""
+        parent, refine = os.getpid(), optimizer._refine
 
         def fails_in_parent(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return shard(*args)
+            return refine(*args)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(optimizer, "_coarse_shard", fails_in_parent)
+        monkeypatch.setattr(optimizer, "_refine", fails_in_parent)
         with pytest.raises(KeyboardInterrupt):
             self.run(snspd, coarse_pass, tmp_path / "trace.csv")
         _assert_no_child_left()
 
 
+def _inject_child_fault(monkeypatch, fault, faulty):
+    """Make each forked child where faulty() holds fail: raise while it
+    refines its start, exit without a result, or send a truncated pickle."""
+    parent, refine, dumps = os.getpid(), optimizer._refine, pickle.dumps
+
+    def faulty_refine(*args):
+        if os.getpid() != parent and faulty():
+            if fault == "raises":
+                raise RuntimeError("worker failure")
+            if fault == "exits_silently":
+                os._exit(0)
+        return refine(*args)
+
+    def truncating_dumps(*args):
+        payload = dumps(*args)
+        return payload[:-7] if os.getpid() != parent and faulty() else payload
+
+    monkeypatch.setattr(optimizer, "_refine", faulty_refine)
+    if fault == "truncated":
+        monkeypatch.setattr(pickle, "dumps", truncating_dumps)
+
+
 class TestTraceWriter:
-    """Each coarse shard, the calling process's and each forked child's,
-    formats the trace rows of its own chunks."""
+    """The calling process formats the trace once, whatever the CPU count;
+    the start children only refine."""
 
     @staticmethod
-    def counted_forks(monkeypatch) -> list[int]:
+    def counted_forks(monkeypatch, cpus=frozenset({0, 1})) -> list[int]:
+        """The pids of the children forked from here on, with cpus usable."""
         forks: list[int] = []
         fork = os.fork
 
         def counting_fork():
-            forks.append(os.getpid())
-            return fork()
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
 
     @pytest.mark.parametrize("fault", ["raises", "exits_silently", "truncated"])
     def test_failed_writer_raises_internal_error(self, fault, snspd, coarse_pass, tmp_path, monkeypatch):
-        """A shard child that fails while formatting its trace rows, sends
-        nothing or sends part of them fails the call with an error that is
-        not a ValueError, and writes no trace."""
-        parent = os.getpid()
-        trace_text, dumps = optimizer._trace_text, pickle.dumps
-
-        def faulty_trace_text(*args):
-            if os.getpid() != parent:
-                if fault == "raises":
-                    raise RuntimeError("formatting failure")
-                if fault == "exits_silently":
-                    os._exit(0)
-            return trace_text(*args)
-
-        def truncating_dumps(obj, *args):
-            # Only a traced shard's result ends in a non-empty trace text.
-            traced = isinstance(obj, tuple) and isinstance(obj[-1], str) and obj[-1]
-            return dumps(obj, *args)[:-7] if traced else dumps(obj, *args)
-
+        """When only the last child joined fails, sends nothing or sends
+        part of its result, after the trace rows are formatted and the
+        other child's result is read, the call fails with an error that is
+        not a ValueError and writes no trace."""
         forks = self.counted_forks(monkeypatch)
-        monkeypatch.setattr(optimizer, "_trace_text", faulty_trace_text)
-        if fault == "truncated":
-            monkeypatch.setattr(pickle, "dumps", truncating_dumps)
+        # A child sees the pids of the children forked before it.
+        _inject_child_fault(monkeypatch, fault, lambda: len(forks) == START_COUNT - 2)
         trace = tmp_path / "trace.csv"
-        with pytest.raises(CoarseSearchError) as info:
+        with pytest.raises(SearchWorkerError) as info:
             TestShardedCoarseSearch.run(snspd, coarse_pass, trace)
         assert not isinstance(info.value, ValueError)
-        assert len(forks) == 1  # one coarse shard, which formats its own rows
+        assert len(forks) == START_COUNT - 1
+        assert f"worker {forks[-1]} " in str(info.value)
         assert not trace.exists()
         _assert_no_child_left()
 
-    def test_interrupt_while_waiting_reaps_formatting_shard(self, snspd, coarse_pass, tmp_path, monkeypatch):
-        """An interrupt in the calling process while it waits for a shard
-        child kills and reaps the child, here one that would not finish
-        formatting its trace rows for a minute."""
-        parent, trace_text = os.getpid(), optimizer._trace_text
+    def test_interrupt_while_waiting_reaps_hanging_start(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """An interrupt in the calling process while it waits for a child
+        kills and reaps the child, here one that would not finish refining
+        its start for a minute."""
+        parent, refine = os.getpid(), optimizer._refine
 
-        def hanging_trace_text(*args):
+        def hanging_refine(*args):
             if os.getpid() != parent:
                 time.sleep(60)
-            text = trace_text(*args)
-            # The calling process has formatted its own rows and goes on to wait.
+            result = refine(*args)
+            # The calling process has refined its own start and goes on to wait.
             signal.setitimer(signal.ITIMER_REAL, 0.5)
-            return text
+            return result
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
         forks = self.counted_forks(monkeypatch)
-        monkeypatch.setattr(optimizer, "_trace_text", hanging_trace_text)
+        monkeypatch.setattr(optimizer, "_refine", hanging_refine)
         handler = signal.signal(signal.SIGALRM, interrupt)
         start = time.perf_counter()
         try:
@@ -433,10 +435,10 @@ class TestTraceWriter:
             signal.signal(signal.SIGALRM, handler)
         assert time.perf_counter() - start < 10.0
         assert "_join" in [entry.name for entry in info.traceback]
-        assert len(forks) == 1
+        assert len(forks) == START_COUNT - 1
         _assert_no_child_left()
 
-    def test_untraced_call_forks_only_coarse_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
+    def test_untraced_call_formats_no_trace_rows(self, snspd, coarse_pass, tmp_path, monkeypatch):
         """A call without a trace formats no trace rows, in any process, and
         a traced call forks no more children than an untraced one."""
 
@@ -447,11 +449,11 @@ class TestTraceWriter:
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_trace_text", no_trace_text)
             untraced = optimize_pass(coarse_pass, snspd.hardware(), snspd.security, 2, FAST)
-        assert len(forks) == 1
+        assert len(forks) == START_COUNT - 1
         traced = optimize_pass(
             coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=tmp_path / "t.csv"
         )
-        assert len(forks) == 2
+        assert len(forks) == 2 * (START_COUNT - 1)
         assert repr(untraced) == repr(traced)
         _assert_no_child_left()
 
@@ -471,7 +473,7 @@ class TestTraceWriter:
         start = time.perf_counter()
         TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
         assert time.perf_counter() - start < 10.0
-        assert len(forks) == 1
+        assert len(forks) == START_COUNT - 1
         _assert_no_child_left()
 
 
@@ -676,3 +678,34 @@ def test_refinement_moves_along_the_two_decoy_edge():
     assert best > value
     assert point["p_mu"] / (point["p_mu"] + point["p_nu"]) == pytest.approx(0.8, abs=0.01)
     assert point["p_mu"] + point["p_nu"] <= 0.99 + 1e-12
+
+
+@st.composite
+def coarse_values(draw):
+    """Coarse values of a grid of 2-6 steps with 1-8 rows per (mu, nu)
+    pair: any key lengths, or three levels, so that rows and nu indices tie."""
+    steps, per_pair = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    level = draw(st.sampled_from([st.floats(0.0, 1e7), st.sampled_from([0.0, 1.0, 2.0])]))
+    values = draw(st.lists(level, min_size=steps**2 * per_pair, max_size=steps**2 * per_pair))
+    return np.array(values), steps, per_pair
+
+
+@settings(deadline=None, max_examples=100)
+@given(coarse_values())
+# The first maximum is at nu index 3, which ties with nu indices 0-2 on a
+# later mu; ties go to the lower row, not the lower nu index.
+@example((np.array([0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0.0]), 4, 1))
+def test_starts_are_distinct_nu_indices_in_grid_order(grid):
+    """The starts lie on distinct nu indices, include the grid's first
+    maximum and come in grid order."""
+    values, steps, per_pair = grid
+    starts = optimizer._starts(values, steps)
+    assert len({row // per_pair % steps for row in starts}) == len(starts) == min(START_COUNT, steps)
+    assert int(np.argmax(values)) in starts
+    assert starts == sorted(starts)
+
+
+def test_starts_on_an_all_zero_grid():
+    """A pass without key starts at row 0, the first row of each nu index."""
+    per_pair = 4**3
+    assert optimizer._starts(np.zeros(4**4 * 4), 4) == [0, per_pair, 2 * per_pair][:START_COUNT]
