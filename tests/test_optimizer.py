@@ -133,7 +133,7 @@ class TestOptimizePass:
         at_grid_floor = evaluate_params(
             pg, snspd.hardware(), snspd.security, 2, replace(params, min_elevation_deg=20.0)
         )
-        assert result.skl_bits == at_grid_floor.skl_bits == 2467475
+        assert result.skl_bits == at_grid_floor.skl_bits == 2469913
 
     def test_hopeless_scenario_flags_abort(self, snspd, coarse_pass):
         hardware = snspd.hardware()
@@ -194,7 +194,7 @@ class TestCutGrid:
         pg = synth_pass(snspd.orbit, GroundStation(35.5, 80.0), 1.0)
         params, result = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
         assert params.min_elevation_deg >= 35.5
-        assert result.skl_bits == 2452628
+        assert result.skl_bits == 2455058
         at_35 = evaluate_params(pg, snspd.hardware(), snspd.security, 2,
                                 replace(params, min_elevation_deg=35.0))
         assert result.skl_bits == at_35.skl_bits
@@ -635,8 +635,8 @@ def test_speculative_golden_max_follows_an_interior_peak(peak):
 
 
 def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
-    """At the default config, refinement reaches the same point in at most
-    55 kernel calls, under half of one call per golden-section step."""
+    """A two-pass refinement reaches the same point in at most 55 kernel
+    calls, under half of one call per golden-section step."""
     channel = optimizer._PassChannel(coarse_pass, snspd.hardware(), snspd.security, 2)
     calls = []
     kernel = optimizer.skl_real_arrays
@@ -650,7 +650,7 @@ def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
     start = dict(zip(optimizer.PARAM_NAMES, (0.5, 0.1, 0.7, 0.15, 0.9)))
     value = float(f(np.array([[start[k] for k in optimizer.PARAM_NAMES]]))[0])
     assert value > 0
-    config = OptimizerConfig()
+    config = OptimizerConfig(refine_iterations=2)
     calls.clear()
     batched = optimizer._refine(f, start, value, 2, config)
     n_batched = len(calls)
