@@ -68,9 +68,9 @@ def corpus() -> dict:
 
 
 def reference_search(scenario, pass_geometry):
-    """(params, result) of the reference search on one pass: the best of
-    the refinements from the REFERENCE_STARTS best coarse rows, the first
-    maximum in rank order, reported as optimize_pass reports its point."""
+    """Key length of the reference search on one pass: the best of the
+    refinements from the REFERENCE_STARTS best coarse rows, the first
+    maximum in rank order, evaluated as optimize_pass evaluates its point."""
     hardware, n_decoys = scenario.hardware(), scenario.n_decoys
     config = replace(scenario.optimizer, coarse_grid_steps=REFERENCE_STEPS,
                      refine_iterations=REFERENCE_PASSES)
@@ -92,18 +92,18 @@ def reference_search(scenario, pass_geometry):
     _, cut_idx = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
     cut = max(float(channel.cuts[cut_idx[0]]), pass_geometry.min_elevation_deg)
     params = ParamVector(*final, min_elevation_deg=cut)
-    return params, evaluate_params(pass_geometry, hardware, scenario.security, n_decoys, params)
+    return evaluate_params(pass_geometry, hardware, scenario.security, n_decoys, params)
 
 
 def default_search(scenario, pass_geometry):
-    """(params, result) of the untraced optimize_pass at the scenario's config."""
+    """Key length of the untraced optimize_pass at the scenario's config."""
     return optimize_pass(pass_geometry, scenario.hardware(), scenario.security,
-                         scenario.n_decoys, scenario.optimizer)
+                         scenario.n_decoys, scenario.optimizer)[1]
 
 
 def key_per_pass(search=default_search) -> dict[str, int]:
     """Pass name -> key length in bits of search(scenario, pass geometry)."""
-    return {label: search(scenario, pass_geometry)[1].skl_bits
+    return {label: search(scenario, pass_geometry).skl_bits
             for label, (scenario, pass_geometry) in corpus().items()}
 
 
