@@ -618,7 +618,7 @@ def optimize_pass(
         pids = [_fork(children, refine, row) for row in rows[1:]] if _usable_cpus() > 1 else []
         if trace_path is not None:
             text = _trace_text(channel, blocks, p_z_values, values, cut_idx)
-        # The starts no child refines, refined here, then the children's, in start order.
+        # Starts without a child are refined here; the children's follow, in start order.
         refined = [*map(refine, rows[:len(rows) - len(pids)]),
                    *(_join(children, pid) for pid in pids)]
         # The first maximum in start order wins.
