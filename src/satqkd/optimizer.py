@@ -30,7 +30,12 @@ with one row per candidate point (pruning its 15-row calls cost more than it
 saved): on each call it evaluates the point a golden-section step needs
 together with every point the next LOOKAHEAD steps could need, then replays
 the sequential steps from those values, so it visits the same points in
-about a quarter of the calls. The final evaluation is one more row.
+about a quarter of the calls. A line search depends only on the other
+coordinates, so a coordinate is not searched again until another one has
+moved: the search would repeat itself and keep no move. The rows of a p_z
+line search share one (mu, nu, p_mu, p_nu) block, whose cut sums are taken
+once, and with equal X and Z misalignments the X error sums are the Z ones.
+The final evaluation is one more row.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -254,10 +259,13 @@ class _PassChannel:
             self.eta_sorted, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
             self.template, self.detector,
         )
-        per_sample = np.concatenate([clicks, err_z, err_x])
+        # With equal misalignments the X error rows are the Z ones bit for bit.
+        shared = self.template.misalignment_x == self.template.misalignment_z
+        per_sample = np.concatenate([clicks, err_z] if shared else [clicks, err_z, err_x])
         per_sample *= self.pulses_per_sample * f_dead
         # Column k of the running sum is the sum over the k + 1 highest samples.
-        return np.cumsum(per_sample, axis=-1)[..., self.cut_kept - 1]
+        sums = np.cumsum(per_sample, axis=-1)[..., self.cut_kept - 1]
+        return sums[np.r_[0:6, 3:6]] if shared else sums
 
     def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
         """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z
@@ -284,7 +292,11 @@ class _PassChannel:
     def objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best unfloored key length over the cut grid and its cut index,
         per row of skl_chunk(blocks, p_z_values); ties resolve to the lower
-        elevation (np.argmax takes the first maximum)."""
+        elevation (np.argmax takes the first maximum). A p_z column whose
+        rows all share one block, as in a p_z line search, takes the crossed
+        path, which presifts that block once and gives the same rows."""
+        if np.ndim(p_z_values) == 2 and (blocks == blocks[:1]).all():
+            blocks, p_z_values = blocks[:1], p_z_values[:, 0]
         l_real = self.skl_chunk(blocks, p_z_values)
         cut_idx = np.argmax(l_real, axis=1)
         return l_real[np.arange(len(l_real)), cut_idx], cut_idx
@@ -452,7 +464,8 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
     parameter rows (mu, nu, p_mu, p_nu, p_z) to their values, starting from
     the parameter dict point with value f(point). Each of SEARCH_NAMES is
     searched in its box to a tolerance of rel_tolerance times its DIM_SPAN,
-    and a move is kept only when it raises value. Returns (point, value),
+    and a move is kept only when it raises value; a coordinate is skipped
+    when no other one has moved since its last search. Returns (point, value),
     point being the start if no move is kept, else the row that gave value."""
     lo, hi = P_SUM_BOX[n_decoys]
     # A sum box of zero width holds the sum, which p_mu + p_nu can round away from.
@@ -464,16 +477,19 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
         search[:, SEARCH_NAMES.index(dim)] = xs
         return _params(search)
 
+    stale = set()
     for _ in range(config.refine_iterations):
         for dim in SEARCH_NAMES:
             lo, hi = _box(dim, at, n_decoys)
-            if hi <= lo:
+            if hi <= lo or dim in stale:
                 continue
             x, fx = _golden_max(lambda xs: f(rows(dim, xs)), lo, hi,
                                 config.rel_tolerance * DIM_SPAN[dim])
             if fx > value:
                 point = dict(zip(PARAM_NAMES, rows(dim, [x])[0].tolist()))
                 at[dim], value = x, fx
+                stale.clear()
+            stale.add(dim)
     return point, value
 
 

@@ -5,6 +5,7 @@ import pickle
 import signal
 import time
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -231,7 +232,9 @@ class TestCutGrid:
             optimize_pass(empty, snspd.hardware(), snspd.security, 2, FAST)
 
 
-@pytest.mark.parametrize("name", ["snspd_pol_2decoy", "snspd_pol_1decoy"])
+# snspd_tb_2decoy's X misalignment differs from its Z one, so its X error
+# sums are computed on their own.
+@pytest.mark.parametrize("name", ["snspd_pol_2decoy", "snspd_pol_1decoy", "snspd_tb_2decoy"])
 def test_chunked_coarse_grid_matches_per_block_reference(name, tmp_path):
     """Every coarse trace row equals a reference evaluated one block at a
     time with scalar intensities over the whole cut grid."""
@@ -709,3 +712,123 @@ def test_starts_on_an_all_zero_grid():
     """A pass without key starts at row 0, the first row of each nu index."""
     per_pair = 4**3
     assert optimizer._starts(np.zeros(4**4 * 4), 4) == [0, per_pair, 2 * per_pair][:START_COUNT]
+
+
+@lru_cache(maxsize=None)
+def bundled_channel(name):
+    scenario = load_bundled_scenario(name)
+    return optimizer._PassChannel(scenario.synth_pass(), scenario.hardware(),
+                                  scenario.security, scenario.n_decoys)
+
+
+@st.composite
+def search_points(draw, n_decoys):
+    """A search row (mu, nu, share, p_sum, p_z) inside the search boxes."""
+    mu = draw(st.floats(*optimizer.MU_BOX))
+    nu = draw(st.floats(optimizer.NU_MIN, mu - optimizer.NU_MARGIN))
+    return [mu, nu, draw(st.floats(*optimizer.SHARE_BOX)),
+            draw(st.floats(*optimizer.P_SUM_BOX[n_decoys])), draw(st.floats(*P_Z_BOX))]
+
+
+@st.composite
+def objective_batches(draw, n_decoys):
+    """Parameter rows (mu, nu, p_mu, p_nu, p_z), 1-12 of them: mixed, or
+    all of one (mu, nu, p_mu, p_nu) block, as in a p_z line search."""
+    search = draw(st.lists(search_points(n_decoys), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        search = [search[0][:4] + row[4:] for row in search]
+    return optimizer._params(np.array(search))
+
+
+@pytest.mark.parametrize("name", ["snspd_pol_2decoy", "snspd_tb_2decoy", "snspd_pol_1decoy"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_objective_rows_do_not_depend_on_their_batch(name, data):
+    """Each row of a batch gets, bit for bit, the value and cut index it
+    gets alone, and those of the row-per-block kernel path, which a batch
+    of one block bypasses."""
+    channel = bundled_channel(name)
+    rows = data.draw(objective_batches(channel.n_decoys))
+    values, cut_idx = channel.objective(rows[:, :4], rows[:, 4:])
+    alone = [channel.objective(row[None, :4], row[None, 4:]) for row in rows]
+    assert values.tobytes() == np.concatenate([value for value, _ in alone]).tobytes()
+    assert cut_idx.tolist() == [int(idx[0]) for _, idx in alone]
+    l_real = channel.skl_chunk(rows[:, :4], rows[:, 4:])
+    assert cut_idx.tolist() == np.argmax(l_real, axis=1).tolist()
+    assert values.tobytes() == l_real[np.arange(len(rows)), cut_idx].tobytes()
+
+
+def plain_refine(f, point, value, n_decoys, config):
+    """optimizer._refine without its skip rule: every coordinate is
+    searched on every pass."""
+    lo, hi = optimizer.P_SUM_BOX[n_decoys]
+    p_sum = point["p_mu"] + point["p_nu"] if hi > lo else lo
+    at = dict(point, share=point["p_mu"] / p_sum, p_sum=p_sum)
+
+    def rows(dim, xs):
+        search = np.tile([at[k] for k in optimizer.SEARCH_NAMES], (len(xs), 1))
+        search[:, optimizer.SEARCH_NAMES.index(dim)] = xs
+        return optimizer._params(search)
+
+    for _ in range(config.refine_iterations):
+        for dim in optimizer.SEARCH_NAMES:
+            lo, hi = optimizer._box(dim, at, n_decoys)
+            if hi <= lo:
+                continue
+            x, fx = optimizer._golden_max(lambda xs: f(rows(dim, xs)), lo, hi,
+                                          config.rel_tolerance * optimizer.DIM_SPAN[dim])
+            if fx > value:
+                point = dict(zip(optimizer.PARAM_NAMES, rows(dim, [x])[0].tolist()))
+                at[dim], value = x, fx
+    return point, value
+
+
+@st.composite
+def refine_problems(draw):
+    """A protocol, a start inside the search boxes, a config and a
+    deterministic objective of the parameter rows: flat zero, a coupled
+    parabola whose ascent moves the coordinates over several passes, or a
+    quantised sine with plateaus and ties."""
+    n_decoys = draw(st.sampled_from([1, 2]))
+    start = optimizer._params(np.array([draw(search_points(n_decoys))]))[0]
+    config = OptimizerConfig(refine_iterations=draw(st.integers(0, 5)),
+                             rel_tolerance=draw(st.sampled_from([1e-3, 1e-2, 0.1])))
+    kind = draw(st.sampled_from(["zero", "parabola", "quantised"]))
+    c = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))
+    k = draw(st.floats(0.5, 20.0))
+    b = draw(st.floats(-2.0, 2.0))
+    objectives = {
+        "zero": lambda rows: np.zeros(len(rows)),
+        "parabola": lambda rows: -((rows - c) ** 2).sum(axis=1) + b * rows[:, 0] * rows[:, 1],
+        "quantised": lambda rows: np.round(np.sin(k * rows + c).sum(axis=1) + b * rows[:, 4], 1),
+    }
+    f = objectives[kind]
+    return f, dict(zip(optimizer.PARAM_NAMES, start.tolist())), float(f(start[None])[0]), n_decoys, config
+
+
+@settings(deadline=None, max_examples=200)
+@given(refine_problems())
+def test_refine_skips_only_searches_that_repeat(problem):
+    """Skipping the line search of a coordinate when no other one has moved
+    since its last search returns what searching every coordinate on every
+    pass returns."""
+    assert optimizer._refine(*problem) == plain_refine(*problem)
+
+
+@pytest.mark.parametrize("n_decoys, active", [(1, 4), (2, 5)])
+def test_refine_without_a_gain_searches_each_coordinate_once(n_decoys, active, monkeypatch):
+    """An objective that never beats the start costs one line search per
+    coordinate with a box of nonzero width, over 4 passes."""
+    searches = []
+    golden_max = optimizer._golden_max
+    monkeypatch.setattr(optimizer, "_golden_max",
+                        lambda *args: searches.append(1) or golden_max(*args))
+    start = dict(zip(optimizer.PARAM_NAMES, (0.5, 0.1, 0.6, 0.3 if n_decoys == 2 else 0.4, 0.9)))
+    row = np.array([[start[k] for k in optimizer.PARAM_NAMES]])
+
+    def peaked_at_start(rows):
+        return -((rows - row) ** 2).sum(axis=1)
+
+    config = OptimizerConfig(refine_iterations=4)
+    assert optimizer._refine(peaked_at_start, start, 0.0, n_decoys, config) == (start, 0.0)
+    assert len(searches) == active
