@@ -197,10 +197,13 @@ def background_yield(det: DetectorSpec, pulse_rate_hz: float) -> float:
 
 def _wcp(k, eta_total, y0, e_mis_z, e_mis_x):
     """Click probability D_k = 1 - (1 - Y0) e^(-k eta) of an intensity-k
-    pulse and its Z/X error probabilities Y0/2 + e_mis (1 - e^(-k eta))."""
+    pulse and its Z/X error probabilities Y0/2 + e_mis (1 - e^(-k eta));
+    with equal misalignments the X errors are the Z error array itself."""
     attenuation = np.exp(-k * eta_total)
     signal = 1.0 - attenuation
-    return 1.0 - (1.0 - y0) * attenuation, 0.5 * y0 + e_mis_z * signal, 0.5 * y0 + e_mis_x * signal
+    err_z = 0.5 * y0 + e_mis_z * signal
+    err_x = err_z if e_mis_x == e_mis_z else 0.5 * y0 + e_mis_x * signal
+    return 1.0 - (1.0 - y0) * attenuation, err_z, err_x
 
 
 def one_photon(eta_total, y0: float, e_mis: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,25 +237,28 @@ def presift_rows(eta, mu, nu, p_mu, p_nu, p_vac, source: SourceSpec, det: Detect
     """Per-pulse click and error probabilities of the (mu, nu, vac) intensities.
 
     eta is the total transmission (detector efficiency included), of any
-    shape. mu, nu and the three intensity probabilities are scalars or
-    arrays of one shape, whose axes come before eta's. The pulse rate and
-    misalignments are the source's, Y0 and the dead time the detector's.
+    shape. mu and nu are scalars or arrays of one shape, the three
+    probabilities too, and the two shapes broadcast (so (1,) intensities
+    against (rows,) probabilities take each e^(-k eta) once); their axes
+    come before eta's. The pulse rate and misalignments are the source's,
+    Y0 and the dead time the detector's.
 
     Returns (clicks, errors_z, errors_x, f_dead). The first three carry a
     leading axis over (mu, nu, vac) and hold p_k D_k and the per-basis
     p_k (Y0/2 + e_mis (1 - e^(-k eta))) before basis sifting; f_dead =
     1 / (1 + R tau) with R the pulse rate times the mean click probability.
+    With equal misalignments errors_x is the errors_z array itself, so
+    callers must not write into the returned rows.
     """
     eta = np.asarray(eta, dtype=float)
     k = np.array([mu, nu, 0.0 * mu])  # the vacuum intensity, shaped like mu
     p = np.array([p_mu, p_nu, p_vac])
-    trailing = k.shape + (1,) * eta.ndim
-    k, p = k.reshape(trailing), p.reshape(trailing)
+    k, p = (x.reshape(x.shape + (1,) * eta.ndim) for x in (k, p))
     y0 = background_yield(det, source.pulse_rate_hz)
     gain, err_z, err_x = _wcp(k, eta, y0, source.misalignment_z, source.misalignment_x)
-    clicks = p * gain
+    clicks, errors_z = p * gain, p * err_z
     f_dead = 1.0 / (1.0 + source.pulse_rate_hz * clicks.sum(axis=0) * det.dead_time_ns * 1e-9)
-    return clicks, p * err_z, p * err_x, f_dead
+    return clicks, errors_z, errors_z if err_x is err_z else p * err_x, f_dead
 
 
 def basis_rows(clicks, errors, p_z_alice, p_z_bob, basis: str) -> dict[str, np.ndarray]:

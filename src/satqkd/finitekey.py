@@ -132,7 +132,7 @@ class SklResult:
 def _entropy(x):
     """Unchecked binary entropy over arrays, with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
-    safe = np.clip(np.atleast_1d(arr), 1e-300, 1.0 - 1e-16)
+    safe = np.minimum(np.maximum(np.atleast_1d(arr), 1e-300), 1.0 - 1e-16)
     one_minus = 1.0 - safe
     h = np.log2(safe)
     h *= safe
@@ -157,10 +157,14 @@ def hoeffding_delta(n, eps: float):
     if not 0.0 < eps < 1.0:
         raise FiniteKeyError(f"eps must be in (0, 1), got {eps}")
     n = np.asarray(n, dtype=float)
-    out = np.atleast_1d(n) / 2.0
+    return _plain(_hoeffding(np.atleast_1d(n), eps).reshape(n.shape))
+
+
+def _hoeffding(n, eps: float):
+    """Unchecked hoeffding_delta of an array n (ndim >= 1), a fresh array."""
+    out = n / 2.0
     out *= np.log(1.0 / eps)
-    np.sqrt(out, out=out)
-    return float(out[0]) if n.ndim == 0 else out
+    return np.sqrt(out, out=out)
 
 
 def emission_tau(intensities, probabilities, n: int):
@@ -172,19 +176,17 @@ def emission_tau(intensities, probabilities, n: int):
     """
     if n < 0:
         raise FiniteKeyError(f"photon number must be >= 0, got {n}")
-    k, weights = _poisson_weights(intensities, probabilities)
-    fact = float(math.factorial(n))
-    return _plain(sum(w * k_i**n / fact for k_i, w in zip(k, weights)))
-
-
-def _poisson_weights(intensities, probabilities) -> tuple[list, list]:
-    """The intensities k of a mixture and its weights p_k e^(-k), once the
-    probabilities are checked to sum to 1."""
     k = [np.asarray(x, dtype=float) for x in intensities]
     p = [np.asarray(x, dtype=float) for x in probabilities]
     if np.any(np.abs(sum(p) - 1.0) > 1e-9):
         raise FiniteKeyError(f"intensity probabilities must sum to 1, got {sum(p)}")
-    return k, [p_i * np.exp(-k_i) for k_i, p_i in zip(k, p)]
+    fact = float(math.factorial(n))
+    return _plain(sum(w * k_i**n / fact for k_i, w in zip(k, _poisson_weights(k, p))))
+
+
+def _poisson_weights(k, p) -> list:
+    """Unchecked weights p_k e^(-k) of a mixture of intensities k."""
+    return [p_i * np.exp(-k_i) for k_i, p_i in zip(k, p)]
 
 
 def _plain(x):
@@ -236,8 +238,8 @@ def _basis_bounds(t: dict[str, np.ndarray], b: str, d: dict) -> dict:
     m = m_mu + m_nu
     m += m_vac
     mu, nu, tau0, tau1 = d["mu"], d["nu"], d["tau0"], d["tau1"]
-    d_n = hoeffding_delta(n, d["eps1"])
-    d_m = hoeffding_delta(m, d["eps1"])
+    d_n = _hoeffding(n, d["eps1"])
+    d_m = _hoeffding(m, d["eps1"])
     s_mu, s_nu, s_vac = d["s_mu"], d["s_nu"], d["s_vac"]
     n_mu_up = n_mu + d_n
     n_mu_up *= s_mu
@@ -321,7 +323,8 @@ def _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security: SecurityParams, n_decoys: 
     protocol), each shaped like the parameters, and the scalars budget and
     eps1, the epsilon budget's per-invocation share."""
     budget = EPSILON_BUDGET[n_decoys]
-    k, weights = _poisson_weights([mu, nu, 0.0][: n_decoys + 1], [p_mu, p_nu, p_vac][: n_decoys + 1])
+    k = [mu, nu, 0.0][: n_decoys + 1]
+    weights = _poisson_weights(k, [p_mu, p_nu, p_vac][: n_decoys + 1])
     return {
         "mu": mu,
         "nu": nu,
@@ -343,8 +346,8 @@ def _z_half(t: dict[str, np.ndarray], d: dict) -> dict:
     z = _basis_bounds(t, "z", d)
     z_ok = z["s1"] > 0.0
     z_ok &= z["n"] > 0.0
-    s_z0 = np.clip(z["s0"], 0.0, z["n"], out=z["s0"])
-    s_z1 = np.clip(z["s1"], 0.0, z["n"] - s_z0, out=z["s1"])
+    s_z0 = np.minimum(np.maximum(z["s0"], 0.0, out=z["s0"]), z["n"], out=z["s0"])
+    s_z1 = np.minimum(np.maximum(z["s1"], 0.0, out=z["s1"]), z["n"] - s_z0, out=z["s1"])
     return {"n_z": z["n"], "m_z": z["m"], "s_z0_low": s_z0, "s_z1_low": s_z1, "z_ok": z_ok,
             "s_z0_up": z["s0_up"]}
 
@@ -356,7 +359,7 @@ def _x_half(t: dict[str, np.ndarray], s_z1_low, z_ok, d: dict, security: Securit
     x = _basis_bounds(t, "x", d)
     usable = x["s1"] > 0.0
     usable &= z_ok
-    s_x1 = np.clip(x["s1"], 0.0, x["n"], out=x["s1"])
+    s_x1 = np.minimum(np.maximum(x["s1"], 0.0, out=x["s1"]), x["n"], out=x["s1"])
     v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
 
     ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
@@ -367,7 +370,7 @@ def _x_half(t: dict[str, np.ndarray], s_z1_low, z_ok, d: dict, security: Securit
     bad = ~np.isfinite(phi)
     aborted = ~usable | (phi > 0.5) | bad
     np.copyto(phi, 1.0, where=bad)
-    np.clip(phi, 0.0, 0.5, out=phi)
+    np.minimum(np.maximum(phi, 0.0, out=phi), 0.5, out=phi)
     return {"s_x1_low": s_x1, "v_x1_up": v_x1, "phi_up": phi, "aborted": aborted}
 
 

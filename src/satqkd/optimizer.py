@@ -15,9 +15,9 @@ For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
 maxima. A row of the grid is one block with one p_z value, a cell one row at
 one cut, and the search needs only each row's first maximum over its cells,
-so the coarse grid prunes within rows, exactly. Per chunk, the per-sample
-detection statistics of every block are summed over the samples in
-descending elevation, which yields the tallies of every cut at once. The Z
+so the coarse grid prunes within rows, exactly. Per chunk, the detection
+statistics of every block, taken once per distinct transmission, are summed
+over the samples in descending elevation into every cut's tallies. The Z
 half of the finite-key kernel runs on every cell and gives the upper bound B
 of the key length (see `finitekey`) at the cut's phase-error floor: the
 smallest one-photon X error rate of the samples the cut keeps, at most
@@ -34,8 +34,9 @@ about a quarter of the calls. A line search depends only on the other
 coordinates, so a coordinate is not searched again until another one has
 moved: the search would repeat itself and keep no move. The rows of a p_z
 line search share one (mu, nu, p_mu, p_nu) block, whose cut sums are taken
-once, and with equal X and Z misalignments the X error sums are the Z ones.
-The final evaluation is one more row.
+once; those of a share or p_sum line search share one (mu, nu), whose
+attenuation rows e^(-k eta) are; and with equal X and Z misalignments the X
+error sums are the Z ones. The final evaluation is one more row.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -123,6 +124,7 @@ DIM_SPAN = {"mu": MU_BOX[1] - MU_BOX[0], "nu": MU_BOX[1] - NU_MIN,
             "p_z": P_Z_BOX[1] - P_Z_BOX[0]}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_X_AS_Z = np.r_[0:6, 3:6]  # cut_sums rows: clicks, Z errors, Z errors as the X ones
 
 
 class OptimizerError(ValueError):
@@ -230,6 +232,7 @@ class _PassChannel:
         # Samples in descending elevation (the stable ascending order
         # reversed), so that a forward running sum gives every cut's tallies.
         self.eta_sorted = breakdowns.eta[order[::-1]] * hardware.detector.efficiency
+        self.eta_unique, self.eta_inverse = np.unique(self.eta_sorted, return_inverse=True)
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
         # The whole degrees from the lowest sample, rounded down, to the
         # highest: a lower cut keeps the same samples as the first and a
@@ -251,21 +254,24 @@ class _PassChannel:
         samples each cut keeps: shape (9, blocks, n_cuts), the rows being
         clicks, Z errors and X errors, each over (mu, nu, vac).
 
-        The presift rows of every block are summed over the samples in
-        descending elevation, which gives the sums of every cut at once.
-        """
+        The presift rows of every block are taken once per distinct
+        transmission (a pass mirrored about culmination repeats each), then
+        summed over the samples in descending elevation, which gives the sums
+        of every cut at once; blocks of one (mu, nu) share e^(-k eta)."""
         mu, nu, p_mu, p_nu = blocks.T
+        if (mu == mu[0]).all() and (nu == nu[0]).all():
+            mu, nu = mu[:1], nu[:1]
         clicks, err_z, err_x, f_dead = presift_rows(
-            self.eta_sorted, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
+            self.eta_unique, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
             self.template, self.detector,
         )
-        # With equal misalignments the X error rows are the Z ones bit for bit.
-        shared = self.template.misalignment_x == self.template.misalignment_z
-        per_sample = np.concatenate([clicks, err_z] if shared else [clicks, err_z, err_x])
-        per_sample *= self.pulses_per_sample * f_dead
+        shared = err_x is err_z  # equal misalignments: the X error rows are the Z ones
+        per_eta = np.concatenate([clicks, err_z] if shared else [clicks, err_z, err_x])
+        per_eta *= self.pulses_per_sample * f_dead
         # Column k of the running sum is the sum over the k + 1 highest samples.
-        sums = np.cumsum(per_sample, axis=-1)[..., self.cut_kept - 1]
-        return sums[np.r_[0:6, 3:6]] if shared else sums
+        per_sample = per_eta.take(self.eta_inverse, axis=-1)
+        sums = np.cumsum(per_sample, axis=-1, out=per_sample)[..., self.cut_kept - 1]
+        return sums[_X_AS_Z] if shared else sums
 
     def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
         """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z

@@ -112,6 +112,32 @@ class TestPulseModel:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+class TestPresiftRows:
+    """The broadcast rule of presift_rows: intensities of one shape against
+    probabilities of another, each row the bits of its own scalar call."""
+
+    @pytest.mark.parametrize("misalignment_x", [0.01, 0.03])
+    def test_one_intensity_row_broadcasts_against_probability_rows(self, strong_link, misalignment_x):
+        source = dataclasses.replace(strong_link.source_two, misalignment_x=misalignment_x)
+        eta = strong_link.breakdowns.eta * strong_link.detector.efficiency
+        p_mu = np.array([0.7, 0.5, 0.3, 0.61])
+        p_nu = np.array([0.2, 0.35, 0.5, 0.3])
+        rows = presift_rows(eta, np.array([0.6]), np.array([0.2]), p_mu, p_nu,
+                            1.0 - p_mu - p_nu, source, strong_link.detector)
+        assert [x.shape for x in rows] == [(3, 4, len(eta))] * 3 + [(4, len(eta))]
+        for i in range(len(p_mu)):
+            alone = presift_rows(eta, 0.6, 0.2, p_mu[i], p_nu[i], 1.0 - p_mu[i] - p_nu[i],
+                                 source, strong_link.detector)
+            for row, want in zip(rows, alone):
+                assert np.array_equal(row[..., i, :].view(np.int64), want.view(np.int64))
+        _, errors_z, errors_x, _ = rows
+        if misalignment_x == source.misalignment_z:
+            assert errors_x is errors_z
+        else:
+            assert errors_x is not errors_z
+            assert np.all(errors_x[:2] > errors_z[:2])  # the larger misalignment errs more
+
+
 class TestExpectedTallies:
     def test_cut_above_peak_is_empty(self, strong_link):
         t = expected_tallies(

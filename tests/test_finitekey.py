@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satqkd.channel import (
@@ -69,6 +69,11 @@ class TestPrimitives:
         assert hoeffding_delta(4e6, 1e-10) == pytest.approx(
             2.0 * hoeffding_delta(1e6, 1e-10), rel=1e-12
         )
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3, 1.5, float("nan")])
+    def test_hoeffding_eps_check(self, eps):
+        with pytest.raises(FiniteKeyError, match="eps"):
+            hoeffding_delta(np.array([1e6]), eps)
 
     def test_tau_single_intensity(self):
         """mu=0.6 alone: tau_1 = 0.6 e^{-0.6} = 0.329287."""
@@ -645,9 +650,12 @@ def _assert_kernel_matches_reference(t, columns, security, n_decoys):
         assert np.array_equal(value, before[name])
 
 
-@settings(deadline=None)
-@given(candidate_grids())
-def test_in_place_kernel_matches_expression_form(grid):
+KERNEL_COLUMNS = ("signal_intensity", "decoy_intensity", "p_mu", "p_nu", "p_vac")
+
+
+def grid_case(grid):
+    """(n_decoys, tallies, columns) of a candidate grid: the expected
+    tallies of each source (row) on each channel block (column)."""
     n_decoys, sources, blocks, dark = grid
     det = DetectorSpec(
         efficiency=0.8, dark_count_rate_hz=dark, dead_time_ns=30.0, background_rate_hz=10.0
@@ -659,10 +667,70 @@ def test_in_place_kernel_matches_expression_form(grid):
         name: np.array([[getattr(cell, name) for cell in row] for row in tallies])
         for name in TALLY_FIELDS
     }
-    columns = [
-        np.array([[getattr(src, attr)] for src in sources])
-        for attr in ("signal_intensity", "decoy_intensity", "p_mu", "p_nu", "p_vac")
-    ]
+    columns = [np.array([[getattr(src, attr)] for src in sources]) for attr in KERNEL_COLUMNS]
+    return n_decoys, t, columns
+
+
+def tally_case(n_decoys, **counts):
+    """(n_decoys, tallies, columns) of one block of the given counts, every
+    other field 0, for make_source(n_decoys)."""
+    source = make_source(n_decoys)
+    t = {name: np.array([[counts.get(name, 0.0)]]) for name in TALLY_FIELDS}
+    return n_decoys, t, [np.array([[getattr(source, attr)]]) for attr in KERNEL_COLUMNS]
+
+
+# Boundary blocks of the kernel's clips, each checked by
+# test_boundary_tallies_reach_their_edges. FEW: n_z > 0 with s_z1 <= 0.
+# ROUND: round clicks and errors; their X errors at HALF_ERRORS (one decoy)
+# give phi exactly 0.5, at HIGH_ERRORS (two decoys) a phi above it, and
+# 1e25 times them gamma 0 and, with two decoys, s_z1 clipped at n_z - s_z0.
+FEW = dict(n_z_mu=40.0, n_z_nu=6.0, n_x_mu=10.0, n_x_nu=2.0, m_z_mu=1.0, m_x_mu=1.0)
+ROUND = dict(n_z_mu=4e6, n_z_nu=6e5, n_z_vac=2e3, n_x_mu=1e6, n_x_nu=1.5e5, n_x_vac=5e2,
+             m_z_mu=4e4, m_z_nu=6e3, m_z_vac=1e3, m_x_mu=1e4, m_x_nu=1.5e3, m_x_vac=2.5e2)
+ONE_DECOY_ROUND = {name: count for name, count in ROUND.items() if not name.endswith("vac")}
+HALF_ERRORS = dict(m_x_mu=115079.03083652184, m_x_nu=17261.854625478278)
+HIGH_ERRORS = dict(m_x_mu=5e5, m_x_nu=7.5e4, m_x_vac=2.5e2)
+BOUNDARY_CASES = {
+    "zero_1": tally_case(1),
+    "zero_2": tally_case(2),
+    "few_1": tally_case(1, **FEW),
+    "few_2": tally_case(2, **FEW, n_z_vac=1.0),
+    "phi_half": tally_case(1, **{**ONE_DECOY_ROUND, **HALF_ERRORS}),
+    "phi_above": tally_case(2, **{**ROUND, **HIGH_ERRORS}),
+    "huge_2": tally_case(2, **{name: 1e25 * count for name, count in ROUND.items()}),
+    "huge_1": tally_case(1, **{name: 1e25 * count for name, count in ONE_DECOY_ROUND.items()}),
+}
+
+
+def test_boundary_tallies_reach_their_edges():
+    """Each boundary block reaches the clip edge it is named for."""
+    est = {name: {key: np.ravel(value)[0] for key, value in
+                  _estimate_arrays(t, *columns, SecurityParams(), n_decoys).items()
+                  if value is not None}
+           for name, (n_decoys, t, columns) in BOUNDARY_CASES.items()}
+    for name in ("zero_1", "zero_2"):
+        assert est[name]["n_z"] == 0.0 and est[name]["aborted"]
+    for name in ("few_1", "few_2"):
+        assert est[name]["n_z"] > 0.0 and est[name]["s_z1_low"] == 0.0 and est[name]["aborted"]
+    assert est["phi_half"]["phi_up"] == 0.5 and not est["phi_half"]["aborted"]
+    assert est["phi_above"]["phi_up"] == 0.5 and est["phi_above"]["aborted"]
+    for name in ("huge_1", "huge_2"):
+        assert est[name]["phi_up"] == est[name]["v_x1_up"] / est[name]["s_x1_low"]  # gamma 0
+    assert est["huge_2"]["s_z1_low"] == est["huge_2"]["n_z"] - est["huge_2"]["s_z0_low"]
+
+
+@settings(deadline=None)
+@given(candidate_grids().map(grid_case))
+@example(BOUNDARY_CASES["zero_1"])
+@example(BOUNDARY_CASES["zero_2"])
+@example(BOUNDARY_CASES["few_1"])
+@example(BOUNDARY_CASES["few_2"])
+@example(BOUNDARY_CASES["phi_half"])
+@example(BOUNDARY_CASES["phi_above"])
+@example(BOUNDARY_CASES["huge_1"])
+@example(BOUNDARY_CASES["huge_2"])
+def test_in_place_kernel_matches_expression_form(case):
+    n_decoys, t, columns = case
     _assert_kernel_matches_reference(t, columns, SecurityParams(), n_decoys)
 
 

@@ -758,6 +758,68 @@ def test_objective_rows_do_not_depend_on_their_batch(name, data):
     assert values.tobytes() == l_real[np.arange(len(rows)), cut_idx].tobytes()
 
 
+@lru_cache(maxsize=None)
+def one_sided_channel(name):
+    """The pass of a bundled scenario from culmination on: no two of its
+    samples share a transmission."""
+    scenario = load_bundled_scenario(name)
+    pass_geometry = scenario.synth_pass()
+    samples = pass_geometry.samples
+    one_sided = replace(pass_geometry, samples=samples[samples.t_s >= 0])
+    return optimizer._PassChannel(one_sided, scenario.hardware(), scenario.security, scenario.n_decoys)
+
+
+@st.composite
+def cut_sum_blocks(draw, n_decoys):
+    """(mu, nu, p_mu, p_nu) blocks, 1-12 of them: mixed, or all of one
+    (mu, nu), as in a share or p_sum line search."""
+    search = draw(st.lists(search_points(n_decoys), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        search = [search[0][:2] + row[2:] for row in search]
+    return optimizer._params(np.array(search))[:, :4]
+
+
+def reference_cut_sums(channel, blocks):
+    """cut_sums presifting every sample and block on its own: the forward
+    running sum over eta_sorted, gathered at each cut's last sample."""
+    mu, nu, p_mu, p_nu = blocks.T
+    p_vac = 1.0 - p_mu - p_nu if channel.n_decoys == 2 else 0.0 * p_mu
+    clicks, err_z, err_x, f_dead = presift_rows(
+        channel.eta_sorted, mu, nu, p_mu, p_nu, p_vac, channel.template, channel.detector
+    )
+    per_sample = np.concatenate([clicks, err_z, err_x]) * (channel.pulses_per_sample * f_dead)
+    return np.cumsum(per_sample, axis=-1)[..., channel.cut_kept - 1]
+
+
+# snspd_tb_2decoy's misalignments differ, spcm_pol_1decoy has one decoy, and
+# the one-sided pass has no repeated transmission.
+@pytest.mark.parametrize("name, one_sided", [
+    ("snspd_pol_2decoy", False), ("snspd_tb_2decoy", False), ("spcm_pol_1decoy", False),
+    ("snspd_pol_2decoy", True),
+], ids=["snspd_pol_2decoy", "snspd_tb_2decoy", "spcm_pol_1decoy", "snspd_pol_2decoy_one_sided"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_cut_sums_match_per_sample_reference(name, one_sided, data):
+    """cut_sums presifts each distinct transmission once and shares the
+    attenuation rows of one (mu, nu), with the bits of presifting every
+    sample of every block."""
+    channel = one_sided_channel(name) if one_sided else bundled_channel(name)
+    blocks = data.draw(cut_sum_blocks(channel.n_decoys))
+    got = channel.cut_sums(blocks)
+    want = reference_cut_sums(channel, blocks)
+    assert got.shape == want.shape == (9, len(blocks), len(channel.cuts))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_bundled_pass_repeats_transmissions():
+    """The mirror-symmetric bundled pass presifts half its samples; the
+    one-sided pass, all of them."""
+    channel = bundled_channel("snspd_pol_2decoy")
+    assert len(channel.eta_unique) == (len(channel.eta_sorted) + 1) // 2
+    one_sided = one_sided_channel("snspd_pol_2decoy")
+    assert len(one_sided.eta_unique) == len(one_sided.eta_sorted)
+
+
 def plain_refine(f, point, value, n_decoys, config):
     """optimizer._refine without its skip rule: every coordinate is
     searched on every pass."""

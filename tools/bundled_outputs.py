@@ -5,10 +5,11 @@
 
 Runs `pass`, `budget`, `skl`, `optimize` and `mc-validate --thinning 1e4
 --seeds 2` on each bundled scenario into OUT_DIR/<scenario>/<command>/,
-`sweep-elevation` (default peaks) on snspd_pol_2decoy and `relay-demo` once,
-and lists each command's exit code in OUT_DIR/exit_codes.txt. It imports
-satqkd from the src/ tree of the checkout it sits in, so `diff -r` of the
-directories written by two checkouts shows every output a change moved.
+`sweep-elevation` (default peaks) on SWEEP_SCENARIOS, which span both decoy
+counts and both encodings, and `relay-demo` once, and lists each command's
+exit code in OUT_DIR/exit_codes.txt. It imports satqkd from the src/ tree of
+the checkout it sits in, so `diff -r` of the directories written by two
+checkouts shows every output a change moved.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ PER_SCENARIO = (
     ("optimize",),
     ("mc-validate", "--thinning", "1e4", "--seeds", "2"),
 )
-SWEEP_SCENARIO = "snspd_pol_2decoy"
+SWEEP_SCENARIOS = ("snspd_pol_2decoy", "spcm_tb_2decoy", "idqube_pol_1decoy")
 
 
 def write_outputs(out: Path) -> None:
@@ -37,8 +38,8 @@ def write_outputs(out: Path) -> None:
         for name in bundled_scenario_names()
         for command, *flags in PER_SCENARIO
     ]
-    runs.append((f"{SWEEP_SCENARIO}/sweep-elevation",
-                 ["sweep-elevation", "--scenario", f"bundled:{SWEEP_SCENARIO}"]))
+    runs += [(f"{name}/sweep-elevation", ["sweep-elevation", "--scenario", f"bundled:{name}"])
+             for name in SWEEP_SCENARIOS]
     runs.append(("relay-demo", ["relay-demo"]))
     codes = []
     for sub_dir, argv in runs:
