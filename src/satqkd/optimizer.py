@@ -26,11 +26,12 @@ The X half runs on each row's cell of largest B, the probe, which gives an
 exact value L, and then only on the candidates, the cells with B >= L: every
 other cell lies below L, so each row's value and cut, and the trace, are
 those of the full kernel bit for bit. The refinement calls the full kernel
-with one row per candidate point (pruning its 15-row calls cost more than it
+with one row per candidate point (pruning 15-row calls cost more than it
 saved): on each call it evaluates the point a golden-section step needs
-together with every point the next LOOKAHEAD steps could need, then replays
-the sequential steps from those values, so it visits the same points in
-about a quarter of the calls. A line search depends only on the other
+together with both candidates of every later step along the path that the
+values in hand predict, then replays the sequential steps from those values,
+so it visits the same points whatever the prediction, in about a seventh of
+the calls. A line search depends only on the other
 coordinates, so a coordinate is not searched again until another one has
 moved: the search would repeat itself and keep no move. The rows of a p_z
 line search share one (mu, nu, p_mu, p_nu) block, whose cut sums are taken
@@ -106,10 +107,6 @@ NU_MIN = 0.01
 SHARE_BOX = (0.2, 0.95)
 P_SUM_BOX = {1: (1.0, 1.0), 2: (0.21, 0.99)}
 P_Z_BOX = (0.3, 0.97)
-# Golden-section steps whose candidate points each refinement kernel call
-# evaluates ahead: 2 + 2 + 4 + 8 rows on the first call of a search and
-# 1 + 2 + 4 + 8 on each later one, against one row per step.
-LOOKAHEAD = 3
 # Coarse blocks per finite-key kernel call: large enough to amortise the
 # per-call overhead, small enough that a chunk's temporaries stay in cache.
 CHUNK_BLOCKS = 24
@@ -383,35 +380,69 @@ def _golden_steps(a: float, b: float, x1: float, x2: float) -> tuple[tuple, tupl
     return (a, x2, x2 - _GOLDEN * (x2 - a), x1), (x1, b, x2, x1 + _GOLDEN * (b - x1))
 
 
-def _golden_max(f, lo: float, hi: float, abs_tol: float, max_iter: int = 80) -> tuple[float, float]:
+def _peak(known: dict[float, float]) -> float:
+    """Predicted abscissa of the maximum of a line from its known values,
+    abscissa to value: the vertex of the parabola through the best point,
+    the first maximum in abscissa order, and its nearest known neighbours;
+    -inf or inf when the best point is the outermost one, toward that end;
+    the one known point if only one is, and -inf, the way ties send a step,
+    if none is. Total: ties, plateaus and non-finite values never raise."""
+    xs = sorted(known)
+    if len(xs) < 2:
+        return xs[0] if xs else -math.inf
+    i = max(range(len(xs)), key=[known[x] for x in xs].__getitem__)
+    if not 0 < i < len(xs) - 1:
+        return math.inf if i else -math.inf
+    (a, fa), (b, fb), (c, fc) = ((x, known[x]) for x in xs[i - 1:i + 2])
+    p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+    vertex = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q) if p != q else b
+    return vertex if a <= vertex <= c else b
+
+
+def _golden_max(f, lo: float, hi: float, abs_tol: float, guess: tuple[float, float] | None = None,
+                max_iter: int = 80) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi] of f, which maps a 1-D array
-    of abscissae to their values; returns (x, f(x)).
+    of abscissae to their values; returns (x, f(x)). guess, if given, is a
+    point (x, f(x)) of the line, such as the one the search starts from.
 
     The steps are the sequential ones, reading values from a cache. On a
-    miss, one call of f evaluates the points needed and every point the
-    next LOOKAHEAD steps could need: which way a step goes depends on the
-    values, but its two candidates depend only on the interval and its
+    miss, one call of f evaluates the points needed and, for every later
+    step up to where the search stops, both candidate points of the step
+    along the path the values in hand predict: which way a step goes
+    depends on the values, but its two candidates depend only on the
+    interval and its interior points. The path takes a step left, to
+    [a, x2], where both its interior values are cached and the first is not
+    the smaller, as the search does, and elsewhere where the _peak of the
+    cached values and the guess lies at or below the midpoint of its
     interior points. So the search visits the points, and returns the
-    result, of one evaluation per step, in about 1/(LOOKAHEAD + 1) of the
-    calls.
+    result, of one evaluation per step whatever the prediction; a wrong one
+    costs only a further call.
     """
     if hi <= lo:
         return lo, float(f(np.array([lo]))[0])
     cache: dict[float, float] = {}
 
-    def ahead(state: tuple, done: int, depth: int) -> list[float]:
-        """Points the next depth steps from state could evaluate, up to
-        where the search stops."""
-        if depth == 0 or done == max_iter or state[1] - state[0] <= abs_tol:
-            return []
-        left, right = _golden_steps(*state)
-        return [left[2], right[3], *ahead(left, done + 1, depth - 1),
-                *ahead(right, done + 1, depth - 1)]
+    def ahead(state: tuple, done: int) -> list[float]:
+        """Both candidates of each step from state, after done steps, along
+        the predicted path, up to where the search stops."""
+        known = dict([guess] if guess is not None else [])
+        known.update(cache)
+        peak, xs = _peak(known), []
+        while done < max_iter and state[1] - state[0] > abs_tol:
+            left, right = _golden_steps(*state)
+            xs += [left[2], right[3]]
+            x1, x2 = state[2:]
+            if x1 in cache and x2 in cache:
+                state = left if cache[x1] >= cache[x2] else right
+            else:
+                state = left if peak <= 0.5 * (x1 + x2) else right
+            done += 1
+        return xs
 
     def values(points: tuple, state: tuple, done: int) -> list[float]:
         """f at points, the new interior points of state after done steps."""
         if any(x not in cache for x in points):
-            xs = [x for x in dict.fromkeys((*points, *ahead(state, done, LOOKAHEAD)))
+            xs = [x for x in dict.fromkeys((*points, *ahead(state, done)))
                   if x not in cache]
             cache.update(zip(xs, f(np.array(xs)).tolist()))
         return [cache[x] for x in points]
@@ -490,7 +521,7 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
             if hi <= lo or dim in stale:
                 continue
             x, fx = _golden_max(lambda xs: f(rows(dim, xs)), lo, hi,
-                                config.rel_tolerance * DIM_SPAN[dim])
+                                config.rel_tolerance * DIM_SPAN[dim], (at[dim], value))
             if fx > value:
                 point = dict(zip(PARAM_NAMES, rows(dim, [x])[0].tolist()))
                 at[dim], value = x, fx

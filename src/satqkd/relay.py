@@ -14,6 +14,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 SNAPSHOT_MAGIC = b"SQKD"
 SNAPSHOT_VERSION = 1
 
@@ -47,7 +49,7 @@ class RelayMessage:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise RelayError(f"xor length mismatch: {len(a)} vs {len(b)} bytes")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    return (np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)).tobytes()
 
 
 def recover(local_bits: bytes, message: RelayMessage) -> bytes:

@@ -235,3 +235,13 @@ class TestSnapshot:
 def test_xor_bytes_validates_length():
     with pytest.raises(RelayError):
         xor_bytes(b"\x00", b"\x00\x01")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4096, 131072])
+def test_xor_bytes_matches_the_big_integer_form(n):
+    rng = np.random.default_rng(n)
+    a, b = random_bytes(rng, n), random_bytes(rng, n)
+    want = (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+    got = xor_bytes(a, b)
+    assert type(got) is bytes
+    assert got == want
