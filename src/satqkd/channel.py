@@ -261,23 +261,19 @@ def presift_rows(eta, mu, nu, p_mu, p_nu, p_vac, source: SourceSpec, det: Detect
     return clicks, errors_z, errors_z if err_x is err_z else p * err_x, f_dead
 
 
-def basis_rows(clicks, errors, p_z_alice, p_z_bob, basis: str) -> dict[str, np.ndarray]:
-    """The TALLY_FIELDS of one basis ("z" or "x"): its presift clicks and
-    errors, each iterated over its intensity axis, times the probability
-    that both sides pick that basis."""
-    if basis == "z":
-        sift = p_z_alice * p_z_bob
-    else:
-        sift = (1.0 - p_z_alice) * (1.0 - p_z_bob)
-    names = [name for name in TALLY_FIELDS if name[2] == basis]  # n_b_mu, ..., m_b_vac
-    return {name: row * sift for name, row in zip(names, (*clicks, *errors))}
-
-
 def sifted_rows(clicks, errors_z, errors_x, p_z_alice, p_z_bob) -> dict[str, np.ndarray]:
-    """TALLY_FIELDS mapped to their presift rows times the basis-sifting
-    probability; each presift argument is iterated over its intensity axis."""
-    return {**basis_rows(clicks, errors_z, p_z_alice, p_z_bob, "z"),
-            **basis_rows(clicks, errors_x, p_z_alice, p_z_bob, "x")}
+    """TALLY_FIELDS mapped to their presift rows times the probability that
+    both sides pick the field's basis; each presift argument has one row per
+    intensity (mu, nu, vac) on its leading axis."""
+    sift_z = p_z_alice * p_z_bob
+    sift_x = (1.0 - p_z_alice) * (1.0 - p_z_bob)
+    rows = {}
+    for k, intensity in enumerate(("mu", "nu", "vac")):
+        rows[f"n_z_{intensity}"] = clicks[k] * sift_z
+        rows[f"m_z_{intensity}"] = errors_z[k] * sift_z
+        rows[f"n_x_{intensity}"] = clicks[k] * sift_x
+        rows[f"m_x_{intensity}"] = errors_x[k] * sift_x
+    return rows
 
 
 def _check_breakdowns(pass_geometry: PassGeometry, breakdowns: np.recarray) -> None:

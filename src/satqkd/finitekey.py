@@ -24,25 +24,6 @@ the correction gamma(a, b, c, d) with the protocol's epsilon budget. A
 Monte Carlo oracle with true photon-number tags gates these bounds in the
 test suite.
 
-The array kernel has two halves, which `skl_real_arrays` and
-`_estimate_arrays` both call. `_z_half` gives the Z totals, the clipped
-s_Z0 and s_Z1 and the Z part of the usability check; `_x_half` gives the X
-bounds, the gamma transfer, phi and the abort mask. From the Z half and
-lambda_EC alone, B = s_Z0 + s_Z1 (1 - h(phi_f)) - lambda_EC - penalties,
-plus a rounding slack of 1e-9 |B| + 1 bit, bounds l from above wherever the
-kernel does not abort, for any floor phi_f of at most 1/2 and at most the
-true one-photon X error rate (Y0/2 + e_mis eta) / y1, y1 = 1 - (1 - Y0)(1
-- eta), of each of the one or more samples the expected tallies sum: such
-a block has phi <= 1/2 and phi >= v_X1 / s_X1, which is at least the true
-pooled one-photon X error rate because the decoy bounds are one-sided on
-exact expected tallies (the dead-time factor scales every intensity of a
-sample alike); that rate is a weighted mean of the per-sample rates, so at
-least their minimum; h increases on [0, 1/2], s_Z1 >= 0, and every other
-term is the one l has. The optimizer's coarse grid prunes with B, taking
-as phi_f the smaller of 1/2 and the least sampler-form rate e1 = (Y0/2 +
-e_mis (1 - Y0) eta) / y1 (`channel.one_photon`) of the samples a cut
-keeps, which is at most the true rate since 1 - Y0 <= 1.
-
 All estimator arithmetic is written against numpy so the whole-pass
 optimizer can evaluate many candidate blocks in one call. The array
 functions take arrays of at least one dimension and build each
@@ -318,8 +299,8 @@ def _basis_bounds(t: dict[str, np.ndarray], b: str, d: dict) -> dict:
 
 
 def _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security: SecurityParams, n_decoys: int) -> dict:
-    """Per-candidate constants of both kernel halves: the intensities, tau0,
-    tau1 and the count scales s_k = e^k / p_k (s_vac None for the one-decoy
+    """Per-candidate constants of the kernel: the intensities, tau0, tau1
+    and the count scales s_k = e^k / p_k (s_vac None for the one-decoy
     protocol), each shaped like the parameters, and the scalars budget and
     eps1, the epsilon budget's per-invocation share."""
     budget = EPSILON_BUDGET[n_decoys]
@@ -337,41 +318,6 @@ def _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security: SecurityParams, n_decoys: 
         "budget": budget,
         "eps1": security.eps_sec / budget,
     }
-
-
-def _z_half(t: dict[str, np.ndarray], d: dict) -> dict:
-    """Z half of the kernel: the Z totals n_z and m_z, the clipped lower
-    bounds s_z0_low and s_z1_low, the Z part `z_ok` of the usability
-    check, and s_z0_up. Reads only the Z fields of t."""
-    z = _basis_bounds(t, "z", d)
-    z_ok = z["s1"] > 0.0
-    z_ok &= z["n"] > 0.0
-    s_z0 = np.minimum(np.maximum(z["s0"], 0.0, out=z["s0"]), z["n"], out=z["s0"])
-    s_z1 = np.minimum(np.maximum(z["s1"], 0.0, out=z["s1"]), z["n"] - s_z0, out=z["s1"])
-    return {"n_z": z["n"], "m_z": z["m"], "s_z0_low": s_z0, "s_z1_low": s_z1, "z_ok": z_ok,
-            "s_z0_up": z["s0_up"]}
-
-
-def _x_half(t: dict[str, np.ndarray], s_z1_low, z_ok, d: dict, security: SecurityParams) -> dict:
-    """X half of the kernel: s_x1_low, v_x1_up, the phase-error bound
-    phi_up through the gamma transfer, and the `aborted` mask. Reads the X
-    fields of t; s_z1_low and z_ok are the Z half's."""
-    x = _basis_bounds(t, "x", d)
-    usable = x["s1"] > 0.0
-    usable &= z_ok
-    s_x1 = np.minimum(np.maximum(x["s1"], 0.0, out=x["s1"]), x["n"], out=x["s1"])
-    v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
-
-    ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
-    np.divide(v_x1, ratio, out=ratio)
-    np.copyto(ratio, 1.0, where=~usable)
-    phi = _gamma_transfer(security.eps_sec, ratio, s_z1_low, s_x1, d["budget"])
-    phi += ratio
-    bad = ~np.isfinite(phi)
-    aborted = ~usable | (phi > 0.5) | bad
-    np.copyto(phi, 1.0, where=bad)
-    np.minimum(np.maximum(phi, 0.0, out=phi), 0.5, out=phi)
-    return {"s_x1_low": s_x1, "v_x1_up": v_x1, "phi_up": phi, "aborted": aborted}
 
 
 def _estimate_arrays(
@@ -393,16 +339,39 @@ def _estimate_arrays(
     m_z and an `aborted` mask.
     """
     d = _decoy_setup(mu, nu, p_mu, p_nu, p_vac, security, n_decoys)
-    z = _z_half(t, d)
+    z = _basis_bounds(t, "z", d)
+    x = _basis_bounds(t, "x", d)
+    # A block is usable where both one-photon bounds, taken before any clip,
+    # are positive and the Z basis has counts.
+    usable = z["s1"] > 0.0
+    usable &= z["n"] > 0.0
+    usable &= x["s1"] > 0.0
+    s_z0 = np.minimum(np.maximum(z["s0"], 0.0, out=z["s0"]), z["n"], out=z["s0"])
+    s_z1 = np.minimum(np.maximum(z["s1"], 0.0, out=z["s1"]), z["n"] - s_z0, out=z["s1"])
+    s_x1 = np.minimum(np.maximum(x["s1"], 0.0, out=x["s1"]), x["n"], out=x["s1"])
+    v_x1 = np.maximum(x["v1"], 0.0, out=x["v1"])
+
+    ratio = np.where(s_x1 > 0.0, s_x1, 1.0)
+    np.divide(v_x1, ratio, out=ratio)
+    np.copyto(ratio, 1.0, where=~usable)
+    phi = _gamma_transfer(security.eps_sec, ratio, s_z1, s_x1, d["budget"])
+    phi += ratio
+    bad = ~np.isfinite(phi)
+    aborted = ~usable | (phi > 0.5) | bad
+    np.copyto(phi, 1.0, where=bad)
+    np.minimum(np.maximum(phi, 0.0, out=phi), 0.5, out=phi)
     return {
-        **_x_half(t, z["s_z1_low"], z["z_ok"], d, security),
-        "s_z0_low": z["s_z0_low"],
-        "s_z1_low": z["s_z1_low"],
+        "s_z0_low": s_z0,
+        "s_z1_low": s_z1,
+        "s_x1_low": s_x1,
+        "v_x1_up": v_x1,
+        "phi_up": phi,
+        "aborted": aborted,
         "tau0": d["tau0"],
         "tau1": d["tau1"],
-        "n_z": z["n_z"],
-        "m_z": z["m_z"],
-        "s_z0_up": z["s_z0_up"] if n_decoys == 1 else None,
+        "n_z": z["n"],
+        "m_z": z["m"],
+        "s_z0_up": z["s0_up"] if n_decoys == 1 else None,
     }
 
 
@@ -589,8 +558,7 @@ def asymptotic_rate(
     Infinite-data limit: exact Poisson yields replace the decoy bounds, the
     fluctuation and transfer terms vanish and the log penalties drop out;
     lambda_EC keeps the f_ec inefficiency. The one-photon yield and X
-    error are channel.one_photon's, the Monte Carlo sampler's form, which
-    the coarse grid's phase-error floor uses too.
+    error are channel.one_photon's, the Monte Carlo sampler's form.
     """
     eta_t = eta * det.efficiency
     clicks, err_z, _, f_dead = presift_rows(eta_t, mu, nu, p_mu, p_nu, p_vac, source, det)

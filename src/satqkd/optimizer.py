@@ -14,30 +14,21 @@ first cut keeps every sample and every cut keeps one.
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
 maxima. A row of the grid is one block with one p_z value, a cell one row at
-one cut, and the search needs only each row's first maximum over its cells,
-so the coarse grid prunes within rows, exactly. Per chunk, the detection
-statistics of every block, taken once per distinct transmission, are summed
-over the samples in descending elevation into every cut's tallies. The Z
-half of the finite-key kernel runs on every cell and gives the upper bound B
-of the key length (see `finitekey`) at the cut's phase-error floor: the
-smallest one-photon X error rate of the samples the cut keeps, at most
-0.5. A cell that fails the Z checks or has B <= 0 is exactly 0.0.
-The X half runs on each row's cell of largest B, the probe, which gives an
-exact value L, and then only on the candidates, the cells with B >= L: every
-other cell lies below L, so each row's value and cut, and the trace, are
-those of the full kernel bit for bit. The refinement calls the full kernel
-with one row per candidate point (pruning 15-row calls cost more than it
-saved): on each call it evaluates the point a golden-section step needs
-together with both candidates of every later step along the path that the
-values in hand predict, then replays the sequential steps from those values,
-so it visits the same points whatever the prediction, in about a seventh of
-the calls. A line search depends only on the other
-coordinates, so a coordinate is not searched again until another one has
-moved: the search would repeat itself and keep no move. The rows of a p_z
-line search share one (mu, nu, p_mu, p_nu) block, whose cut sums are taken
-once; those of a share or p_sum line search share one (mu, nu), whose
-attenuation rows e^(-k eta) are; and with equal X and Z misalignments the X
-error sums are the Z ones. The final evaluation is one more row.
+one cut. Per chunk, the detection statistics of every block, taken once per
+distinct transmission, are summed over the samples in descending elevation
+into every cut's tallies, and the finite-key kernel runs on every cell.
+The refinement calls the kernel with one row per candidate point: on each
+call it evaluates the point a golden-section step needs together with both
+candidates of every later step along the path that the values in hand
+predict, then replays the sequential steps from those values, so it visits
+the same points whatever the prediction, in about a seventh of the calls. A
+line search depends only on the other coordinates, so a coordinate is not
+searched again until another one has moved: the search would repeat itself
+and keep no move. The rows of a p_z line search share one (mu, nu, p_mu,
+p_nu) block, whose cut sums are taken once; those of a share or p_sum line
+search share one (mu, nu), whose attenuation rows e^(-k eta) are; and with
+equal X and Z misalignments the X error sums are the Z ones. The final
+evaluation is one more row.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -76,22 +67,13 @@ import numpy as np
 from .channel import (
     DetectorSpec,
     SourceSpec,
-    background_yield,
-    basis_rows,
     expected_tallies,
-    one_photon,
     presift_rows,
     sifted_rows,
 )
 from .finitekey import (
     SecurityParams,
     SklResult,
-    _decoy_setup,
-    _ec_leakage,
-    _floored,
-    _key_length,
-    _x_half,
-    _z_half,
     asymptotic_rate,
     skl_from_tallies,
     skl_real_arrays,
@@ -238,13 +220,6 @@ class _PassChannel:
         # cut_kept[j] >= 1: number of samples with elevation >= cut j, the
         # leading run of the descending order
         self.cut_kept = len(elevations) - np.searchsorted(elevations[order], self.cuts, side="left")
-        # phi_floor[j]: the smallest one-photon X error rate of the samples
-        # cut j keeps, at most 0.5 (the domain of h; e1 can exceed it at
-        # extreme Y0), below the kernel's phase-error bound phi at cut j
-        # wherever it does not abort; see `finitekey`.
-        y0 = background_yield(self.detector, self.template.pulse_rate_hz)
-        e1 = one_photon(self.eta_sorted, y0, self.template.misalignment_x)[1]
-        self.phi_floor = np.minimum.accumulate(np.append(0.5, e1))[self.cut_kept]
 
     def cut_sums(self, blocks: np.ndarray) -> np.ndarray:
         """Presift rows of (mu, nu, p_mu, p_nu) blocks summed over the
@@ -282,15 +257,11 @@ class _PassChannel:
         p_z = np.asarray(p_z_values, dtype=float)[..., None]
         t = {name: row.reshape(-1, len(self.cuts))
              for name, row in sifted_rows(cut[0:3], cut[3:6], cut[6:9], p_z, p_z).items()}
-        columns = self._columns(blocks, p_z.shape[-2])
-        l_real, _ = skl_real_arrays(t, *columns, self.security, self.n_decoys)
+        # One (rows, 1) column per parameter, each block repeated per p_z row.
+        mu, nu, p_mu, p_nu = (np.repeat(x, p_z.shape[-2])[:, None] for x in blocks.T)
+        l_real, _ = skl_real_arrays(t, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
+                                    self.security, self.n_decoys)
         return l_real
-
-    def _columns(self, blocks: np.ndarray, per_block: int) -> list:
-        """Columns (mu, nu, p_mu, p_nu, p_vac) of the rows of blocks, each
-        block repeated per_block times; shape (rows, 1) each."""
-        mu, nu, p_mu, p_nu = (np.repeat(x, per_block)[:, None] for x in blocks.T)
-        return [mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys)]
 
     def objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best unfloored key length over the cut grid and its cut index,
@@ -303,69 +274,6 @@ class _PassChannel:
         l_real = self.skl_chunk(blocks, p_z_values)
         cut_idx = np.argmax(l_real, axis=1)
         return l_real[np.arange(len(l_real)), cut_idx], cut_idx
-
-    def pruned_objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """objective(blocks, p_z_values) for a 1-D p_z grid, the same values
-        and cut indices, with the X half of the kernel run only on the cells
-        (row, cut) that can still be their row's first maximum; see the
-        module docstring."""
-        stage = self._z_stage(blocks, p_z_values)
-        bound = stage.pop("bound")
-        values = np.zeros(bound.shape)
-        # Probe each row at its cut of largest bound; then only the cells
-        # whose bound reaches the probe's value can be the first maximum.
-        probe = np.argmax(bound, axis=1)
-        rows = np.flatnonzero(bound[np.arange(len(bound)), probe] > 0.0)
-        probe = rows * bound.shape[1] + probe[rows]
-        values.ravel()[probe] = self._x_key(stage, probe, p_z_values)
-        # A bound of at least the smallest positive double is positive.
-        cand = bound >= np.maximum(values.max(axis=1, keepdims=True), 5e-324)
-        del bound
-        cand.ravel()[probe] = False
-        cells = np.flatnonzero(cand)
-        del cand
-        values.ravel()[cells] = self._x_key(stage, cells, p_z_values)
-        cut_idx = np.argmax(values, axis=1)
-        return values[np.arange(len(values)), cut_idx], cut_idx
-
-    def _z_stage(self, blocks: np.ndarray, p_z_values: np.ndarray) -> dict:
-        """Z half of the kernel over blocks crossed with a 1-D p_z grid: the
-        bound B of every cell ("bound", -inf where the Z checks fail) and the
-        cells' "s_z0_low", "s_z1_low" and "lam_ec", each (rows, n_cuts); the
-        cut_sums of blocks, "cut", and their _decoy_setup constants, "d"."""
-        cut = self.cut_sums(blocks)
-        p_z = p_z_values[:, None]
-        t = {name: row.reshape(-1, len(self.cuts))
-             for name, row in basis_rows(cut[0:3, :, None], cut[3:6, :, None], p_z, p_z, "z").items()}
-        d = _decoy_setup(*self._columns(blocks, len(p_z_values)), self.security, self.n_decoys)
-        z = _z_half(t, d)
-        del t
-        _, lam_ec = _ec_leakage(z["n_z"], z["m_z"], self.security)
-        bound = _key_length(z["s_z0_low"], z["s_z1_low"], self.phi_floor, lam_ec,
-                            self.security, self.n_decoys)["l_real"]
-        bound += 1e-9 * np.abs(bound) + 1.0  # rounding slack
-        np.copyto(bound, -np.inf, where=~z["z_ok"])
-        return {"bound": bound, "s_z0_low": z["s_z0_low"], "s_z1_low": z["s_z1_low"],
-                "lam_ec": lam_ec, "cut": cut, "d": d}
-
-    def _x_key(self, stage: dict, cells: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
-        """Unfloored key length of the flat cells: the X half of the kernel
-        and the key-length formula on their entries of the _z_stage arrays."""
-        n_cuts, per_block = len(self.cuts), len(p_z_values)
-        rows = cells // n_cuts
-        block = rows // per_block
-        sums = cells - (rows - block) * n_cuts  # flat (block, cut) index
-        cut = stage["cut"].reshape(9, -1)
-        clicks, errors = cut[0:3].take(sums, axis=1), cut[6:9].take(sums, axis=1)
-        p_z = p_z_values.take(rows - block * per_block)
-        d = {name: value.ravel().take(rows) if np.ndim(value) else value
-             for name, value in stage["d"].items()}
-        s_z1 = stage["s_z1_low"].ravel().take(cells)
-        # Every cell read here passed the Z checks.
-        x = _x_half(basis_rows(clicks, errors, p_z, p_z, "x"), s_z1, True, d, self.security)
-        l_real = _key_length(stage["s_z0_low"].ravel().take(cells), s_z1, x["phi_up"],
-                             stage["lam_ec"].ravel().take(cells), self.security, self.n_decoys)["l_real"]
-        return _floored(l_real, x["aborted"])[0]
 
 
 def _p_vac(p_mu, p_nu, n_decoys: int):
@@ -536,7 +444,7 @@ def _coarse_shard(
     """Best unfloored key length and its cut index for every row of blocks
     crossed with p_z_values, block-major and p_z-minor, evaluated in chunks
     of CHUNK_BLOCKS."""
-    chunks = [channel.pruned_objective(blocks[start:start + CHUNK_BLOCKS], p_z_values)
+    chunks = [channel.objective(blocks[start:start + CHUNK_BLOCKS], p_z_values)
               for start in range(0, len(blocks), CHUNK_BLOCKS)]
     return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
 

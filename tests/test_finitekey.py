@@ -684,10 +684,14 @@ def tally_case(n_decoys, **counts):
 # ROUND: round clicks and errors; their X errors at HALF_ERRORS (one decoy)
 # give phi exactly 0.5, at HIGH_ERRORS (two decoys) a phi above it, and
 # 1e25 times them gamma 0 and, with two decoys, s_z1 clipped at n_z - s_z0.
+# X_FEW: ROUND's Z counts and few X clicks, no X errors, so s_z1 > 0 but
+# s_x1 <= 0: only the X check aborts it.
 FEW = dict(n_z_mu=40.0, n_z_nu=6.0, n_x_mu=10.0, n_x_nu=2.0, m_z_mu=1.0, m_x_mu=1.0)
 ROUND = dict(n_z_mu=4e6, n_z_nu=6e5, n_z_vac=2e3, n_x_mu=1e6, n_x_nu=1.5e5, n_x_vac=5e2,
              m_z_mu=4e4, m_z_nu=6e3, m_z_vac=1e3, m_x_mu=1e4, m_x_nu=1.5e3, m_x_vac=2.5e2)
 ONE_DECOY_ROUND = {name: count for name, count in ROUND.items() if not name.endswith("vac")}
+X_FEW = {**{name: count for name, count in ROUND.items() if name[2] == "z"},
+         "n_x_mu": 10.0, "n_x_nu": 2.0}
 HALF_ERRORS = dict(m_x_mu=115079.03083652184, m_x_nu=17261.854625478278)
 HIGH_ERRORS = dict(m_x_mu=5e5, m_x_nu=7.5e4, m_x_vac=2.5e2)
 BOUNDARY_CASES = {
@@ -699,6 +703,8 @@ BOUNDARY_CASES = {
     "phi_above": tally_case(2, **{**ROUND, **HIGH_ERRORS}),
     "huge_2": tally_case(2, **{name: 1e25 * count for name, count in ROUND.items()}),
     "huge_1": tally_case(1, **{name: 1e25 * count for name, count in ONE_DECOY_ROUND.items()}),
+    "x_few_2": tally_case(2, **X_FEW),
+    "x_few_1": tally_case(1, **{name: count for name, count in X_FEW.items() if not name.endswith("vac")}),
 }
 
 
@@ -717,6 +723,8 @@ def test_boundary_tallies_reach_their_edges():
     for name in ("huge_1", "huge_2"):
         assert est[name]["phi_up"] == est[name]["v_x1_up"] / est[name]["s_x1_low"]  # gamma 0
     assert est["huge_2"]["s_z1_low"] == est["huge_2"]["n_z"] - est["huge_2"]["s_z0_low"]
+    for name in ("x_few_1", "x_few_2"):
+        assert est[name]["s_z1_low"] > 0.0 and est[name]["s_x1_low"] == 0.0 and est[name]["aborted"]
 
 
 @settings(deadline=None)
@@ -729,6 +737,8 @@ def test_boundary_tallies_reach_their_edges():
 @example(BOUNDARY_CASES["phi_above"])
 @example(BOUNDARY_CASES["huge_1"])
 @example(BOUNDARY_CASES["huge_2"])
+@example(BOUNDARY_CASES["x_few_1"])
+@example(BOUNDARY_CASES["x_few_2"])
 def test_in_place_kernel_matches_expression_form(case):
     n_decoys, t, columns = case
     _assert_kernel_matches_reference(t, columns, SecurityParams(), n_decoys)
