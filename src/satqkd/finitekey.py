@@ -5,10 +5,11 @@ Key length over one accumulation block:
     l = s_Z0 + s_Z1 (1 - h(phi)) - lambda_EC - 6 log2(b / eps_sec)
         - log2(2 / eps_corr)
 
-with b = 19 for the one-decoy and b = 21 for the two-decoy protocol.
-s_Z0 / s_Z1 are lower bounds on the vacuum and single-photon detections,
-phi upper-bounds the single-photon phase error rate, and lambda_EC =
-f_ec * n_Z * h(Q_Z) models error-correction leakage.
+with b = 19 for the one-decoy and b = 21 for the two-decoy protocol, taken
+from the protocol the bounds carry (DecoyBounds.n_decoys). s_Z0 / s_Z1 are
+lower bounds on the vacuum and single-photon detections, phi upper-bounds
+the single-photon phase error rate, and lambda_EC = f_ec * n_Z * h(Q_Z)
+models error-correction leakage.
 
 The yield and error estimators follow the finite-size decoy analyses of
 Lim et al., PRA 89, 022307 (2014) for two decoys and Rusca et al., APL
@@ -81,10 +82,10 @@ class SecurityParams:
 class DecoyBounds:
     """Estimator outputs feeding the key-length formula.
 
-    s_z0_up is the error-based vacuum upper bound used inside the
-    single-photon estimate (one-decoy protocol only). n_decoys names the
-    protocol whose estimator produced the bounds; None for bounds built
-    by hand.
+    n_decoys names the protocol whose estimator produced the bounds, and so
+    the epsilon budget of the key length. s_z0_up is the error-based vacuum
+    upper bound used inside the single-photon estimate (one-decoy protocol
+    only).
     """
 
     s_z0_low: float
@@ -95,9 +96,12 @@ class DecoyBounds:
     s_x1_low: float
     v_x1_up: float
     aborted: bool
+    n_decoys: int
     s_z0_up: float | None = None
-    note: str = ""
-    n_decoys: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_decoys not in EPSILON_BUDGET:
+            raise FiniteKeyError(f"bounds.n_decoys must be 1 or 2, got {self.n_decoys}")
 
 
 @dataclass(frozen=True)
@@ -452,9 +456,8 @@ def _decoy_bounds(tallies: TallySet, source: SourceSpec, security: SecurityParam
         s_x1_low=value["s_x1_low"],
         v_x1_up=value["v_x1_up"],
         aborted=value["aborted"],
-        s_z0_up=value.get("s_z0_up"),
-        note="two-decoy" if n_decoys == 2 else "one-decoy",
         n_decoys=n_decoys,
+        s_z0_up=value.get("s_z0_up"),
     )
 
 
@@ -477,22 +480,13 @@ def estimate_bounds(tallies: TallySet, source: SourceSpec, security: SecurityPar
     return _decoy_bounds(tallies, source, security, 2 if source.vacuum_included else 1)
 
 
-def secure_key_length(
-    bounds: DecoyBounds,
-    tallies: TallySet,
-    security: SecurityParams,
-    n_decoys: int,
-) -> SklResult:
-    """Evaluate the key-length formula for one accumulation block.
+def secure_key_length(bounds: DecoyBounds, tallies: TallySet, security: SecurityParams) -> SklResult:
+    """Evaluate the key-length formula for one accumulation block, with the
+    epsilon budget of the bounds' protocol.
 
     Counts are kept real throughout; flooring happens only on the final
     length. A negative length aborts with zero bits.
     """
-    if n_decoys not in EPSILON_BUDGET:
-        raise FiniteKeyError(f"n_decoys must be 1 or 2, got {n_decoys}")
-    if bounds.n_decoys is not None and bounds.n_decoys != n_decoys:
-        raise FiniteKeyError(f"bounds of the {bounds.n_decoys}-decoy protocol cannot "
-                             f"take the epsilon budget of n_decoys={n_decoys}")
     if not 0.0 <= bounds.phi_z_up <= 1.0:
         raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
     s_z0, s_z1, phi, n_z, m_z = np.array(
@@ -501,7 +495,7 @@ def secure_key_length(
     )
     q_z, lam_ec = _ec_leakage(n_z, m_z, security)
     terms = {"q_z": q_z, "lambda_ec": lam_ec,
-             **_key_length(s_z0, s_z1, phi, lam_ec, security, n_decoys)}
+             **_key_length(s_z0, s_z1, phi, lam_ec, security, bounds.n_decoys)}
     term = {name: np.ravel(v)[0].item() for name, v in terms.items()}
     l_real = term["l_real"]
     aborted = bool(bounds.aborted or l_real <= 0.0)
@@ -524,19 +518,10 @@ def secure_key_length(
     )
 
 
-def skl_from_tallies(
-    tallies: TallySet,
-    source: SourceSpec,
-    security: SecurityParams,
-    n_decoys: int,
-) -> SklResult:
-    """Bounds plus key length in one step. The source picks the bounds and
-    n_decoys the epsilon budget, so the two must name the same protocol."""
-    if n_decoys != (2 if source.vacuum_included else 1):
-        raise FiniteKeyError(f"n_decoys={n_decoys} does not match a source with "
-                             f"vacuum_included={source.vacuum_included}")
-    bounds = estimate_bounds(tallies, source, security)
-    return secure_key_length(bounds, tallies, security, n_decoys)
+def skl_from_tallies(tallies: TallySet, source: SourceSpec, security: SecurityParams) -> SklResult:
+    """Bounds plus key length in one step, for the protocol the source's
+    decoy structure names."""
+    return secure_key_length(estimate_bounds(tallies, source, security), tallies, security)
 
 
 def asymptotic_rate(

@@ -615,7 +615,7 @@ def evaluate_params(
     tallies = expected_tallies(
         pass_geometry, breakdowns, source, hardware.detector, params.min_elevation_deg
     )
-    return skl_from_tallies(tallies, source, security, n_decoys)
+    return skl_from_tallies(tallies, source, security)
 
 
 def pointwise_asymptotic_profile(

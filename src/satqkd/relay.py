@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 SNAPSHOT_MAGIC = b"SQKD"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 STATUS_STORED = "stored"
 STATUS_CONSUMED = "consumed"
@@ -32,8 +32,11 @@ class KeyRecord:
     key_id: str
     peer: str
     bits: bytes
-    n_bits: int
     status: str = STATUS_STORED
+
+    @property
+    def n_bits(self) -> int:
+        return 8 * len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,10 @@ class RelayMessage:
     key_id_a: str
     key_id_b: str
     payload: bytes
-    n_bits: int
+
+    @property
+    def n_bits(self) -> int:
+        return 8 * len(self.payload)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -68,8 +74,15 @@ class KeyStore:
         self._records: dict[str, KeyRecord] = {}
         self._messages: list[RelayMessage] = []
         self._counter = 0
-        self.consumed_bits = 0
-        self.delivered_bits = 0
+
+    @property
+    def delivered_bits(self) -> int:
+        return sum(message.n_bits for message in self._messages)
+
+    @property
+    def consumed_bits(self) -> int:
+        """Every relay erases two stored keys of the relayed length."""
+        return 2 * self.delivered_bits
 
     def store_key(self, peer: str, bits: bytes) -> str:
         """Persist a fresh key for a peer; returns the generated key id."""
@@ -77,9 +90,7 @@ class KeyStore:
             raise RelayError("key bits must be non-empty")
         self._counter += 1
         key_id = f"k{self._counter:06d}"
-        self._records[key_id] = KeyRecord(
-            key_id=key_id, peer=peer, bits=bytes(bits), n_bits=len(bits) * 8
-        )
+        self._records[key_id] = KeyRecord(key_id=key_id, peer=peer, bits=bytes(bits))
         return key_id
 
     def get(self, key_id: str) -> KeyRecord:
@@ -114,14 +125,10 @@ class KeyStore:
                 f"{rec_b.key_id!r} has {rec_b.n_bits} bits"
             )
         payload = xor_bytes(rec_a.bits, rec_b.bits)
-        message = RelayMessage(
-            key_id_a=key_id_a, key_id_b=key_id_b, payload=payload, n_bits=rec_a.n_bits
-        )
+        message = RelayMessage(key_id_a=key_id_a, key_id_b=key_id_b, payload=payload)
         for rec in (rec_a, rec_b):
             rec.bits = bytes(len(rec.bits))
             rec.status = STATUS_CONSUMED
-        self.consumed_bits += 2 * message.n_bits
-        self.delivered_bits += message.n_bits
         self._messages.append(message)
         return message
 
@@ -136,24 +143,24 @@ class KeyStore:
     # -- snapshot ---------------------------------------------------------
 
     def export_snapshot(self, path: str | Path) -> None:
-        """Single-file snapshot: magic, version byte, then length-prefixed
-        records and messages."""
+        """Single-file snapshot, format 2: magic, version byte, the
+        length-prefixed records (id, peer, status, key bytes) and messages
+        (both ids, payload), then the id counter. Bit counts are not stored;
+        each is 8 times its bytes' length."""
         chunks = [SNAPSHOT_MAGIC, bytes([SNAPSHOT_VERSION])]
         chunks.append(struct.pack(">I", len(self._records)))
         for rec in self._records.values():
             for text in (rec.key_id, rec.peer, rec.status):
                 encoded = text.encode()
                 chunks.append(struct.pack(">I", len(encoded)) + encoded)
-            chunks.append(struct.pack(">I", rec.n_bits))
             chunks.append(struct.pack(">I", len(rec.bits)) + rec.bits)
         chunks.append(struct.pack(">I", len(self._messages)))
         for msg in self._messages:
             for text in (msg.key_id_a, msg.key_id_b):
                 encoded = text.encode()
                 chunks.append(struct.pack(">I", len(encoded)) + encoded)
-            chunks.append(struct.pack(">I", msg.n_bits))
             chunks.append(struct.pack(">I", len(msg.payload)) + msg.payload)
-        chunks.append(struct.pack(">IQQ", self._counter, self.consumed_bits, self.delivered_bits))
+        chunks.append(struct.pack(">I", self._counter))
         Path(path).write_bytes(b"".join(chunks))
 
     @classmethod
@@ -192,31 +199,19 @@ class KeyStore:
             key_id = take_text()
             peer = take_text()
             status = take_text()
-            (n_bits,) = struct.unpack(">I", take(4))
             bits = take_block()
             if key_id in store._records:
                 raise RelayError(f"duplicate key id {key_id!r} in snapshot")
             if status not in (STATUS_STORED, STATUS_CONSUMED):
                 raise RelayError(f"key {key_id!r} has unknown status {status!r}")
-            if n_bits != 8 * len(bits):
-                raise RelayError(f"key {key_id!r} claims {n_bits} bits but holds {len(bits)} bytes")
-            store._records[key_id] = KeyRecord(
-                key_id=key_id, peer=peer, bits=bits, n_bits=n_bits, status=status
-            )
+            store._records[key_id] = KeyRecord(key_id=key_id, peer=peer, bits=bits, status=status)
         (n_messages,) = struct.unpack(">I", take(4))
         for _ in range(n_messages):
             key_id_a = take_text()
             key_id_b = take_text()
-            (n_bits,) = struct.unpack(">I", take(4))
             payload = take_block()
-            if n_bits != 8 * len(payload):
-                raise RelayError(f"message {key_id_a!r} claims {n_bits} bits but holds {len(payload)} bytes")
-            store._messages.append(
-                RelayMessage(key_id_a=key_id_a, key_id_b=key_id_b, payload=payload, n_bits=n_bits)
-            )
-        store._counter, store.consumed_bits, store.delivered_bits = struct.unpack(
-            ">IQQ", take(20)
-        )
+            store._messages.append(RelayMessage(key_id_a=key_id_a, key_id_b=key_id_b, payload=payload))
+        (store._counter,) = struct.unpack(">I", take(4))
         if offset != len(data):
             raise RelayError(f"{len(data) - offset} trailing bytes after the snapshot")
         return store

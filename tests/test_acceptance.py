@@ -115,7 +115,7 @@ def test_criterion_4b_convergence_to_asymptotic():
         ratios = []
         for n in (1e12, 1e13, 1e14, 1e15):
             tallies = expected_tallies_fixed_eta(eta, n, source, det)
-            result = skl_from_tallies(tallies, source, security, 2)
+            result = skl_from_tallies(tallies, source, security)
             assert not result.aborted
             ratios.append(result.diagnostics["l_real"] / n / r_inf)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -130,7 +130,7 @@ def test_criterion_4c_monotonicity():
         base = expected_tallies_fixed_eta(1e-3, 1e11, source, det)
         lengths = []
         for factor in (1.0, 8.0, 64.0, 512.0):
-            result = skl_from_tallies(base.scaled(factor), source, security, 2)
+            result = skl_from_tallies(base.scaled(factor), source, security)
             lengths.append(0.0 if result.aborted else result.diagnostics["l_real"])
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
 
@@ -146,7 +146,7 @@ def test_criterion_4c_monotonicity():
                 + (extra * getattr(big, name.replace("m_", "n_")) if name.startswith("m_") else 0.0)
                 for name in fields
             })
-            result = skl_from_tallies(bumped, source, security, 2)
+            result = skl_from_tallies(bumped, source, security)
             value = 0.0 if result.aborted else result.diagnostics["l_real"]
             assert value <= previous
             previous = value

@@ -209,7 +209,7 @@ class TestTwoDecoyBounds:
         source = make_source(2)
         bounds = two_decoy_bounds(TallySet(), source, SecurityParams())
         assert bounds.aborted
-        result = secure_key_length(bounds, TallySet(), SecurityParams(), 2)
+        result = secure_key_length(bounds, TallySet(), SecurityParams())
         assert result.aborted and result.skl_bits == 0
 
     def test_requires_vacuum_intensity(self):
@@ -275,7 +275,7 @@ class TestMonteCarloBracketing:
 def hand_bounds() -> tuple[DecoyBounds, TallySet]:
     bounds = DecoyBounds(
         s_z0_low=1000.0, s_z1_low=50000.0, phi_z_up=0.03, tau0=0.6, tau1=0.3,
-        s_x1_low=2000.0, v_x1_up=60.0, aborted=False,
+        s_x1_low=2000.0, v_x1_up=60.0, aborted=False, n_decoys=2,
     )
     tallies = TallySet(n_z_mu=90000.0, n_z_nu=10000.0, m_z_mu=1800.0, m_z_nu=200.0)
     return bounds, tallies
@@ -289,7 +289,7 @@ class TestSecureKeyLength:
         """
         bounds, tallies = hand_bounds()
         security = SecurityParams(eps_sec=1e-9, eps_corr=1e-15, f_ec=1.16)
-        result = secure_key_length(bounds, tallies, security, n_decoys=2)
+        result = secure_key_length(bounds, tallies, security)
 
         def h2(x):
             return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
@@ -307,21 +307,21 @@ class TestSecureKeyLength:
         bounds, tallies = hand_bounds()
         zero = DecoyBounds(
             s_z0_low=0.0, s_z1_low=0.0, phi_z_up=0.5, tau0=0.6, tau1=0.3,
-            s_x1_low=0.0, v_x1_up=0.0, aborted=True,
+            s_x1_low=0.0, v_x1_up=0.0, aborted=True, n_decoys=2,
         )
-        result = secure_key_length(zero, tallies, SecurityParams(), 2)
+        result = secure_key_length(zero, tallies, SecurityParams())
         assert result.aborted and result.skl_bits == 0
 
     def test_relaxing_eps_sec_strictly_increases_length(self):
         bounds, tallies = hand_bounds()
-        tight = secure_key_length(bounds, tallies, SecurityParams(eps_sec=1e-12), 2)
-        loose = secure_key_length(bounds, tallies, SecurityParams(eps_sec=1e-6), 2)
+        tight = secure_key_length(bounds, tallies, SecurityParams(eps_sec=1e-12))
+        loose = secure_key_length(bounds, tallies, SecurityParams(eps_sec=1e-6))
         assert loose.diagnostics["l_real"] > tight.diagnostics["l_real"]
 
     def test_invalid_decoy_count(self):
-        bounds, tallies = hand_bounds()
-        with pytest.raises(FiniteKeyError):
-            secure_key_length(bounds, tallies, SecurityParams(), 3)
+        bounds, _ = hand_bounds()
+        with pytest.raises(FiniteKeyError, match="n_decoys"):
+            replace(bounds, n_decoys=3)
 
 
 class TestKeyLengthBehaviour:
@@ -342,7 +342,7 @@ class TestKeyLengthBehaviour:
         tallies, source = self.make_block(1e11)
         previous = -math.inf
         for factor in (1.0, 4.0, 16.0, 64.0, 256.0):
-            result = skl_from_tallies(tallies.scaled(factor), source, SecurityParams(), 2)
+            result = skl_from_tallies(tallies.scaled(factor), source, SecurityParams())
             value = result.diagnostics["l_real"] if not result.aborted else 0.0
             assert value >= previous
             previous = value
@@ -362,7 +362,7 @@ class TestKeyLengthBehaviour:
                     )
                 }
             )
-            result = skl_from_tallies(bumped, source, SecurityParams(), 2)
+            result = skl_from_tallies(bumped, source, SecurityParams())
             value = result.diagnostics["l_real"] if not result.aborted else 0.0
             assert value <= previous
             previous = value
@@ -383,7 +383,7 @@ class TestKeyLengthBehaviour:
                 )
             }
         )
-        result = skl_from_tallies(poisoned, source, SecurityParams(), 2)
+        result = skl_from_tallies(poisoned, source, SecurityParams())
         assert result.aborted
         assert result.diagnostics["phi_z_up"] <= 0.5
 
@@ -425,7 +425,7 @@ class TestAsymptoticRate:
         ratios = []
         for n in (1e12, 1e13, 1e14, 1e15):
             tallies = expected_tallies_fixed_eta(eta, n, source, det)
-            result = skl_from_tallies(tallies, source, security, 2)
+            result = skl_from_tallies(tallies, source, security)
             assert not result.aborted
             ratios.append(result.diagnostics["l_real"] / n / r_inf)
         assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
@@ -437,22 +437,9 @@ class TestAsymptoticRate:
 def test_estimate_bounds_dispatch():
     src2, src1 = make_source(2), make_source(1)
     t = asymptotic_tallies(1e-3, 1e12, src2)
-    assert estimate_bounds(t, src2, SecurityParams()).note == "two-decoy"
+    assert estimate_bounds(t, src2, SecurityParams()).n_decoys == 2
     t1 = asymptotic_tallies(1e-3, 1e12, src1)
-    assert estimate_bounds(t1, src1, SecurityParams()).note == "one-decoy"
-
-
-@pytest.mark.parametrize("source_decoys, n_decoys", [(2, 1), (1, 2)])
-def test_skl_from_tallies_rejects_decoy_mismatch(source_decoys, n_decoys):
-    """One protocol's bounds never meet the other's epsilon budget."""
-    source = make_source(source_decoys)
-    det = DetectorSpec(
-        efficiency=0.8, dark_count_rate_hz=100.0, dead_time_ns=30.0, background_rate_hz=10.0
-    )
-    tallies = expected_tallies_fixed_eta(1e-3, 1e11, source, det)
-    assert not skl_from_tallies(tallies, source, SecurityParams(), source_decoys).aborted
-    with pytest.raises(FiniteKeyError, match="n_decoys"):
-        skl_from_tallies(tallies, source, SecurityParams(), n_decoys)
+    assert estimate_bounds(t1, src1, SecurityParams()).n_decoys == 1
 
 
 def test_security_params_validation():
@@ -511,7 +498,7 @@ def test_array_kernel_matches_scalar_path(grid):
     assert l_real.shape == aborted.shape == (len(sources), len(blocks))
     for i, src in enumerate(sources):
         for j in range(len(blocks)):
-            ref = skl_from_tallies(tallies[i][j], src, security, n_decoys)
+            ref = skl_from_tallies(tallies[i][j], src, security)
             assert aborted[i, j] == ref.aborted
             want = 0.0 if ref.aborted else ref.diagnostics["l_real"]
             assert l_real[i, j] == pytest.approx(want, rel=1e-9, abs=0)
@@ -522,10 +509,11 @@ def test_array_kernel_matches_scalar_path(grid):
     assert np.all((est["phi_up"] >= 0.0) & (est["phi_up"] <= 0.5))
 
 
-def test_secure_key_length_rejects_bounds_of_the_other_protocol():
-    """Two-decoy bounds never meet the one-decoy epsilon budget: the bounds
-    carry the protocol that made them, and bounds built by hand (no
-    protocol) keep working."""
+def test_bounds_protocol_sets_the_epsilon_penalty():
+    """The key length takes its epsilon budget from the bounds' protocol:
+    6 log2(21/eps_sec) for two decoys (Lim et al. 2014) and 6 log2(19/eps_sec)
+    for one (Rusca et al. 2018), so the same bounds as one-decoy gain exactly
+    6 log2(21/19) bits."""
     scenario = load_bundled_scenario("snspd_pol_2decoy")
     pass_geometry = scenario.synth_pass()
     breakdowns = compute_breakdowns(
@@ -535,13 +523,16 @@ def test_secure_key_length_rejects_bounds_of_the_other_protocol():
         pass_geometry, breakdowns, scenario.source, scenario.detector,
         scenario.station.min_elevation_deg,
     )
+    eps_sec = scenario.security.eps_sec
     bounds = two_decoy_bounds(tallies, scenario.source, scenario.security)
     assert bounds.n_decoys == 2
-    assert secure_key_length(bounds, tallies, scenario.security, 2).skl_bits > 0
-    with pytest.raises(FiniteKeyError, match=r"2-decoy.*n_decoys=1"):
-        secure_key_length(bounds, tallies, scenario.security, 1)
-    by_hand = replace(bounds, n_decoys=None)
-    assert secure_key_length(by_hand, tallies, scenario.security, 1).skl_bits > 0
+    two = secure_key_length(bounds, tallies, scenario.security)
+    one = secure_key_length(replace(bounds, n_decoys=1), tallies, scenario.security)
+    assert two.skl_bits > 0
+    assert two.diagnostics["penalty_sec_bits"] == pytest.approx(6.0 * math.log2(21.0 / eps_sec), rel=1e-15)
+    assert one.diagnostics["penalty_sec_bits"] == pytest.approx(6.0 * math.log2(19.0 / eps_sec), rel=1e-15)
+    gain = one.diagnostics["l_real"] - two.diagnostics["l_real"]
+    assert gain == pytest.approx(6.0 * math.log2(21.0 / 19.0), rel=1e-6)
 
 
 # -- frozen expression-form reference of the array kernel ----------------------

@@ -1,5 +1,5 @@
 """Trusted-node XOR relay: round trips, erasure, accounting, snapshots."""
-from dataclasses import replace
+import struct
 
 import numpy as np
 import pytest
@@ -175,6 +175,7 @@ class TestSnapshot:
         assert [r.__dict__ for r in loaded.records()] == [r.__dict__ for r in store.records()]
         assert loaded.messages() == store.messages()
         assert loaded.consumed_bits == store.consumed_bits
+        assert loaded.delivered_bits == store.delivered_bits == 256
         assert loaded.get(keep).bits == store.get(keep).bits
         # the restored store continues numbering without collisions
         new_id = loaded.store_key("dave", b"\x01")
@@ -199,8 +200,6 @@ class TestSnapshot:
     @pytest.mark.parametrize("corrupt, match", [
         ("trailing bytes", "trailing"),
         ("unknown status", "unknown status"),
-        ("record n_bits", "claims 24 bits"),
-        ("message n_bits", "claims 8 bits"),
         ("duplicate key id", "duplicate key id"),
         ("magic only", "truncated"),
         ("non-UTF-8 key id", "UTF-8"),
@@ -214,10 +213,6 @@ class TestSnapshot:
         carol = store.records()[2]
         if corrupt == "unknown status":
             carol.status = "lost"
-        elif corrupt == "record n_bits":
-            carol.n_bits = 24
-        elif corrupt == "message n_bits":
-            store._messages[0] = replace(store._messages[0], n_bits=8)
         elif corrupt == "duplicate key id":
             carol.key_id = id_b
         path = tmp_path / "kms.snapshot"
@@ -229,6 +224,17 @@ class TestSnapshot:
         elif corrupt == "non-UTF-8 key id":
             path.write_bytes(path.read_bytes().replace(carol.key_id.encode(), b"k\xff" + bytes(5)))
         with pytest.raises(RelayError, match=match):
+            KeyStore.import_snapshot(path)
+
+    def test_version_1_snapshot_rejected(self, tmp_path):
+        """Format 1 stored each record's bit count and two u64 bit totals;
+        format 2 derives them from the key bytes and reads no older file."""
+        text = b"".join(struct.pack(">I", len(t)) + t for t in (b"k000001", b"alice", b"stored"))
+        record = text + struct.pack(">I", 16) + struct.pack(">I", 2) + b"\x01\x02"
+        path = tmp_path / "v1.snapshot"
+        path.write_bytes(SNAPSHOT_MAGIC + bytes([1]) + struct.pack(">I", 1) + record
+                         + struct.pack(">I", 0) + struct.pack(">IQQ", 1, 0, 0))
+        with pytest.raises(RelayError, match="unsupported snapshot version 1"):
             KeyStore.import_snapshot(path)
 
 
