@@ -33,6 +33,9 @@ TALLY_FIELDS = (
     "n_z_mu", "n_z_nu", "n_z_vac", "n_x_mu", "n_x_nu", "n_x_vac",
     "m_z_mu", "m_z_nu", "m_z_vac", "m_x_mu", "m_x_nu", "m_x_vac",
 )
+# Monte Carlo ground truth: detections (s) and errors (m) per basis, tagged
+# with the photon number n = 0 or 1 the emitting pulse actually carried.
+TRUTH_FIELDS = ("s_z0", "s_z1", "s_x0", "s_x1", "m_z0", "m_z1", "m_x0", "m_x1")
 
 
 class ChannelError(ValueError):
@@ -127,26 +130,11 @@ class SourceSpec:
 
 
 @dataclass(frozen=True)
-class TruePhotonCounts:
-    """Ground truth from the Monte Carlo sampler: detections and errors
-    tagged with the photon number actually carried by the emitting pulse."""
-
-    s_z0: int = 0
-    s_z1: int = 0
-    s_x0: int = 0
-    s_x1: int = 0
-    m_z0: int = 0
-    m_z1: int = 0
-    m_x0: int = 0
-    m_x1: int = 0
-
-
-@dataclass(frozen=True)
 class TallySet:
     """Detected (n) and erroneous (m) counts per intensity and basis.
 
     Expected-value mode stores reals; Monte Carlo mode stores integers and
-    attaches the photon-number ground truth.
+    attaches the photon-number ground truth, TRUTH_FIELDS mapped to counts.
     """
 
     n_z_mu: float = 0.0
@@ -162,7 +150,7 @@ class TallySet:
     m_x_nu: float = 0.0
     m_x_vac: float = 0.0
     n_sent: float = 0.0
-    truth: TruePhotonCounts | None = None
+    truth: dict[str, int] | None = None
 
     @property
     def n_z_total(self) -> float:
@@ -409,7 +397,7 @@ def monte_carlo_tallies(
 
     # (n/m, intensity, basis) in TALLY_FIELDS order is (n/m, basis, intensity).
     rows = tallies.sum(axis=(1, 4)).transpose(0, 2, 1).ravel()
-    # (s/m, basis, n = 0 or 1) is the field order of TruePhotonCounts.
-    truth = TruePhotonCounts(*map(int, tallies[..., :2].sum(axis=(1, 2)).ravel()))
+    # (s/m, basis, n = 0 or 1) is the order of TRUTH_FIELDS.
+    truth = dict(zip(TRUTH_FIELDS, map(int, tallies[..., :2].sum(axis=(1, 2)).ravel())))
     counts = {name: float(value) for name, value in zip(TALLY_FIELDS, rows)}
     return TallySet(n_sent=float(pulses_per_sample * len(eta)), truth=truth, **counts)

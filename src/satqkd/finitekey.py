@@ -74,8 +74,8 @@ class SecurityParams:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise FiniteKeyError(f"security.{name} must be in (0, 1), got {value}")
-        if not self.f_ec >= 1.0:
-            raise FiniteKeyError(f"security.f_ec must be >= 1, got {self.f_ec}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise FiniteKeyError(f"security.f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _entropy(x):
 def binary_entropy(x):
     """Binary entropy -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise FiniteKeyError(f"binary_entropy argument must be in [0, 1], got {x}")
     out = _entropy(arr)
     return float(out) if out.ndim == 0 else out
@@ -142,6 +142,8 @@ def hoeffding_delta(n, eps: float):
     if not 0.0 < eps < 1.0:
         raise FiniteKeyError(f"eps must be in (0, 1), got {eps}")
     n = np.asarray(n, dtype=float)
+    if not np.all((n >= 0.0) & (n < np.inf)):
+        raise FiniteKeyError(f"n must be finite and >= 0, got {n}")
     return _plain(_hoeffding(np.atleast_1d(n), eps).reshape(n.shape))
 
 
@@ -163,7 +165,9 @@ def emission_tau(intensities, probabilities, n: int):
         raise FiniteKeyError(f"photon number must be >= 0, got {n}")
     k = [np.asarray(x, dtype=float) for x in intensities]
     p = [np.asarray(x, dtype=float) for x in probabilities]
-    if np.any(np.abs(sum(p) - 1.0) > 1e-9):
+    if not all(np.all((k_i >= 0.0) & (k_i < np.inf)) for k_i in k):
+        raise FiniteKeyError(f"intensities must be finite and >= 0, got {intensities}")
+    if not np.all(np.abs(sum(p) - 1.0) <= 1e-9):
         raise FiniteKeyError(f"intensity probabilities must sum to 1, got {sum(p)}")
     fact = float(math.factorial(n))
     return _plain(sum(w * k_i**n / fact for k_i, w in zip(k, _poisson_weights(k, p))))
@@ -489,6 +493,11 @@ def secure_key_length(bounds: DecoyBounds, tallies: TallySet, security: Security
     """
     if not 0.0 <= bounds.phi_z_up <= 1.0:
         raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
+    fields = [("bounds", bounds, name) for name in ("s_z0_low", "s_z1_low")]
+    fields += [("tallies", tallies, name) for name in TALLY_FIELDS if name.startswith(("n_z", "m_z"))]
+    for owner, obj, name in fields:
+        if not math.isfinite(getattr(obj, name)):
+            raise FiniteKeyError(f"{owner}.{name} must be finite, got {getattr(obj, name)}")
     s_z0, s_z1, phi, n_z, m_z = np.array(
         [[bounds.s_z0_low], [bounds.s_z1_low], [bounds.phi_z_up],
          [tallies.n_z_total], [tallies.m_z_total]], dtype=float,

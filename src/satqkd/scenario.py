@@ -258,9 +258,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: a key given twice in one object is an error,
+    not a silent overwrite by the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScenarioError(f"duplicate JSON key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(doc)
@@ -277,4 +288,4 @@ def load_bundled_scenario(name: str) -> Scenario:
         raise ScenarioError(
             f"no bundled scenario {name!r}; available: {', '.join(bundled_scenario_names())}"
         )
-    return scenario_from_dict(json.loads(ref.read_text()))
+    return scenario_from_dict(json.loads(ref.read_text(), object_pairs_hook=_unique_keys))

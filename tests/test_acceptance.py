@@ -88,7 +88,7 @@ def test_criterion_4a_monte_carlo_bracketing(strong_link):
                     source, strong_link.detector, 20.0, thinning=1e4,
                 )
                 bounds = estimator(mc, source, strong_link.security)
-                if bounds.s_z1_low > mc.truth.s_z1:
+                if bounds.s_z1_low > mc.truth["s_z1"]:
                     exceed += 1
             assert exceed / n_seeds <= 0.05, f"{estimator.__name__}: {exceed}/{n_seeds}"
 

@@ -1,6 +1,8 @@
-"""The coarse grid: its row maxima and cut indices, bit for bit those of
-the kernel's rows and independent of the chunk size, and the one-photon
-yield and X error rate of `channel.one_photon`."""
+"""The coarse grid: its row maxima and cut indices independent of the
+chunk size, down to one block per chunk, and the one-photon yield and X
+error rate of `channel.one_photon`. The chunked grid against an
+independent per-block reference is test_optimizer's
+test_chunked_coarse_grid_matches_per_block_reference."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -10,7 +12,7 @@ import pytest
 
 from satqkd import optimizer
 from satqkd.channel import one_photon
-from satqkd.optimizer import CHUNK_BLOCKS, P_Z_BOX, OptimizerConfig, _coarse_blocks, _coarse_shard
+from satqkd.optimizer import P_Z_BOX, OptimizerConfig, _coarse_blocks, _coarse_shard
 from satqkd.orbit import GroundStation, synth_pass
 from satqkd.scenario import load_bundled_scenario
 
@@ -30,23 +32,14 @@ def _channel(name, pass_geometry=None):
     )
 
 
-def _full_grid_argmax(channel, blocks):
-    """First maximum of skl_chunk per row, chunk by chunk: the reference."""
-    values, cut_idx = [], []
-    for start in range(0, len(blocks), CHUNK_BLOCKS):
-        l_real = channel.skl_chunk(blocks[start:start + CHUNK_BLOCKS], P_Z_GRID)
-        idx = np.argmax(l_real, axis=1)
-        values.append(l_real[np.arange(len(l_real)), idx])
-        cut_idx.append(idx)
-    return np.concatenate(values), np.concatenate(cut_idx)
-
-
-@pytest.mark.parametrize("name", ["snspd_pol_2decoy", "idqube_pol_1decoy", "peak_40_deg"])
-def test_pruned_coarse_grid_is_exact(name):
-    """Every coarse row's best value (as int64 bits) and cut index equal
-    the first maximum of the unpruned kernel, over every chunk of the grid.
-    The pass peaking at 40.5 degrees has the cuts 20 to 40, each keeping a
-    sample."""
+@pytest.mark.parametrize("name,n_blocks", [
+    ("snspd_pol_1decoy", None), ("snspd_pol_2decoy", 240), ("idqube_pol_1decoy", None),
+    ("peak_40_deg", None),
+])
+def test_coarse_shard_does_not_depend_on_chunk_size(monkeypatch, name, n_blocks):
+    """The same value bits and cut indices for any CHUNK_BLOCKS, 1 being
+    the per-block form: no state crosses a chunk boundary. The pass peaking
+    at 40.5 degrees has the cuts 20 to 40, each keeping a sample."""
     if name == "peak_40_deg":
         scenario = _scenario("snspd_pol_2decoy")
         station = GroundStation(scenario.station.min_elevation_deg, 40.5)
@@ -55,18 +48,6 @@ def test_pruned_coarse_grid_is_exact(name):
         assert np.all(channel.cut_kept > 0)
     else:
         channel = _channel(name)
-    blocks = _coarse_blocks(OptimizerConfig(), channel.n_decoys)
-    values, cut_idx = _coarse_shard(channel, blocks, P_Z_GRID)
-    want_values, want_idx = _full_grid_argmax(channel, blocks)
-    assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
-    assert np.array_equal(cut_idx, want_idx)
-
-
-@pytest.mark.parametrize("name,n_blocks", [("snspd_pol_1decoy", None), ("snspd_pol_2decoy", 240)])
-def test_coarse_shard_does_not_depend_on_chunk_size(monkeypatch, name, n_blocks):
-    """The same value bits and cut indices for any CHUNK_BLOCKS: no state
-    crosses a chunk boundary."""
-    channel = _channel(name)
     blocks = _coarse_blocks(OptimizerConfig(), channel.n_decoys)[:n_blocks]
     results = []
     for chunk_blocks in (1, 7, 24, 240):

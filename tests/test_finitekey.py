@@ -261,11 +261,11 @@ class TestMonteCarloBracketing:
             bounds = estimator(mc, source, strong_link.security)
             truth = mc.truth
             assert bounds.s_z1_low > 0, "test should operate in the usable regime"
-            if bounds.s_z1_low > truth.s_z1:
+            if bounds.s_z1_low > truth["s_z1"]:
                 fails_z1 += 1
-            if bounds.s_z0_low > truth.s_z0:
+            if bounds.s_z0_low > truth["s_z0"]:
                 fails_z0 += 1
-            if not bounds.aborted and bounds.v_x1_up < truth.m_x1:
+            if not bounds.aborted and bounds.v_x1_up < truth["m_x1"]:
                 fails_v += 1
         assert fails_z1 <= 1, f"s_z1 lower bound exceeded truth {fails_z1}/20 times"
         assert fails_z0 <= 1, f"s_z0 lower bound exceeded truth {fails_z0}/20 times"
@@ -449,6 +449,40 @@ def test_security_params_validation():
         SecurityParams(eps_corr=1.5)
     with pytest.raises(FiniteKeyError):
         SecurityParams(f_ec=0.9)
+
+
+NON_FINITE_CALLS = [
+    pytest.param(lambda: binary_entropy(math.nan), "binary_entropy argument", id="entropy-nan"),
+    pytest.param(lambda: hoeffding_delta(-1.0, 0.1), "n must", id="hoeffding-negative"),
+    pytest.param(lambda: hoeffding_delta(math.nan, 0.1), "n must", id="hoeffding-nan"),
+    pytest.param(lambda: hoeffding_delta(math.inf, 0.1), "n must", id="hoeffding-inf"),
+    pytest.param(lambda: emission_tau((0.5, 0.1), (math.nan, 0.3), 1), "probabilities", id="tau-nan-p"),
+    pytest.param(lambda: emission_tau((math.nan, 0.1), (0.7, 0.3), 1), "intensities", id="tau-nan-k"),
+    pytest.param(lambda: emission_tau((0.5, math.inf), (0.7, 0.3), 0), "intensities", id="tau-inf-k"),
+    pytest.param(lambda: SecurityParams(f_ec=math.inf), "security.f_ec", id="f_ec-inf"),
+]
+
+
+@pytest.mark.parametrize("call, match", NON_FINITE_CALLS)
+def test_public_functions_reject_non_finite_input(call, match):
+    with pytest.raises(FiniteKeyError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("owner, name, value", [
+    ("bounds", "s_z1_low", math.nan),
+    ("bounds", "s_z1_low", math.inf),
+    ("bounds", "s_z0_low", math.nan),
+    ("tallies", "n_z_mu", math.nan),
+    ("tallies", "m_z_nu", math.inf),
+])
+def test_secure_key_length_rejects_non_finite_input(owner, name, value):
+    """A non-finite bound or Z tally is named, never converted or floored."""
+    bounds, tallies = hand_bounds()
+    args = {"bounds": bounds, "tallies": tallies}
+    args[owner] = replace(args[owner], **{name: value})
+    with pytest.raises(FiniteKeyError, match=f"{owner}.{name} must be finite"):
+        secure_key_length(args["bounds"], args["tallies"], SecurityParams())
 
 
 @st.composite

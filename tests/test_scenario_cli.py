@@ -260,6 +260,22 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="hold_slot_rate"):
             scenario_from_dict(pol)
 
+    @pytest.mark.parametrize("field, repeated", [
+        ("altitude_km", '"altitude_km": 900.0, "altitude_km": 567.0'),
+        ("n_decoys", '"n_decoys": 1, "n_decoys": 2'),
+    ], ids=["nested", "top-level"])
+    def test_duplicate_json_key_rejected(self, tmp_path, field, repeated):
+        """json keeps the last of two equal keys; the loader names the key
+        instead of loading 567 km where the file also says 900."""
+        path = Path(__file__).resolve().parents[1] / "src/satqkd/scenarios/snspd_pol_2decoy.json"
+        text = path.read_text()
+        single = repeated.split(", ")[1]
+        assert text.count(single) == 1
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(text.replace(single, repeated))
+        with pytest.raises(ScenarioError, match=f"duplicate JSON key '{field}'"):
+            load_scenario(doubled)
+
 
 def write_scenario(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
     path = tmp_path / name
