@@ -493,11 +493,11 @@ def secure_key_length(bounds: DecoyBounds, tallies: TallySet, security: Security
     """
     if not 0.0 <= bounds.phi_z_up <= 1.0:
         raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
-    fields = [("bounds", bounds, name) for name in ("s_z0_low", "s_z1_low")]
-    fields += [("tallies", tallies, name) for name in TALLY_FIELDS if name.startswith(("n_z", "m_z"))]
-    for owner, obj, name in fields:
-        if not math.isfinite(getattr(obj, name)):
-            raise FiniteKeyError(f"{owner}.{name} must be finite, got {getattr(obj, name)}")
+    values = {f"bounds.{name}": getattr(bounds, name) for name in ("s_z0_low", "s_z1_low")}
+    values |= {f"tallies.{name}": getattr(tallies, name) for name in TALLY_FIELDS if "_z_" in name}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise FiniteKeyError(f"{name} must be finite, got {value}")
     s_z0, s_z1, phi, n_z, m_z = np.array(
         [[bounds.s_z0_low], [bounds.s_z1_low], [bounds.phi_z_up],
          [tallies.n_z_total], [tallies.m_z_total]], dtype=float,
