@@ -147,7 +147,7 @@ class OptimizerConfig:
 
     coarse_grid_steps: int = 4
     refine_iterations: int = 4
-    rel_tolerance: float = 1e-3
+    rel_tolerance: float = 1e-2
 
     def __post_init__(self) -> None:
         if self.coarse_grid_steps < 2:

@@ -134,7 +134,7 @@ class TestOptimizePass:
         at_grid_floor = evaluate_params(
             pg, snspd.hardware(), snspd.security, 2, replace(params, min_elevation_deg=20.0)
         )
-        assert result.skl_bits == at_grid_floor.skl_bits == 2469913
+        assert result.skl_bits == at_grid_floor.skl_bits == 2470756
 
     def test_hopeless_scenario_flags_abort(self, snspd, coarse_pass):
         hardware = snspd.hardware()
@@ -195,7 +195,7 @@ class TestCutGrid:
         pg = synth_pass(snspd.orbit, GroundStation(35.5, 80.0), 1.0)
         params, result = optimize_pass(pg, snspd.hardware(), snspd.security, 2, FAST)
         assert params.min_elevation_deg >= 35.5
-        assert result.skl_bits == 2455058
+        assert result.skl_bits == 2455466
         at_35 = evaluate_params(pg, snspd.hardware(), snspd.security, 2,
                                 replace(params, min_elevation_deg=35.0))
         assert result.skl_bits == at_35.skl_bits

@@ -16,9 +16,11 @@ checkouts compare the search of each.
 
 With --reference, each pass runs the reference search instead: a
 REFERENCE_STEPS grid with REFERENCE_PASSES refinement passes, refined from
-each of the REFERENCE_STARTS best coarse rows, the scenario's rel_tolerance
-kept. It is built from the optimizer's own pieces, and its output is stored
-as tests/search_reference.json, against which a test holds the default
+each of the REFERENCE_STARTS best coarse rows, with the rel_tolerance
+REFERENCE_TOLERANCE in place of the scenario's own, so the reference does
+not move with the default search's tolerance. It is built from the
+optimizer's own pieces, and its output is stored as
+tests/search_reference.json, against which a test holds the default
 search. It takes about a minute of one CPU, so run it only when a change
 is meant to move that file.
 """
@@ -46,6 +48,7 @@ WITHOUT_KEY = {"idqube_tb_2decoy@900km/35deg", "idqube_tb_2decoy@900km/60deg"}
 REFERENCE_STEPS = 12
 REFERENCE_PASSES = 4
 REFERENCE_STARTS = 8
+REFERENCE_TOLERANCE = 1e-3
 
 
 def corpus() -> dict:
@@ -73,7 +76,7 @@ def reference_search(scenario, pass_geometry):
     maximum in rank order, evaluated as optimize_pass evaluates its point."""
     hardware, n_decoys = scenario.hardware(), scenario.n_decoys
     config = replace(scenario.optimizer, coarse_grid_steps=REFERENCE_STEPS,
-                     refine_iterations=REFERENCE_PASSES)
+                     refine_iterations=REFERENCE_PASSES, rel_tolerance=REFERENCE_TOLERANCE)
     channel = optimizer._PassChannel(pass_geometry, hardware, scenario.security, n_decoys)
     blocks = optimizer._coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*optimizer.P_Z_BOX, REFERENCE_STEPS)
