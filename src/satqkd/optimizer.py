@@ -18,17 +18,17 @@ one cut. Per chunk, the detection statistics of every block, taken once per
 distinct transmission, are summed over the samples in descending elevation
 into every cut's tallies, and the finite-key kernel runs on every cell.
 The refinement calls the kernel with one row per candidate point: on each
-call it evaluates the point a golden-section step needs together with both
-candidates of every later step along the path that the values in hand
+call it evaluates the point a golden-section step needs together with the
+new point of every later step along the path that the values in hand
 predict, then replays the sequential steps from those values, so it visits
-the same points whatever the prediction, in about a seventh of the calls. A
-line search depends only on the other coordinates, so a coordinate is not
-searched again until another one has moved: the search would repeat itself
-and keep no move. The rows of a p_z line search share one (mu, nu, p_mu,
-p_nu) block, whose cut sums are taken once; those of a share or p_sum line
-search share one (mu, nu), whose attenuation rows e^(-k eta) are; and with
-equal X and Z misalignments the X error sums are the Z ones. The final
-evaluation is one more row.
+the same points whatever the prediction, in under a fifth of the calls; a
+wrong prediction costs one more call. A line search depends only on the
+other coordinates, so a coordinate is not searched again until another one
+has moved: the search would repeat itself and keep no move. The rows of a
+p_z line search share one (mu, nu, p_mu, p_nu) block, whose cut sums are
+taken once; those of a share or p_sum line search share one (mu, nu), whose
+attenuation rows e^(-k eta) are; and with equal X and Z misalignments the X
+error sums are the Z ones. The final evaluation is one more row.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -315,35 +315,35 @@ def _golden_max(f, lo: float, hi: float, abs_tol: float, guess: tuple[float, flo
 
     The steps are the sequential ones, reading values from a cache. On a
     miss, one call of f evaluates the points needed and, for every later
-    step up to where the search stops, both candidate points of the step
-    along the path the values in hand predict: which way a step goes
-    depends on the values, but its two candidates depend only on the
-    interval and its interior points. The path takes a step left, to
-    [a, x2], where both its interior values are cached and the first is not
-    the smaller, as the search does, and elsewhere where the _peak of the
-    cached values and the guess lies at or below the midpoint of its
-    interior points. So the search visits the points, and returns the
-    result, of one evaluation per step whatever the prediction; a wrong one
-    costs only a further call.
+    step up to where the search stops, the new point of the step along the
+    path the values in hand predict: which way a step goes depends on the
+    values, but the point it adds depends only on the interval and its
+    interior points. The path takes a step left, to [a, x2], where both its
+    interior values are cached and the first is not the smaller, as the
+    search does, and elsewhere where the _peak of the cached values and the
+    guess lies at or below the midpoint of its interior points. So the
+    search visits the points, and returns the result, of one evaluation per
+    step whatever the prediction; a wrong one costs only a further call,
+    which predicts again from the values in hand.
     """
     if hi <= lo:
         return lo, float(f(np.array([lo]))[0])
     cache: dict[float, float] = {}
 
     def ahead(state: tuple, done: int) -> list[float]:
-        """Both candidates of each step from state, after done steps, along
+        """The new point of each step from state, after done steps, along
         the predicted path, up to where the search stops."""
         known = dict([guess] if guess is not None else [])
         known.update(cache)
         peak, xs = _peak(known), []
         while done < max_iter and state[1] - state[0] > abs_tol:
             left, right = _golden_steps(*state)
-            xs += [left[2], right[3]]
             x1, x2 = state[2:]
             if x1 in cache and x2 in cache:
                 state = left if cache[x1] >= cache[x2] else right
             else:
                 state = left if peak <= 0.5 * (x1 + x2) else right
+            xs.append(state[2] if state is left else state[3])
             done += 1
         return xs
 

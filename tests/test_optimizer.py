@@ -635,7 +635,9 @@ def test_speculative_golden_max_matches_sequential(problem):
         seen.extend(xs.tolist())
         return objective(xs)
 
-    want = sequential_golden_max(objective, lo, hi, abs_tol, max_iter=max_iter)
+    reads = []
+    want = sequential_golden_max(lambda xs: reads.extend(xs) or objective(xs),
+                                 lo, hi, abs_tol, max_iter=max_iter)
     got = optimizer._golden_max(f, lo, hi, abs_tol, guess, max_iter)
     assert got == want
     assert [type(v) for v in got] == [float, float]
@@ -643,6 +645,13 @@ def test_speculative_golden_max_matches_sequential(problem):
     assert all(lo <= x <= hi for x in seen) or hi <= lo
     if hi <= lo or max_iter == 0 or hi - lo <= abs_tol:
         assert len(seen) == (1 if hi <= lo else 2)  # no step: nothing evaluated ahead
+    else:
+        # One speculative point per step: the first call carries the two
+        # interior points and one per step, a later one its own step's
+        # point and one per step after it.
+        steps = len(reads) - 2
+        assert calls[0] <= 2 + steps
+        assert all(n <= steps for n in calls[1:])
 
 
 @settings(max_examples=300)
@@ -704,15 +713,21 @@ def test_a_monotone_line_finishes_in_two_calls(slope, guess_x):
     assert n_calls <= 2
 
 
-def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
-    """A two-pass refinement reaches the same point in at most 23 kernel
-    calls, under half of one call per golden-section step."""
-    channel = optimizer._PassChannel(coarse_pass, snspd.hardware(), snspd.security, 2)
+def kernel_rows(monkeypatch) -> list[int]:
+    """Record the row count of every call the optimizer makes of the
+    finite-key kernel from here on; returns the list they are appended to."""
     calls = []
     kernel = optimizer.skl_real_arrays
-    monkeypatch.setattr(
-        optimizer, "skl_real_arrays", lambda *args: calls.append(1) or kernel(*args)
-    )
+    monkeypatch.setattr(optimizer, "skl_real_arrays",
+                        lambda t, mu, *args: calls.append(len(mu)) or kernel(t, mu, *args))
+    return calls
+
+
+def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
+    """A two-pass refinement reaches the same point in at most 23 kernel
+    calls, under half of one call per golden-section step, and 200 rows."""
+    channel = optimizer._PassChannel(coarse_pass, snspd.hardware(), snspd.security, 2)
+    calls = kernel_rows(monkeypatch)
 
     def f(rows):
         return channel.objective(rows[:, :4], rows[:, 4:])[0]
@@ -723,28 +738,29 @@ def test_refinement_batches_kernel_calls(snspd, coarse_pass, monkeypatch):
     config = OptimizerConfig(refine_iterations=2)
     calls.clear()
     batched = optimizer._refine(f, start, value, 2, config)
-    n_batched = len(calls)
+    n_batched, n_rows = len(calls), sum(calls)
     calls.clear()
     monkeypatch.setattr(optimizer, "_golden_max", sequential_golden_max)
     sequential = optimizer._refine(f, start, value, 2, config)
     assert batched == sequential
     assert batched[1] > value
     assert n_batched <= 23
+    assert n_rows <= 200
     assert 2 * n_batched <= len(calls)
 
 
 def test_serial_refinement_of_a_bundled_pass_is_pinned(snspd, monkeypatch):
     """The three starts of snspd_pol_2decoy, refined in one process, take
-    at most 150 kernel calls; the final evaluation is one more."""
-    calls = []
-    kernel = optimizer.skl_real_arrays
-    monkeypatch.setattr(
-        optimizer, "skl_real_arrays", lambda *args: calls.append(1) or kernel(*args)
-    )
+    at most 150 kernel calls and 1,100 rows, between the coarse grid's
+    chunks and the final evaluation."""
+    calls = kernel_rows(monkeypatch)
     monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 1)
     optimize_pass(snspd.synth_pass(), snspd.hardware(), snspd.security, snspd.n_decoys,
                   snspd.optimizer)
-    assert len(calls) - 1 <= 150
+    chunks = -(-len(_coarse_blocks(snspd.optimizer, snspd.n_decoys)) // CHUNK_BLOCKS)
+    refinement = calls[chunks:-1]
+    assert len(refinement) <= 150
+    assert sum(refinement) <= 1100
 
 
 def test_refinement_moves_along_the_two_decoy_edge():
