@@ -214,4 +214,9 @@ class KeyStore:
         (store._counter,) = struct.unpack(">I", take(4))
         if offset != len(data):
             raise RelayError(f"{len(data) - offset} trailing bytes after the snapshot")
+        # store_key numbers new ids up from the counter, so an id above it would be reused.
+        for key_id in store._records:
+            number = int(key_id[1:]) if key_id[1:].isdecimal() else 0
+            if number > store._counter and key_id == f"k{number:06d}":
+                raise RelayError(f"snapshot id counter {store._counter} is below stored key id {key_id!r}")
         return store

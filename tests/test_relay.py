@@ -226,6 +226,19 @@ class TestSnapshot:
         with pytest.raises(RelayError, match=match):
             KeyStore.import_snapshot(path)
 
+    def test_counter_below_a_stored_id_rejected(self, tmp_path):
+        """A counter of 0 beside a stored k000001 would let the next
+        store_key reuse that id and replace the stored key."""
+        store = KeyStore()
+        key_id = store.store_key("alice", b"\x01\x02")
+        path = tmp_path / "kms.snapshot"
+        store.export_snapshot(path)
+        data = path.read_bytes()
+        assert data[-4:] == struct.pack(">I", 1)
+        path.write_bytes(data[:-4] + struct.pack(">I", 0))
+        with pytest.raises(RelayError, match=f"counter 0 is below stored key id '{key_id}'"):
+            KeyStore.import_snapshot(path)
+
     def test_version_1_snapshot_rejected(self, tmp_path):
         """Format 1 stored each record's bit count and two u64 bit totals;
         format 2 derives them from the key bytes and reads no older file."""
