@@ -489,15 +489,16 @@ def secure_key_length(bounds: DecoyBounds, tallies: TallySet, security: Security
     epsilon budget of the bounds' protocol.
 
     Counts are kept real throughout; flooring happens only on the final
-    length. A negative length aborts with zero bits.
+    length. A negative length aborts with zero bits. A negative or
+    non-finite s_Z0, s_Z1 or Z tally raises FiniteKeyError naming it.
     """
     if not 0.0 <= bounds.phi_z_up <= 1.0:
         raise FiniteKeyError(f"phi_z_up must be in [0, 1], got {bounds.phi_z_up}")
     values = {f"bounds.{name}": getattr(bounds, name) for name in ("s_z0_low", "s_z1_low")}
     values |= {f"tallies.{name}": getattr(tallies, name) for name in TALLY_FIELDS if "_z_" in name}
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise FiniteKeyError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise FiniteKeyError(f"{name} must be finite and non-negative, got {value}")
     s_z0, s_z1, phi, n_z, m_z = np.array(
         [[bounds.s_z0_low], [bounds.s_z1_low], [bounds.phi_z_up],
          [tallies.n_z_total], [tallies.m_z_total]], dtype=float,

@@ -485,6 +485,23 @@ def test_secure_key_length_rejects_non_finite_input(owner, name, value):
         secure_key_length(args["bounds"], args["tallies"], SecurityParams())
 
 
+@pytest.mark.parametrize("owner, name", [
+    ("bounds", "s_z0_low"), ("bounds", "s_z1_low"),
+    ("tallies", "n_z_mu"), ("tallies", "n_z_nu"), ("tallies", "m_z_mu"), ("tallies", "m_z_nu"),
+])
+def test_secure_key_length_rejects_negative_input(owner, name):
+    """A negated bound or Z tally is named, never used: with hand_bounds(),
+    m_z_mu = -1800 would lower Q_Z and lambda_EC with it, and give 41,023
+    bits instead of 24,616."""
+    bounds, tallies = hand_bounds()
+    args = {"bounds": bounds, "tallies": tallies}
+    value = -getattr(args[owner], name)
+    args[owner] = replace(args[owner], **{name: value})
+    with pytest.raises(FiniteKeyError, match=f"{owner}.{name} must be finite and non-negative, "
+                                             f"got {value}"):
+        secure_key_length(args["bounds"], args["tallies"], SecurityParams())
+
+
 @st.composite
 def candidate_grids(draw):
     """Sources (one per row) crossed with channel blocks (eta, pulses; one
