@@ -17,18 +17,19 @@ maxima. A row of the grid is one block with one p_z value, a cell one row at
 one cut. Per chunk, the detection statistics of every block, taken once per
 distinct transmission, are summed over the samples in descending elevation
 into every cut's tallies, and the finite-key kernel runs on every cell.
-The refinement calls the kernel with one row per candidate point: on each
-call it evaluates the point a golden-section step needs together with the
-new point of every later step along the path that the values in hand
-predict, then replays the sequential steps from those values, so it visits
-the same points whatever the prediction, in under a fifth of the calls; a
-wrong prediction costs one more call. A line search depends only on the
-other coordinates, so a coordinate is not searched again until another one
-has moved: the search would repeat itself and keep no move. The rows of a
-p_z line search share one (mu, nu, p_mu, p_nu) block, whose cut sums are
-taken once; those of a share or p_sum line search share one (mu, nu), whose
-attenuation rows e^(-k eta) are; and with equal X and Z misalignments the X
-error sums are the Z ones. The final evaluation is one more row.
+The refinement's line searches and passes are generators that yield the
+rows they need and receive their values; _lockstep drives the starts
+together, one kernel call per round on the rows of every live search, each
+search seeing the values it would see alone. A line search asks for the
+point a golden-section step needs and the new point of every later step
+along the path the values in hand predict, then replays the sequential
+steps from those values: the same points whatever the prediction, in under
+a fifth of the rounds. A line search depends only on the other coordinates,
+so a coordinate is not searched again until another one has moved. A run
+of rows of one (mu, nu, p_mu, p_nu) block, as a p_z line search asks for,
+takes its cut sums once, rows that all share one (mu, nu) its attenuation
+rows e^(-k eta), and with equal X and Z misalignments the X error sums are
+the Z ones. The final evaluation is one more row.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -38,16 +39,16 @@ that differ mostly in nu, and starts from distinct nu indices reach more of
 them than the best rows alone. The result is the first maximum over the
 refined starts, in start order.
 
-The calling process evaluates the whole coarse grid and formats its trace
-rows. When it may run on more than one CPU, every start after the first is
-refined in its own child made with os.fork, which sends its refined point
-and value back over a pipe; the calling process refines the first start and
-then joins the children in start order, so the chosen parameters and the
-trace are the same on any number of CPUs. A whole pickled result is the only
-sign of a child's success that is read, and every child of a pass is
-killed, if still running, and reaped when the pass ends. The children run
-only elementwise numpy code, never BLAS, whose thread pool a fork does not
-carry over.
+When the calling process may run on more than one CPU, it forks one child
+with os.fork right after the pass set-up. The child evaluates the coarse
+grid and pipes back its values and cut indices, then refines every second
+start and pipes back their results. The calling process reads the grid,
+picks the same starts, formats the trace rows and refines the other starts,
+so the chosen parameters and the trace are the same on any number of CPUs;
+on one CPU it does all of this itself. A whole pickled message is the only
+sign of the child's success that is read, and the child is killed, if still
+running, and reaped when the pass ends. The child runs only elementwise
+numpy code, never BLAS, whose thread pool a fork does not carry over.
 """
 from __future__ import annotations
 
@@ -57,27 +58,15 @@ import pickle
 import signal
 import traceback
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .channel import (
-    DetectorSpec,
-    SourceSpec,
-    expected_tallies,
-    presift_rows,
-    sifted_rows,
-)
-from .finitekey import (
-    SecurityParams,
-    SklResult,
-    asymptotic_rate,
-    skl_from_tallies,
-    skl_real_arrays,
-)
+from .channel import DetectorSpec, SourceSpec, expected_tallies, presift_rows, sifted_rows
+from .finitekey import SecurityParams, SklResult, asymptotic_rate, skl_from_tallies, skl_real_arrays
 from .linkbudget import AtmosphereModel, ReceiverSpec, TransmitterSpec, compute_breakdowns
 from .orbit import GroundStation, OrbitSpec, PassGeometry, synth_pass
 
@@ -111,8 +100,8 @@ class OptimizerError(ValueError):
 
 
 class SearchWorkerError(RuntimeError):
-    """Raised when a forked child that refines a start cannot start, fails
-    or sends an incomplete result: an internal error, not invalid input."""
+    """Raised when the forked optimizer child cannot start, fails or sends
+    an incomplete result: an internal error, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -190,13 +179,8 @@ class _PassChannel:
     """Per-pass precomputation: elevation-sorted transmissions, the cut
     grid and the suffix-sum bookkeeping shared by all candidate evaluations."""
 
-    def __init__(
-        self,
-        pass_geometry: PassGeometry,
-        hardware: HardwareStack,
-        security: SecurityParams,
-        n_decoys: int,
-    ):
+    def __init__(self, pass_geometry: PassGeometry, hardware: HardwareStack,
+                 security: SecurityParams, n_decoys: int):
         self.security = security
         self.n_decoys = n_decoys
         self.detector = hardware.detector
@@ -229,7 +213,11 @@ class _PassChannel:
         The presift rows of every block are taken once per distinct
         transmission (a pass mirrored about culmination repeats each), then
         summed over the samples in descending elevation, which gives the sums
-        of every cut at once; blocks of one (mu, nu) share e^(-k eta)."""
+        of every cut at once; blocks of one (mu, nu) share e^(-k eta), and a
+        run of one block, as in a p_z line search, is presifted once."""
+        first = np.r_[True, (blocks[1:] != blocks[:-1]).any(axis=1)]
+        if not first.all():
+            return self.cut_sums(blocks[first])[:, np.cumsum(first) - 1]
         mu, nu, p_mu, p_nu = blocks.T
         if (mu == mu[0]).all() and (nu == nu[0]).all():
             mu, nu = mu[:1], nu[:1]
@@ -266,11 +254,7 @@ class _PassChannel:
     def objective(self, blocks: np.ndarray, p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best unfloored key length over the cut grid and its cut index,
         per row of skl_chunk(blocks, p_z_values); ties resolve to the lower
-        elevation (np.argmax takes the first maximum). A p_z column whose
-        rows all share one block, as in a p_z line search, takes the crossed
-        path, which presifts that block once and gives the same rows."""
-        if np.ndim(p_z_values) == 2 and (blocks == blocks[:1]).all():
-            blocks, p_z_values = blocks[:1], p_z_values[:, 0]
+        elevation (np.argmax takes the first maximum)."""
         l_real = self.skl_chunk(blocks, p_z_values)
         cut_idx = np.argmax(l_real, axis=1)
         return l_real[np.arange(len(l_real)), cut_idx], cut_idx
@@ -307,27 +291,24 @@ def _peak(known: dict[float, float]) -> float:
     return vertex if a <= vertex <= c else b
 
 
-def _golden_max(f, lo: float, hi: float, abs_tol: float, guess: tuple[float, float] | None = None,
-                max_iter: int = 80) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] of f, which maps a 1-D array
-    of abscissae to their values; returns (x, f(x)). guess, if given, is a
-    point (x, f(x)) of the line, such as the one the search starts from.
+def _golden_max(rows, lo: float, hi: float, abs_tol: float, guess: tuple[float, float] | None = None,
+                max_iter: int = 80):
+    """Golden-section maximization on [lo, hi] of a line whose abscissae xs,
+    a 1-D array, are the rows rows(xs): a generator that yields rows(xs) for
+    the abscissae it needs, receives their values and returns (x, value).
+    guess, if given, is a point (x, value) of the line, such as the start.
 
-    The steps are the sequential ones, reading values from a cache. On a
-    miss, one call of f evaluates the points needed and, for every later
-    step up to where the search stops, the new point of the step along the
-    path the values in hand predict: which way a step goes depends on the
-    values, but the point it adds depends only on the interval and its
-    interior points. The path takes a step left, to [a, x2], where both its
-    interior values are cached and the first is not the smaller, as the
-    search does, and elsewhere where the _peak of the cached values and the
-    guess lies at or below the midpoint of its interior points. So the
-    search visits the points, and returns the result, of one evaluation per
-    step whatever the prediction; a wrong one costs only a further call,
-    which predicts again from the values in hand.
-    """
+    The steps are the sequential ones, reading values from a cache. A miss
+    asks for the points needed and, up to where the search stops, the new
+    point of each later step along the path the values in hand predict (the
+    point a step adds depends only on the interval): left, to [a, x2], where
+    both interior values are cached and the first is not the smaller, as the
+    search goes, else where the _peak of the cached values and the guess lies
+    at or below the midpoint of the interior points. So the search visits the
+    points of one evaluation per step whatever the prediction, and a wrong
+    one costs one more ask."""
     if hi <= lo:
-        return lo, float(f(np.array([lo]))[0])
+        return lo, float((yield rows(np.array([lo])))[0])
     cache: dict[float, float] = {}
 
     def ahead(state: tuple, done: int) -> list[float]:
@@ -347,16 +328,17 @@ def _golden_max(f, lo: float, hi: float, abs_tol: float, guess: tuple[float, flo
             done += 1
         return xs
 
-    def values(points: tuple, state: tuple, done: int) -> list[float]:
-        """f at points, the new interior points of state after done steps."""
+    def values(points: tuple, state: tuple, done: int):
+        """The values at points, the new interior points of state after done
+        steps, asked for with the points ahead on a miss."""
         if any(x not in cache for x in points):
             xs = [x for x in dict.fromkeys((*points, *ahead(state, done)))
                   if x not in cache]
-            cache.update(zip(xs, f(np.array(xs)).tolist()))
+            cache.update(zip(xs, (yield rows(np.array(xs))).tolist()))
         return [cache[x] for x in points]
 
     state = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-    f1, f2 = values(state[2:], state, 0)
+    f1, f2 = yield from values(state[2:], state, 0)
     best_x, best_f = (state[2], f1) if f1 >= f2 else (state[3], f2)
     for done in range(max_iter):
         if state[1] - state[0] <= abs_tol:
@@ -364,10 +346,10 @@ def _golden_max(f, lo: float, hi: float, abs_tol: float, guess: tuple[float, flo
         left, right = _golden_steps(*state)
         if f1 >= f2:
             state, f2 = left, f1
-            (f1,) = values(state[2:3], state, done + 1)
+            (f1,) = yield from values(state[2:3], state, done + 1)
         else:
             state, f1 = right, f2
-            (f2,) = values(state[3:], state, done + 1)
+            (f2,) = yield from values(state[3:], state, done + 1)
         if f1 > best_f:
             best_x, best_f = state[2], f1
         if f2 > best_f:
@@ -404,14 +386,14 @@ def _box(dim: str, point: dict, n_decoys: int) -> tuple[float, float]:
     return {"share": SHARE_BOX, "p_sum": P_SUM_BOX[n_decoys], "p_z": P_Z_BOX}[dim]
 
 
-def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig) -> tuple[dict, float]:
-    """Coordinate-wise golden-section ascent of f, which maps an array of
-    parameter rows (mu, nu, p_mu, p_nu, p_z) to their values, starting from
-    the parameter dict point with value f(point). Each of SEARCH_NAMES is
-    searched in its box to a tolerance of rel_tolerance times its DIM_SPAN,
-    and a move is kept only when it raises value; a coordinate is skipped
-    when no other one has moved since its last search. Returns (point, value),
-    point being the start if no move is kept, else the row that gave value."""
+def _refine(point: dict, value: float, n_decoys: int, config: OptimizerConfig):
+    """Coordinate-wise golden-section ascent from the parameter dict point,
+    whose value is value: a generator that yields arrays of parameter rows
+    (mu, nu, p_mu, p_nu, p_z), receives their values and returns (point,
+    value). Each of SEARCH_NAMES is searched in its box to a tolerance of
+    rel_tolerance times its DIM_SPAN, and a move is kept only when it raises
+    value; a coordinate is skipped when no other one has moved since its last
+    search. point is the start if no move is kept, else the row that gave value."""
     lo, hi = P_SUM_BOX[n_decoys]
     # A sum box of zero width holds the sum, which p_mu + p_nu can round away from.
     p_sum = point["p_mu"] + point["p_nu"] if hi > lo else lo
@@ -428,8 +410,8 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
             lo, hi = _box(dim, at, n_decoys)
             if hi <= lo or dim in stale:
                 continue
-            x, fx = _golden_max(lambda xs: f(rows(dim, xs)), lo, hi,
-                                config.rel_tolerance * DIM_SPAN[dim], (at[dim], value))
+            x, fx = yield from _golden_max(lambda xs: rows(dim, xs), lo, hi,
+                                           config.rel_tolerance * DIM_SPAN[dim], (at[dim], value))
             if fx > value:
                 point = dict(zip(PARAM_NAMES, rows(dim, [x])[0].tolist()))
                 at[dim], value = x, fx
@@ -438,9 +420,28 @@ def _refine(f, point: dict, value: float, n_decoys: int, config: OptimizerConfig
     return point, value
 
 
-def _coarse_shard(
-    channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep(f, searches: list) -> list:
+    """Results of the generator searches, each asking for arrays of rows
+    and receiving their values, driven together: each round makes one call
+    of f, which maps rows to values, on the asks of every live search
+    concatenated in search order, and sends each search its own slice, the
+    values it would receive alone."""
+    results, asks, sends = [None] * len(searches), {}, dict.fromkeys(range(len(searches)))
+    while sends:
+        for i, values in sends.items():
+            try:
+                asks[i] = searches[i].send(values)
+            except StopIteration as stop:
+                results[i] = stop.value
+                asks.pop(i, None)
+        rows = list(asks.values())
+        ends = np.cumsum([len(r) for r in rows[:-1]])
+        sends = dict(zip(asks, np.split(f(np.concatenate(rows)), ends))) if rows else {}
+    return results
+
+
+def _coarse_shard(channel: _PassChannel, blocks: np.ndarray,
+                  p_z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best unfloored key length and its cut index for every row of blocks
     crossed with p_z_values, block-major and p_z-minor, evaluated in chunks
     of CHUNK_BLOCKS."""
@@ -489,25 +490,12 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _children() -> Iterator[dict[int, BinaryIO]]:
-    """Map of forked children, pid to result pipe. When the block exits,
-    normally or not, every child is killed, if it is still running, and
-    reaped: this is the one place that ends children."""
-    children: dict[int, BinaryIO] = {}
-    try:
-        yield children
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork(children: dict[int, BinaryIO], fn, *args) -> int:
-    """Run fn(*args) in a forked child, entered in children with the read
-    end of the pipe that carries its pickled result; returns its pid. The
-    child writes the pickle only once fn has returned, then leaves through
-    os._exit at once, so a whole pickle means it succeeded."""
+def _fork(messages) -> Iterator[tuple[int, BinaryIO]]:
+    """Run the generator function messages in a forked child, which writes
+    each message it yields to a pipe, pickled after its length in 8 bytes,
+    and leaves through os._exit once the last is written; yields (pid, read
+    end) for _join. When the block exits, normally or not, the child is
+    killed, if it is still running, and reaped: the one place that ends it."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -519,31 +507,36 @@ def _fork(children: dict[int, BinaryIO], fn, *args) -> int:
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
+                for message in messages():
+                    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                    pipe.write(len(payload).to_bytes(8, "little") + payload)
+                    pipe.flush()
             status = 0
         except BaseException:
             traceback.print_exc()
         finally:
             os._exit(status)
     os.close(write_fd)
-    children[pid] = open(read_fd, "rb")
-    return pid
+    try:
+        with open(read_fd, "rb") as pipe:
+            yield pid, pipe
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
-def _join(children: dict[int, BinaryIO], pid: int):
-    """Result of the forked child pid, read from its pipe to the end. An
-    empty or truncated pickle means the child failed; the child itself is
-    left for _children to reap, without waiting for it to exit."""
-    with children[pid] as pipe:
-        payload = pipe.read()
+def _join(child: tuple[int, BinaryIO]):
+    """The next message of the forked child (pid, pipe), read whole without
+    waiting for the child to exit. A missing or truncated pickle means the
+    child failed."""
+    pid, pipe = child
+    payload = pipe.read(int.from_bytes(pipe.read(8), "little"))
     try:
         return pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError) as exc:
-        raise SearchWorkerError(
-            f"optimizer worker {pid} sent an incomplete result ({len(payload)} bytes)"
-        ) from exc
+        raise SearchWorkerError(f"optimizer worker {pid} sent an incomplete result "
+                                f"({len(payload)} bytes)") from exc
 
 
 def optimize_pass(
@@ -566,24 +559,30 @@ def optimize_pass(
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
     blocks = _coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
-    values, cut_idx = _coarse_shard(channel, blocks, p_z_values)
-    rows = _starts(values, config.coarse_grid_steps)
 
-    def refine(row: int) -> tuple[dict, float]:
-        block, j = divmod(row, len(p_z_values))
-        start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-        return _refine(lambda xs: channel.objective(xs[:, :4], xs[:, 4:])[0],
-                       start, float(values[row]), n_decoys, config)
+    def refine(values: np.ndarray, rows: list[int]) -> list[tuple[dict, float]]:
+        searches = []
+        for row in rows:
+            block, j = divmod(row, len(p_z_values))
+            start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
+            searches.append(_refine(start, float(values[row]), n_decoys, config))
+        return _lockstep(lambda xs: channel.objective(xs[:, :4], xs[:, 4:])[0], searches)
 
-    with _children() as children:
-        pids = [_fork(children, refine, row) for row in rows[1:]] if _usable_cpus() > 1 else []
+    def child():
+        yield (grid := _coarse_shard(channel, blocks, p_z_values))
+        yield refine(grid[0], _starts(grid[0], config.coarse_grid_steps)[1::2])
+
+    with (_fork(child) if _usable_cpus() > 1 else nullcontext()) as forked:
+        values, cut_idx = _join(forked) if forked else _coarse_shard(channel, blocks, p_z_values)
+        rows = _starts(values, config.coarse_grid_steps)
         if trace_path is not None:
             text = _trace_text(channel, blocks, p_z_values, values, cut_idx)
-        # Starts without a child are refined here; the children's follow, in start order.
-        refined = [*map(refine, rows[:len(rows) - len(pids)]),
-                   *(_join(children, pid) for pid in pids)]
+        # The child refines every second start, the calling process the rest.
+        mine = rows[0::2] if forked else rows
+        refined = dict(zip(mine, refine(values, mine)))
+        refined.update(zip(rows[1::2], _join(forked)) if forked else ())
         # The first maximum in start order wins.
-        point, _ = max(refined, key=lambda result: result[1])
+        point, _ = max(map(refined.get, rows), key=lambda result: result[1])
         final = [point[k] for k in PARAM_NAMES]
         best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
         value = float(best[0])
@@ -596,7 +595,7 @@ def optimize_pass(
                 "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n", text,
                 "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value),
             ]))
-        # Children still exiting do so while the scalar path runs.
+        # A child still exiting does so while the scalar path runs.
         return params, evaluate_params(pass_geometry, hardware, security, n_decoys, params)
 
 
@@ -647,7 +646,8 @@ def pointwise_asymptotic_profile(
         rates = rate(eta, *rows.T)
         idx = int(np.argmax(rates))
         start = dict(zip(PARAM_NAMES, rows[idx].tolist()))
-        _, best = _refine(lambda xs: rate(eta, *xs.T), start, float(rates[idx]), n_decoys, config)
+        [(_, best)] = _lockstep(lambda xs: rate(eta, *xs.T),
+                                [_refine(start, float(rates[idx]), n_decoys, config)])
         profile.append((t_s, best))
     return profile
 

@@ -72,8 +72,9 @@ def corpus() -> dict:
 
 def reference_search(scenario, pass_geometry):
     """Key length of the reference search on one pass: the best of the
-    refinements from the REFERENCE_STARTS best coarse rows, the first
-    maximum in rank order, evaluated as optimize_pass evaluates its point."""
+    refinements from the REFERENCE_STARTS best coarse rows, refined in
+    lockstep, the first maximum in rank order, evaluated as optimize_pass
+    evaluates its point."""
     hardware, n_decoys = scenario.hardware(), scenario.n_decoys
     config = replace(scenario.optimizer, coarse_grid_steps=REFERENCE_STEPS,
                      refine_iterations=REFERENCE_PASSES, rel_tolerance=REFERENCE_TOLERANCE)
@@ -81,14 +82,15 @@ def reference_search(scenario, pass_geometry):
     blocks = optimizer._coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*optimizer.P_Z_BOX, REFERENCE_STEPS)
     values, _ = optimizer._coarse_shard(channel, blocks, p_z_values)
-    best_point, best_value = None, -np.inf
+    searches = []
     for row in np.argsort(-values, kind="stable")[:REFERENCE_STARTS].tolist():
         block, j = divmod(row, len(p_z_values))
         start = dict(zip(optimizer.PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-        point, value = optimizer._refine(
-            lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0],
-            start, float(values[row]), n_decoys, config,
-        )
+        searches.append(optimizer._refine(start, float(values[row]), n_decoys, config))
+    best_point, best_value = None, -np.inf
+    for point, value in optimizer._lockstep(
+        lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0], searches
+    ):
         if value > best_value:
             best_point, best_value = point, value
     final = [best_point[k] for k in optimizer.PARAM_NAMES]
