@@ -39,26 +39,26 @@ that differ mostly in nu, and starts from distinct nu indices reach more of
 them than the best rows alone. The result is the first maximum over the
 refined starts, in start order.
 
-When the calling process may run on more than one CPU, it forks one child
-with os.fork right after the pass set-up. The child evaluates the coarse
-grid and pipes back its values and cut indices, then refines every second
-start and pipes back their results. The calling process reads the grid,
-picks the same starts, formats the trace rows and refines the other starts,
-so the chosen parameters and the trace are the same on any number of CPUs;
-on one CPU it does all of this itself. A whole pickled message is the only
-sign of the child's success that is read, and the child is killed, if still
-running, and reaped when the pass ends. The child runs only elementwise
+When the calling process may run on more than one CPU, it keeps one worker,
+forked at its first such pass, and pipes it each pass's channel, blocks, p_z
+values, decoy count and config; the worker pipes back the grid's values and
+cut indices, then the refined results of every second start. The calling
+process reads the grid, picks the same starts, formats the trace rows and
+refines the other starts, so the chosen parameters and the trace are the
+same on any number of CPUs; on one CPU it does it all. Only a whole pickled
+message counts as the worker's success. A failed pass or the process's exit
+kills and reaps the worker; a process forked later forks its own. The worker
+ignores SIGINT, exits when its task pipe closes, and runs only elementwise
 numpy code, never BLAS, whose thread pool a fork does not carry over.
 """
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import pickle
 import signal
 import traceback
-from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import BinaryIO
@@ -100,8 +100,8 @@ class OptimizerError(ValueError):
 
 
 class SearchWorkerError(RuntimeError):
-    """Raised when the forked optimizer child cannot start, fails or sends
-    an incomplete result: an internal error, not invalid input."""
+    """Raised when the optimizer worker cannot start, has exited, fails or
+    sends an incomplete result: an internal error, not invalid input."""
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,9 @@ class OptimizerConfig:
     rel_tolerance: float = 1e-2
 
     def __post_init__(self) -> None:
-        if self.coarse_grid_steps < 2:
-            raise OptimizerError(f"coarse_grid_steps must be >= 2, got {self.coarse_grid_steps}")
+        # Two decoys make g**5 rows; 16 steps, 1M rows and ~0.2 GB, keep a typo from exhausting memory.
+        if not 2 <= self.coarse_grid_steps <= 16:
+            raise OptimizerError(f"coarse_grid_steps must be within [2, 16], got {self.coarse_grid_steps}")
         if self.refine_iterations < 0:
             raise OptimizerError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
         if not self.rel_tolerance > 0:
@@ -483,54 +484,88 @@ def _trace_text(channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarra
     return "\n".join(parts + [""])  # one copy, ending in a newline
 
 
+def _refine_starts(channel, blocks, p_z_values, n_decoys, config, values, rows) -> list[tuple[dict, float]]:
+    """(point, value) of each coarse row of rows, whose values are values, refined in lockstep."""
+    searches = []
+    for row in rows:
+        block, j = divmod(row, len(p_z_values))
+        start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
+        searches.append(_refine(start, float(values[row]), n_decoys, config))
+    return _lockstep(lambda xs: channel.objective(xs[:, :4], xs[:, 4:])[0], searches)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where os.fork is missing."""
     forks = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
     return len(os.sched_getaffinity(0)) if forks else 1
 
 
-@contextmanager
-def _fork(messages) -> Iterator[tuple[int, BinaryIO]]:
-    """Run the generator function messages in a forked child, which writes
-    each message it yields to a pipe, pickled after its length in 8 bytes,
-    and leaves through os._exit once the last is written; yields (pid, read
-    end) for _join. When the block exits, normally or not, the child is
-    killed, if it is still running, and reaped: the one place that ends it."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise SearchWorkerError(f"cannot fork an optimizer worker: {exc}") from exc
-    if pid == 0:
-        status = 1
+_worker = None  # (owner pid, pid, task pipe, result pipe) of this process's worker
+
+
+def _write(pipe: BinaryIO, message) -> None:
+    """Write message to the unbuffered pipe, pickled after its length in 8 bytes."""
+    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    data = memoryview(len(payload).to_bytes(8, "little") + payload)
+    while data:  # a write may take only part of it
+        data = data[pipe.write(data):]
+
+
+def _send(task: tuple) -> tuple[int, BinaryIO]:
+    """Write task to this process's worker, forked if it has none; (pid, result pipe) for _join."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        _stop_worker()  # a parent's worker is left running
+        (task_read, task_write), (result_read, result_write) = os.pipe(), os.pipe()
         try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for message in messages():
-                    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-                    pipe.write(len(payload).to_bytes(8, "little") + payload)
-                    pipe.flush()
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-    os.close(write_fd)
+            pid = os.fork()
+        except OSError as exc:
+            for fd in (task_read, task_write, result_read, result_write):
+                os.close(fd)
+            raise SearchWorkerError(f"cannot fork an optimizer worker: {exc}") from exc
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(task_write)
+                os.close(result_read)
+                with open(task_read, "rb") as tasks, open(result_write, "wb", buffering=0) as results:
+                    while header := tasks.read(8):  # until the task pipe ends
+                        job = pickle.loads(tasks.read(int.from_bytes(header, "little")))
+                        _write(results, grid := _coarse_shard(*job[:3]))
+                        rows = _starts(grid[0], job[4].coarse_grid_steps)[1::2]
+                        _write(results, _refine_starts(*job, grid[0], rows))
+                os._exit(0)
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(1)
+        os.close(task_read)
+        os.close(result_write)
+        _worker = (os.getpid(), pid, open(task_write, "wb", buffering=0), open(result_read, "rb"))
     try:
-        with open(read_fd, "rb") as pipe:
-            yield pid, pipe
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        _write(_worker[2], task)
+    except BrokenPipeError as exc:
+        raise SearchWorkerError(f"optimizer worker {_worker[1]} has exited") from exc
+    return _worker[1], _worker[3]
 
 
-def _join(child: tuple[int, BinaryIO]):
-    """The next message of the forked child (pid, pipe), read whole without
-    waiting for the child to exit. A missing or truncated pickle means the
-    child failed."""
-    pid, pipe = child
+@atexit.register
+def _stop_worker() -> None:
+    """Kill and reap this process's worker; of a parent's, close only this process's copies of its pipes."""
+    global _worker
+    if _worker is not None:
+        if _worker[0] == os.getpid():
+            os.kill(_worker[1], signal.SIGKILL)
+            os.waitpid(_worker[1], 0)
+        _worker[2].close()
+        _worker[3].close()
+    _worker = None
+
+
+def _join(worker: tuple[int, BinaryIO]):
+    """The next message of the worker (pid, result pipe), read whole. A
+    missing or truncated pickle means the worker failed."""
+    pid, pipe = worker
     payload = pipe.read(int.from_bytes(pipe.read(8), "little"))
     try:
         return pickle.loads(payload)
@@ -557,46 +592,36 @@ def optimize_pass(
     """
     config = config or OptimizerConfig()
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
-    blocks = _coarse_blocks(config, n_decoys)
-    p_z_values = np.linspace(*P_Z_BOX, config.coarse_grid_steps)
-
-    def refine(values: np.ndarray, rows: list[int]) -> list[tuple[dict, float]]:
-        searches = []
-        for row in rows:
-            block, j = divmod(row, len(p_z_values))
-            start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-            searches.append(_refine(start, float(values[row]), n_decoys, config))
-        return _lockstep(lambda xs: channel.objective(xs[:, :4], xs[:, 4:])[0], searches)
-
-    def child():
-        yield (grid := _coarse_shard(channel, blocks, p_z_values))
-        yield refine(grid[0], _starts(grid[0], config.coarse_grid_steps)[1::2])
-
-    with (_fork(child) if _usable_cpus() > 1 else nullcontext()) as forked:
-        values, cut_idx = _join(forked) if forked else _coarse_shard(channel, blocks, p_z_values)
+    blocks, p_z_values = _coarse_blocks(config, n_decoys), np.linspace(*P_Z_BOX, config.coarse_grid_steps)
+    task = (channel, blocks, p_z_values, n_decoys, config)
+    try:
+        worker = _send(task) if _usable_cpus() > 1 else None
+        values, cut_idx = _join(worker) if worker else _coarse_shard(channel, blocks, p_z_values)
         rows = _starts(values, config.coarse_grid_steps)
         if trace_path is not None:
             text = _trace_text(channel, blocks, p_z_values, values, cut_idx)
-        # The child refines every second start, the calling process the rest.
-        mine = rows[0::2] if forked else rows
-        refined = dict(zip(mine, refine(values, mine)))
-        refined.update(zip(rows[1::2], _join(forked)) if forked else ())
-        # The first maximum in start order wins.
-        point, _ = max(map(refined.get, rows), key=lambda result: result[1])
-        final = [point[k] for k in PARAM_NAMES]
-        best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
-        value = float(best[0])
-        # A whole-degree cut may lie below the station's own cut; every cut up
-        # to the lowest sample keeps the same samples, so report the station's.
-        cut = max(float(channel.cuts[best_cut[0]]), pass_geometry.min_elevation_deg)
-        params = ParamVector(*final, min_elevation_deg=cut)
-        if trace_path is not None:
-            Path(trace_path).write_text("".join([
-                "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n", text,
-                "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value),
-            ]))
-        # A child still exiting does so while the scalar path runs.
-        return params, evaluate_params(pass_geometry, hardware, security, n_decoys, params)
+        # The worker refines every second start, the calling process the rest.
+        mine = rows[0::2] if worker else rows
+        refined = dict(zip(mine, _refine_starts(*task, values, mine)))
+        refined.update(zip(rows[1::2], _join(worker)) if worker else ())
+    except BaseException:
+        _stop_worker()  # its pipe may hold messages of this pass
+        raise
+    # The first maximum in start order wins.
+    point, _ = max(map(refined.get, rows), key=lambda result: result[1])
+    final = [point[k] for k in PARAM_NAMES]
+    best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
+    value = float(best[0])
+    # A whole-degree cut may lie below the station's own cut; every cut up
+    # to the lowest sample keeps the same samples, so report the station's.
+    cut = max(float(channel.cuts[best_cut[0]]), pass_geometry.min_elevation_deg)
+    params = ParamVector(*final, min_elevation_deg=cut)
+    if trace_path is not None:
+        Path(trace_path).write_text("".join([
+            "stage,mu,nu,p_mu,p_nu,p_z,min_elevation_deg,skl_real\n", text,
+            "final,%r,%r,%r,%r,%r,%r,%r\n" % (*astuple(params), value),
+        ]))
+    return params, evaluate_params(pass_geometry, hardware, security, n_decoys, params)
 
 
 def evaluate_params(

@@ -3,9 +3,12 @@ import csv
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,20 +289,33 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def fresh_worker():
+    """No optimizer worker when the test starts, so that its first pass on
+    more than one CPU forks one that inherits the test's patches, and none
+    after it, so that no later test meets a worker that carries them."""
+    optimizer._stop_worker()
+    yield
+    optimizer._stop_worker()
+
+
+@pytest.mark.usefixtures("fresh_worker")
 class TestShardedCoarseSearch:
-    """On more than one CPU, one forked child evaluates the coarse grid and
-    refines every second start; the calling process refines the others."""
+    """On more than one CPU, the process's one worker evaluates the coarse
+    grid and refines every second start; the calling process refines the
+    others. The worker is forked at the first such pass and kept."""
 
     @staticmethod
-    def run(snspd, coarse_pass, trace):
+    def run(snspd, coarse_pass, trace, config=FAST):
         params, result = optimize_pass(
-            coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=trace
+            coarse_pass, snspd.hardware(), snspd.security, snspd.n_decoys, config, trace_path=trace
         )
         return repr((params, result)), trace.read_bytes()
 
     def test_output_bytes_do_not_depend_on_cpu_count(self, snspd, coarse_pass, tmp_path, monkeypatch):
         assert FAST.coarse_grid_steps >= START_COUNT
         default = self.run(snspd, coarse_pass, tmp_path / "default.csv")
+        optimizer._stop_worker()
         _assert_no_child_left()
 
         def no_fork():
@@ -310,19 +326,21 @@ class TestShardedCoarseSearch:
             m.setattr(os, "fork", no_fork)
             one_cpu = self.run(snspd, coarse_pass, tmp_path / "one.csv")
         assert one_cpu == default
+        forks = TestTraceWriter.counted_forks(monkeypatch)
         for cpus in ({0, 1}, {0, 1, 2}):
-            with monkeypatch.context() as m:
-                forks = TestTraceWriter.counted_forks(m, cpus)
-                assert self.run(snspd, coarse_pass, tmp_path / "many.csv") == default
-            assert len(forks) == 1
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(cpus))
+            assert self.run(snspd, coarse_pass, tmp_path / "many.csv") == default
+        assert len(forks) == 1
+        optimizer._stop_worker()
         _assert_no_child_left()
 
     @pytest.mark.parametrize("fault", ["raises", "exits_silently", "truncated"])
     def test_failed_worker_raises_internal_error(self, fault, snspd, coarse_pass, tmp_path, monkeypatch):
-        """A child that fails while it evaluates the coarse grid, exits
+        """A worker that fails while it evaluates the coarse grid, exits
         without sending it or sends part of it fails the search with an
         error that is not a ValueError, so the CLI does not report it as
-        invalid input, formats no trace rows and writes no trace."""
+        invalid input, formats no trace rows, writes no trace and leaves no
+        worker behind."""
         forks = TestTraceWriter.counted_forks(monkeypatch)
         formatted = _count_trace_text(monkeypatch)
         _inject_child_fault(monkeypatch, fault, "grid")
@@ -337,19 +355,162 @@ class TestShardedCoarseSearch:
 
     def test_failure_in_calling_process_reaps_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
         """An interrupt while the calling process refines its own starts
-        kills and reaps the child still refining its start."""
-        parent, refine = os.getpid(), optimizer._refine
-
-        def fails_in_parent(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return (yield from refine(*args))
-
+        kills and reaps the worker still refining its start."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(optimizer, "_refine", fails_in_parent)
+        _interrupt_calling_process(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             self.run(snspd, coarse_pass, tmp_path / "trace.csv")
         _assert_no_child_left()
+
+    def test_passes_of_different_scenarios_share_one_worker(self, tmp_path, monkeypatch):
+        """Passes of one- and two-decoy scenarios with different configs
+        run through one worker, and each gives the bytes it gives on one
+        CPU."""
+        cases = [("snspd_pol_2decoy", FAST), ("snspd_pol_1decoy", OptimizerConfig(3, 2)),
+                 ("spcm_tb_2decoy", OptimizerConfig(5, 1, 3e-2)), ("idqube_pol_1decoy", FAST)]
+
+        def run_all(tag):
+            outputs = []
+            for i, (name, config) in enumerate(cases):
+                scenario = load_bundled_scenario(name)
+                pass_geometry = synth_pass(scenario.orbit, scenario.station, sample_dt_s=5.0)
+                outputs.append(self.run(scenario, pass_geometry, tmp_path / f"{tag}{i}.csv", config))
+            return outputs
+
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_usable_cpus", lambda: 1)
+            serial = run_all("one")
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        assert run_all("two") == serial
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failure", ["worker", "interrupt"])
+    def test_pass_after_a_failed_one_forks_a_new_worker(self, failure, snspd, coarse_pass, tmp_path,
+                                                        monkeypatch):
+        """After a pass that fails in the worker, or is interrupted in the
+        calling process, the next pass forks a new worker and gives the
+        bytes a pass gives on one CPU."""
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_usable_cpus", lambda: 1)
+            expected = self.run(snspd, coarse_pass, tmp_path / "one.csv")
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        with monkeypatch.context() as m:
+            if failure == "worker":
+                _inject_child_fault(m, "raises", "grid")
+            else:
+                _interrupt_calling_process(m)
+            with pytest.raises(SearchWorkerError if failure == "worker" else KeyboardInterrupt):
+                self.run(snspd, coarse_pass, tmp_path / "failed.csv")
+        _assert_no_child_left()
+        assert self.run(snspd, coarse_pass, tmp_path / "next.csv") == expected
+        assert len(forks) == 2
+
+    def test_worker_killed_between_passes_fails_the_next_pass(self, snspd, coarse_pass, tmp_path,
+                                                              monkeypatch):
+        """A worker that died between passes fails the next pass with an
+        error that names it, and the pass after that forks a new worker."""
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        first = self.run(snspd, coarse_pass, tmp_path / "first.csv")
+        os.kill(forks[0], signal.SIGKILL)
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        with pytest.raises(SearchWorkerError, match=f"worker {forks[0]} has exited"):
+            self.run(snspd, coarse_pass, tmp_path / "second.csv")
+        _assert_no_child_left()
+        assert self.run(snspd, coarse_pass, tmp_path / "third.csv") == first
+        assert len(forks) == 2
+
+    def test_worker_ignores_interrupts(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A SIGINT that reaches the worker between passes, as a terminal's
+        ^C reaches the whole process group, leaves it serving."""
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        first = self.run(snspd, coarse_pass, tmp_path / "first.csv")
+        os.kill(forks[0], signal.SIGINT)
+        time.sleep(0.2)
+        assert self.run(snspd, coarse_pass, tmp_path / "second.csv") == first
+        assert len(forks) == 1
+
+    def test_worker_exits_when_its_task_pipe_closes(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A worker whose owner is gone without stopping it, here one whose
+        task pipe the owner closes, exits by itself, with status 0."""
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        self.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        _, pid, tasks, results = optimizer._worker
+        tasks.close()
+        deadline = time.monotonic() + 10.0
+        while (ended := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        results.close()
+        optimizer._worker = None
+        if ended == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert ended[0] == forks[0]
+        assert os.waitstatus_to_exitcode(ended[1]) == 0
+
+    def test_process_forked_later_starts_its_own_worker(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """A process forked after the worker started forks a worker of its
+        own for its passes, and neither writes to nor stops the parent's,
+        which still serves the parent."""
+        fork = os.fork
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        first = self.run(snspd, coarse_pass, tmp_path / "parent.csv")
+
+        def in_child(body):
+            pid = fork()
+            if pid == 0:
+                status = 1
+                try:
+                    body()
+                    status = 0
+                finally:
+                    os._exit(status)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+        def own_pass():
+            assert self.run(snspd, coarse_pass, tmp_path / "child.csv") == first
+            assert optimizer._worker[:2] == (os.getpid(), forks[1])
+            optimizer._stop_worker()
+
+        for body in (own_pass, optimizer._stop_worker):  # the latter as a child's exit runs it
+            in_child(body)
+            os.kill(forks[0], 0)
+        assert self.run(snspd, coarse_pass, tmp_path / "parent2.csv") == first
+        assert len(forks) == 1
+
+
+def test_worker_ends_with_the_process_that_forked_it():
+    """A process that ran a pass on two CPUs and exits leaves no worker
+    running: its exit kills and reaps the worker, whose pid it prints."""
+    script = "\n".join([
+        "import os",
+        "from satqkd import optimizer",
+        "from satqkd.orbit import synth_pass",
+        "from satqkd.scenario import load_bundled_scenario",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "s = load_bundled_scenario('snspd_pol_2decoy')",
+        "config = optimizer.OptimizerConfig(coarse_grid_steps=4, refine_iterations=1)",
+        "optimizer.optimize_pass(synth_pass(s.orbit, s.station, 5.0), s.hardware(), s.security, 2, config)",
+        "print(optimizer._worker[1])",
+    ])
+    src = str(Path(optimizer.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    pid = int(done.stdout)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def _interrupt_calling_process(monkeypatch):
+    """Make _refine raise KeyboardInterrupt in the calling process; the
+    worker refines as before."""
+    parent, refine = os.getpid(), optimizer._refine
+
+    def fails_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return (yield from refine(*args))
+
+    monkeypatch.setattr(optimizer, "_refine", fails_in_parent)
 
 
 def _count_trace_text(monkeypatch) -> list[int]:
@@ -386,13 +547,14 @@ def _inject_child_fault(monkeypatch, fault, stage):
         monkeypatch.setattr(pickle, "dumps", truncating_dumps)
 
 
+@pytest.mark.usefixtures("fresh_worker")
 class TestTraceWriter:
     """The calling process formats the trace once, whatever the CPU count;
-    the child only evaluates the coarse grid and refines."""
+    the worker only evaluates the coarse grid and refines."""
 
     @staticmethod
-    def counted_forks(monkeypatch, cpus=frozenset({0, 1})) -> list[int]:
-        """The pids of the children forked from here on, with cpus usable."""
+    def counted_forks(monkeypatch) -> list[int]:
+        """The pids of the children forked from here on, with two CPUs usable."""
         forks: list[int] = []
         fork = os.fork
 
@@ -402,7 +564,7 @@ class TestTraceWriter:
                 forks.append(pid)
             return pid
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
 
@@ -460,7 +622,8 @@ class TestTraceWriter:
 
     def test_untraced_call_formats_no_trace_rows(self, snspd, coarse_pass, tmp_path, monkeypatch):
         """A call without a trace formats no trace rows, in any process, and
-        a traced call forks no more children than an untraced one."""
+        a traced call forks no more workers than an untraced one: it reuses
+        the worker, which carries the patch that fails on formatting."""
 
         def no_trace_text(*args):
             raise AssertionError("an untraced call must not format trace rows")
@@ -473,14 +636,15 @@ class TestTraceWriter:
         traced = optimize_pass(
             coarse_pass, snspd.hardware(), snspd.security, 2, FAST, trace_path=tmp_path / "t.csv"
         )
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert repr(untraced) == repr(traced)
+        optimizer._stop_worker()
         _assert_no_child_left()
 
     def test_pass_does_not_wait_for_children_to_exit(self, snspd, coarse_pass, tmp_path, monkeypatch):
-        """A child that has sent its whole result but lingers before it
-        exits, here for 20 s, holds up neither the result nor the trace:
-        the call reads the result and ends the child when the pass ends."""
+        """A worker that has sent its whole result stays for the next pass
+        and holds up neither the result nor the trace; stopping it kills it
+        rather than waiting for it to exit, here in 20 s."""
         parent, exit_ = os.getpid(), os._exit
 
         def lingering_exit(status):
@@ -492,6 +656,8 @@ class TestTraceWriter:
         monkeypatch.setattr(os, "_exit", lingering_exit)
         start = time.perf_counter()
         TestShardedCoarseSearch.run(snspd, coarse_pass, tmp_path / "trace.csv")
+        os.kill(forks[0], 0)  # still running
+        optimizer._stop_worker()
         assert time.perf_counter() - start < 10.0
         assert len(forks) == 1
         _assert_no_child_left()

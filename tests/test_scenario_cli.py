@@ -111,6 +111,7 @@ class TestScenarioValidation:
             ("security", "eps_sec", 2.0),
             ("security", "f_ec", 0.5),
             ("optimizer", "coarse_grid_steps", 1),
+            ("optimizer", "coarse_grid_steps", 60),
             ("optimizer", "rel_tolerance", 0.0),
         ],
     )
