@@ -27,9 +27,8 @@ steps from those values: the same points whatever the prediction, in under
 a fifth of the rounds. A line search depends only on the other coordinates,
 so a coordinate is not searched again until another one has moved. A run
 of rows of one (mu, nu, p_mu, p_nu) block, as a p_z line search asks for,
-takes its cut sums once, rows that all share one (mu, nu) its attenuation
-rows e^(-k eta), and with equal X and Z misalignments the X error sums are
-the Z ones. The final evaluation is one more row.
+takes its cut sums once, and with equal X and Z misalignments the X error
+sums are the Z ones. The final evaluation is one more row.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -40,16 +39,17 @@ them than the best rows alone. The result is the first maximum over the
 refined starts, in start order.
 
 When the calling process may run on more than one CPU, it keeps one worker,
-forked at its first such pass, and pipes it each pass's channel, blocks, p_z
-values, decoy count and config; the worker pipes back the grid's values and
-cut indices, then the refined results of every second start. The calling
-process reads the grid, picks the same starts, formats the trace rows and
-refines the other starts, so the chosen parameters and the trace are the
-same on any number of CPUs; on one CPU it does it all. Only a whole pickled
-message counts as the worker's success. A failed pass or the process's exit
-kills and reaps the worker; a process forked later forks its own. The worker
-ignores SIGINT, exits when its task pipe closes, and runs only elementwise
-numpy code, never BLAS, whose thread pool a fork does not carry over.
+forked at its first such pass, that runs each call it is piped, a function
+of this module by name with its arguments, and pipes back the result. A
+pass makes two calls: the coarse grid, from which the calling process picks
+the starts, then the refinement of every second start, while the calling
+process formats the trace rows and refines the others. So the chosen
+parameters and the trace are the same on any number of CPUs, and one CPU
+does it all. Only a whole pickled message counts as the worker's success.
+A failed pass or the process's exit kills and reaps the worker; a process
+forked later forks its own. The worker ignores SIGINT, exits when its task
+pipe closes, and runs only elementwise numpy code, never BLAS, whose thread
+pool a fork does not carry over.
 """
 from __future__ import annotations
 
@@ -214,14 +214,12 @@ class _PassChannel:
         The presift rows of every block are taken once per distinct
         transmission (a pass mirrored about culmination repeats each), then
         summed over the samples in descending elevation, which gives the sums
-        of every cut at once; blocks of one (mu, nu) share e^(-k eta), and a
-        run of one block, as in a p_z line search, is presifted once."""
+        of every cut at once; a run of one block, as in a p_z line search, is
+        presifted once."""
         first = np.r_[True, (blocks[1:] != blocks[:-1]).any(axis=1)]
         if not first.all():
             return self.cut_sums(blocks[first])[:, np.cumsum(first) - 1]
         mu, nu, p_mu, p_nu = blocks.T
-        if (mu == mu[0]).all() and (nu == nu[0]).all():
-            mu, nu = mu[:1], nu[:1]
         clicks, err_z, err_x, f_dead = presift_rows(
             self.eta_unique, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
             self.template, self.detector,
@@ -394,7 +392,8 @@ def _refine(point: dict, value: float, n_decoys: int, config: OptimizerConfig):
     value). Each of SEARCH_NAMES is searched in its box to a tolerance of
     rel_tolerance times its DIM_SPAN, and a move is kept only when it raises
     value; a coordinate is skipped when no other one has moved since its last
-    search. point is the start if no move is kept, else the row that gave value."""
+    search or its box is empty, and the ascent ends when every one would be.
+    point is the start if no move is kept, else the row that gave value."""
     lo, hi = P_SUM_BOX[n_decoys]
     # A sum box of zero width holds the sum, which p_mu + p_nu can round away from.
     p_sum = point["p_mu"] + point["p_nu"] if hi > lo else lo
@@ -409,15 +408,16 @@ def _refine(point: dict, value: float, n_decoys: int, config: OptimizerConfig):
     for _ in range(config.refine_iterations):
         for dim in SEARCH_NAMES:
             lo, hi = _box(dim, at, n_decoys)
-            if hi <= lo or dim in stale:
-                continue
-            x, fx = yield from _golden_max(lambda xs: rows(dim, xs), lo, hi,
-                                           config.rel_tolerance * DIM_SPAN[dim], (at[dim], value))
-            if fx > value:
-                point = dict(zip(PARAM_NAMES, rows(dim, [x])[0].tolist()))
-                at[dim], value = x, fx
-                stale.clear()
+            if hi > lo and dim not in stale:
+                x, fx = yield from _golden_max(lambda xs: rows(dim, xs), lo, hi,
+                                               config.rel_tolerance * DIM_SPAN[dim], (at[dim], value))
+                if fx > value:
+                    point = dict(zip(PARAM_NAMES, rows(dim, [x])[0].tolist()))
+                    at[dim], value = x, fx
+                    stale.clear()
             stale.add(dim)
+        if len(stale) == len(SEARCH_NAMES):  # a box can change only when a coordinate moves
+            break
     return point, value
 
 
@@ -484,13 +484,9 @@ def _trace_text(channel: _PassChannel, blocks: np.ndarray, p_z_values: np.ndarra
     return "\n".join(parts + [""])  # one copy, ending in a newline
 
 
-def _refine_starts(channel, blocks, p_z_values, n_decoys, config, values, rows) -> list[tuple[dict, float]]:
-    """(point, value) of each coarse row of rows, whose values are values, refined in lockstep."""
-    searches = []
-    for row in rows:
-        block, j = divmod(row, len(p_z_values))
-        start = dict(zip(PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-        searches.append(_refine(start, float(values[row]), n_decoys, config))
+def _refine_starts(channel, starts, n_decoys, config) -> list[tuple[dict, float]]:
+    """(point, value) of each start (point, value), refined in lockstep."""
+    searches = [_refine(point, value, n_decoys, config) for point, value in starts]
     return _lockstep(lambda xs: channel.objective(xs[:, :4], xs[:, 4:])[0], searches)
 
 
@@ -511,8 +507,8 @@ def _write(pipe: BinaryIO, message) -> None:
         data = data[pipe.write(data):]
 
 
-def _send(task: tuple) -> tuple[int, BinaryIO]:
-    """Write task to this process's worker, forked if it has none; (pid, result pipe) for _join."""
+def _send(call: tuple) -> tuple[int, BinaryIO]:
+    """Write call (name, *args) to this process's worker, forked if need be; (pid, result pipe) for _join."""
     global _worker
     if _worker is None or _worker[0] != os.getpid():
         _stop_worker()  # a parent's worker is left running
@@ -530,10 +526,8 @@ def _send(task: tuple) -> tuple[int, BinaryIO]:
                 os.close(result_read)
                 with open(task_read, "rb") as tasks, open(result_write, "wb", buffering=0) as results:
                     while header := tasks.read(8):  # until the task pipe ends
-                        job = pickle.loads(tasks.read(int.from_bytes(header, "little")))
-                        _write(results, grid := _coarse_shard(*job[:3]))
-                        rows = _starts(grid[0], job[4].coarse_grid_steps)[1::2]
-                        _write(results, _refine_starts(*job, grid[0], rows))
+                        name, *args = pickle.loads(tasks.read(int.from_bytes(header, "little")))
+                        _write(results, globals()[name](*args))
                 os._exit(0)
             except BaseException:
                 traceback.print_exc()
@@ -543,7 +537,7 @@ def _send(task: tuple) -> tuple[int, BinaryIO]:
         os.close(result_write)
         _worker = (os.getpid(), pid, open(task_write, "wb", buffering=0), open(result_read, "rb"))
     try:
-        _write(_worker[2], task)
+        _write(_worker[2], call)
     except BrokenPipeError as exc:
         raise SearchWorkerError(f"optimizer worker {_worker[1]} has exited") from exc
     return _worker[1], _worker[3]
@@ -593,22 +587,26 @@ def optimize_pass(
     config = config or OptimizerConfig()
     channel = _PassChannel(pass_geometry, hardware, security, n_decoys)
     blocks, p_z_values = _coarse_blocks(config, n_decoys), np.linspace(*P_Z_BOX, config.coarse_grid_steps)
-    task = (channel, blocks, p_z_values, n_decoys, config)
     try:
-        worker = _send(task) if _usable_cpus() > 1 else None
+        worker = _send(("_coarse_shard", channel, blocks, p_z_values)) if _usable_cpus() > 1 else None
         values, cut_idx = _join(worker) if worker else _coarse_shard(channel, blocks, p_z_values)
         rows = _starts(values, config.coarse_grid_steps)
+        block, j = np.divmod(rows, len(p_z_values))
+        points = np.column_stack([blocks[block], p_z_values[j]]).tolist()
+        starts = [(dict(zip(PARAM_NAMES, point)), float(values[row])) for point, row in zip(points, rows)]
+        # The worker refines every second start, the calling process the rest.
+        if worker:
+            _send(("_refine_starts", channel, starts[1::2], n_decoys, config))
         if trace_path is not None:
             text = _trace_text(channel, blocks, p_z_values, values, cut_idx)
-        # The worker refines every second start, the calling process the rest.
-        mine = rows[0::2] if worker else rows
-        refined = dict(zip(mine, _refine_starts(*task, values, mine)))
-        refined.update(zip(rows[1::2], _join(worker)) if worker else ())
+        refined = _refine_starts(channel, starts[0::2] if worker else starts, n_decoys, config)
+        for i, result in enumerate(_join(worker) if worker else ()):
+            refined.insert(2 * i + 1, result)  # back in start order
     except BaseException:
         _stop_worker()  # its pipe may hold messages of this pass
         raise
     # The first maximum in start order wins.
-    point, _ = max(map(refined.get, rows), key=lambda result: result[1])
+    point, _ = max(refined, key=lambda result: result[1])
     final = [point[k] for k in PARAM_NAMES]
     best, best_cut = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
     value = float(best[0])

@@ -353,6 +353,56 @@ class TestShardedCoarseSearch:
         assert not trace.exists()
         _assert_no_child_left()
 
+    def test_worker_that_exits_between_calls_fails_the_pass(self, snspd, coarse_pass, tmp_path,
+                                                            monkeypatch):
+        """A worker that exits after it has sent the coarse grid, before it
+        reads the refinement call, fails the pass with an error that names
+        it, whether the call or the read of its result meets the exit, writes
+        no trace and leaves no child; the next pass forks a new worker."""
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_usable_cpus", lambda: 1)
+            expected = self.run(snspd, coarse_pass, tmp_path / "one.csv")
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        parent, write = os.getpid(), optimizer._write
+
+        def write_then_exit(pipe, message):
+            write(pipe, message)
+            if os.getpid() != parent:
+                os._exit(0)
+
+        trace = tmp_path / "failed.csv"
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_write", write_then_exit)
+            with pytest.raises(SearchWorkerError) as info:
+                self.run(snspd, coarse_pass, trace)
+        assert str(info.value).startswith((f"optimizer worker {forks[0]} has exited",
+                                           f"optimizer worker {forks[0]} sent an incomplete result"))
+        assert not trace.exists()
+        _assert_no_child_left()
+        assert self.run(snspd, coarse_pass, tmp_path / "next.csv") == expected
+        assert len(forks) == 2
+
+    def test_only_the_calling_process_picks_starts(self, snspd, coarse_pass, tmp_path, monkeypatch):
+        """The calling process picks the starts once per pass and sends the
+        worker those it refines; a pass on two CPUs gives the bytes of one."""
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_usable_cpus", lambda: 1)
+            expected = self.run(snspd, coarse_pass, tmp_path / "one.csv")
+        parent, starts, calls = os.getpid(), optimizer._starts, []
+
+        def starts_in_parent(*args):
+            if os.getpid() != parent:
+                raise AssertionError("the worker must not pick starts")
+            calls.append(1)
+            return starts(*args)
+
+        forks = TestTraceWriter.counted_forks(monkeypatch)
+        monkeypatch.setattr(optimizer, "_starts", starts_in_parent)
+        assert self.run(snspd, coarse_pass, tmp_path / "two.csv") == expected
+        assert self.run(snspd, coarse_pass, tmp_path / "two.csv") == expected
+        assert len(forks) == 1
+        assert len(calls) == 2
+
     def test_failure_in_calling_process_reaps_workers(self, snspd, coarse_pass, tmp_path, monkeypatch):
         """An interrupt while the calling process refines its own starts
         kills and reaps the worker still refining its start."""
@@ -1149,9 +1199,8 @@ def reference_cut_sums(channel, blocks):
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_cut_sums_match_per_sample_reference(name, one_sided, data):
-    """cut_sums presifts each distinct transmission once, shares the
-    attenuation rows of one (mu, nu) and presifts a run of one block once,
-    with the bits of presifting every sample of every block."""
+    """cut_sums presifts each distinct transmission once and a run of one
+    block once, with the bits of presifting every sample of every block."""
     channel = one_sided_channel(name) if one_sided else bundled_channel(name)
     blocks = data.draw(cut_sum_blocks(channel.n_decoys))
     got = channel.cut_sums(blocks)
@@ -1230,17 +1279,25 @@ def test_refine_skips_only_searches_that_repeat(problem):
 @pytest.mark.parametrize("n_decoys, active", [(1, 4), (2, 5)])
 def test_refine_without_a_gain_searches_each_coordinate_once(n_decoys, active, monkeypatch):
     """An objective that never beats the start costs one line search per
-    coordinate with a box of nonzero width, over 4 passes."""
-    searches = []
-    line_search = optimizer._golden_max
+    coordinate with a box of nonzero width, and the ascent ends after the
+    pass that kept no move, however many passes the config allows."""
+    searches, boxes = [], []
+    line_search, box = optimizer._golden_max, optimizer._box
+
+    def counted_box(*args):
+        boxes.append(1)
+        assert len(boxes) <= 2 * len(optimizer.SEARCH_NAMES), "a pass after one that kept no move"
+        return box(*args)
+
     monkeypatch.setattr(optimizer, "_golden_max",
                         lambda *args: searches.append(1) or line_search(*args))
+    monkeypatch.setattr(optimizer, "_box", counted_box)
     start = dict(zip(optimizer.PARAM_NAMES, (0.5, 0.1, 0.6, 0.3 if n_decoys == 2 else 0.4, 0.9)))
     row = np.array([[start[k] for k in optimizer.PARAM_NAMES]])
 
     def peaked_at_start(rows):
         return -((rows - row) ** 2).sum(axis=1)
 
-    config = OptimizerConfig(refine_iterations=4)
+    config = OptimizerConfig(refine_iterations=10**6)
     assert alone(peaked_at_start, optimizer._refine(start, 0.0, n_decoys, config)) == (start, 0.0)
     assert len(searches) == active

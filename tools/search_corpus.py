@@ -82,17 +82,13 @@ def reference_search(scenario, pass_geometry):
     blocks = optimizer._coarse_blocks(config, n_decoys)
     p_z_values = np.linspace(*optimizer.P_Z_BOX, REFERENCE_STEPS)
     values, _ = optimizer._coarse_shard(channel, blocks, p_z_values)
-    searches = []
+    starts = []
     for row in np.argsort(-values, kind="stable")[:REFERENCE_STARTS].tolist():
         block, j = divmod(row, len(p_z_values))
         start = dict(zip(optimizer.PARAM_NAMES, (*blocks[block].tolist(), float(p_z_values[j]))))
-        searches.append(optimizer._refine(start, float(values[row]), n_decoys, config))
-    best_point, best_value = None, -np.inf
-    for point, value in optimizer._lockstep(
-        lambda rows: channel.objective(rows[:, :4], rows[:, 4:])[0], searches
-    ):
-        if value > best_value:
-            best_point, best_value = point, value
+        starts.append((start, float(values[row])))
+    refined = optimizer._refine_starts(channel, starts, n_decoys, config)
+    best_point, _ = max(refined, key=lambda result: result[1])
     final = [best_point[k] for k in optimizer.PARAM_NAMES]
     _, cut_idx = channel.objective(np.array([final[:4]]), np.array([final[4:]]))
     cut = max(float(channel.cuts[cut_idx[0]]), pass_geometry.min_elevation_deg)
