@@ -5,9 +5,9 @@ a pulse of intensity k clicks with probability D_k = 1 - (1 - Y0) e^(-k eta)
 and errs with probability e_k = (Y0/2 + e_mis (1 - e^(-k eta))) / D_k,
 where eta includes the detector efficiency and Y0 collects dark and
 background counts. These expressions live in `_wcp` alone; `presift_rows`
-is the single array kernel over eta that every expected-value path (the
-pass tallies, the fixed-eta block, the optimizer's per-cut sums and the
-asymptotic rate) derives from.
+is the single array kernel over eta, behind the asymptotic rate and
+`leading_sums`, the one sum of expected counts over a pass: the pass and
+fixed-eta tallies and the optimizer's per-cut sums are all its sums.
 
 A seeded count-level Monte Carlo sampler with true photon-number
 bookkeeping serves as the validation oracle: exact multinomial splits over
@@ -36,6 +36,7 @@ TALLY_FIELDS = (
 # Monte Carlo ground truth: detections (s) and errors (m) per basis, tagged
 # with the photon number n = 0 or 1 the emitting pulse actually carried.
 TRUTH_FIELDS = ("s_z0", "s_z1", "s_x0", "s_x1", "m_z0", "m_z1", "m_x0", "m_x1")
+_X_AS_Z = np.r_[0:6, 3:6]  # leading_sums rows: clicks, Z errors, Z errors as the X ones
 
 
 class ChannelError(ValueError):
@@ -272,21 +273,44 @@ def _check_breakdowns(pass_geometry: PassGeometry, breakdowns: np.recarray) -> N
         )
 
 
-def _summed_tallies(eta_total: np.ndarray, pulses_per_sample: float, source: SourceSpec, det: DetectorSpec) -> TallySet:
-    """Expected counts summed over samples of pulses_per_sample pulses each."""
-    clicks, err_z, err_x, f_dead = presift_rows(
-        eta_total, source.signal_intensity, source.decoy_intensity,
-        source.p_mu, source.p_nu, source.p_vac, source, det,
-    )
-    weight = pulses_per_sample * f_dead
-    rows = sifted_rows(
-        (clicks * weight).sum(axis=-1), (err_z * weight).sum(axis=-1),
-        (err_x * weight).sum(axis=-1), source.p_z_alice, source.p_z_bob,
-    )
-    return TallySet(
-        n_sent=float(pulses_per_sample * len(eta_total)),
-        **{name: float(value) for name, value in rows.items()},
-    )
+def descending_samples(elevations: np.ndarray, eta_total: np.ndarray, cuts: np.ndarray):
+    """A pass's eta_total in descending elevation (the stable ascending order
+    reversed), its distinct values, each sample's index among them, and per
+    cut the count of leading samples it keeps: those of elevation >= the cut."""
+    order = np.argsort(elevations, kind="stable")
+    eta_sorted = eta_total[order[::-1]]
+    kept = len(elevations) - np.searchsorted(elevations[order], cuts, side="left")
+    return (eta_sorted, *np.unique(eta_sorted, return_inverse=True), kept)
+
+
+def leading_sums(eta_unique, eta_inverse, kept, mu, nu, p_mu, p_nu, p_vac,
+                 pulses_per_sample: float, source: SourceSpec, det: DetectorSpec) -> np.ndarray:
+    """Presift rows (of presift_rows' other arguments) summed over the kept
+    >= 1 leading samples of each cut, of pulses_per_sample pulses: shape (9,
+    *mu's shape, len(kept)), clicks, Z errors and X errors over (mu, nu, vac).
+    Each distinct transmission is presifted once (a pass mirrored about
+    culmination repeats each), equal misalignments reuse the Z error rows as
+    the X ones, and one running sum in descending elevation gives every cut."""
+    clicks, err_z, err_x, f_dead = presift_rows(eta_unique, mu, nu, p_mu, p_nu, p_vac, source, det)
+    shared = err_x is err_z
+    per_eta = np.concatenate([clicks, err_z] if shared else [clicks, err_z, err_x])
+    per_eta *= pulses_per_sample * f_dead
+    # Column i of the running sum is the sum over the i + 1 highest samples.
+    per_sample = per_eta.take(eta_inverse, axis=-1)
+    sums = np.cumsum(per_sample, axis=-1, out=per_sample)[..., kept - 1]
+    return sums[_X_AS_Z] if shared else sums
+
+
+def _cut_tallies(elevations, eta_total, cut: float, pulses_per_sample: float,
+                 source: SourceSpec, det: DetectorSpec) -> TallySet:
+    """Expected counts of the source over the samples the elevation cut keeps."""
+    _, eta_unique, eta_inverse, kept = descending_samples(elevations, eta_total, np.array([cut]))
+    if not kept[0]:
+        return TallySet()
+    sums = leading_sums(eta_unique, eta_inverse, kept, source.signal_intensity, source.decoy_intensity,
+                        source.p_mu, source.p_nu, source.p_vac, pulses_per_sample, source, det)[:, 0]
+    rows = sifted_rows(sums[0:3], sums[3:6], sums[6:9], source.p_z_alice, source.p_z_bob)
+    return TallySet(n_sent=float(pulses_per_sample * kept[0]), **{k: float(v) for k, v in rows.items()})
 
 
 def expected_tallies(
@@ -302,16 +326,11 @@ def expected_tallies(
         n_b_k += rate * dt * p_k * p_sift(b) * D_k * f_dead
         m_b_k += e_k(b) * (that contribution)
     with f_dead = 1 / (1 + R_click * tau_dead) evaluated from the total
-    (pre-sifting) click rate of the sample.
+    (pre-sifting) click rate of the sample, summed by leading_sums.
     """
     _check_breakdowns(pass_geometry, breakdowns)
-    keep = pass_geometry.samples.elevation_deg >= min_elevation_deg
-    if not keep.any():
-        return TallySet()
-    return _summed_tallies(
-        breakdowns.eta[keep] * det.efficiency,
-        source.pulse_rate_hz * pass_geometry.sample_dt_s, source, det,
-    )
+    return _cut_tallies(pass_geometry.samples.elevation_deg, breakdowns.eta * det.efficiency,
+                        min_elevation_deg, source.pulse_rate_hz * pass_geometry.sample_dt_s, source, det)
 
 
 def expected_tallies_fixed_eta(
@@ -320,8 +339,12 @@ def expected_tallies_fixed_eta(
     source: SourceSpec,
     det: DetectorSpec,
 ) -> TallySet:
-    """Expected counts for a static channel block of n_pulses at fixed eta."""
-    return _summed_tallies(np.array([eta_channel * det.efficiency]), n_pulses, source, det)
+    """Expected counts for a static channel block of n_pulses at fixed eta, one sample."""
+    if not 0.0 <= eta_channel <= 1.0:
+        raise ChannelError(f"eta_channel must be finite and in [0, 1], got {eta_channel}")
+    if not 0.0 <= n_pulses < np.inf:
+        raise ChannelError(f"n_pulses must be finite and >= 0, got {n_pulses}")
+    return _cut_tallies(np.zeros(1), np.array([eta_channel * det.efficiency]), 0.0, n_pulses, source, det)
 
 
 def monte_carlo_tallies(

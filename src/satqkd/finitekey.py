@@ -579,8 +579,8 @@ def asymptotic_skr(
 ) -> float:
     """Asymptotic secure-key rate per emitted pulse of the source at channel
     transmission eta (detector efficiency excluded); see asymptotic_rate."""
-    if not eta >= 0:
-        raise FiniteKeyError(f"eta must be >= 0, got {eta}")
+    if not 0.0 <= eta <= 1.0:
+        raise FiniteKeyError(f"eta must be finite and in [0, 1], got {eta}")
     if eta == 0:
         return 0.0
     return float(

@@ -14,9 +14,8 @@ first cut keeps every sample and every cut keeps one.
 For speed, the coarse (mu, nu, p_mu, p_nu) blocks form one array that is
 evaluated one chunk of CHUNK_BLOCKS blocks at a time, from cut sums to row
 maxima. A row of the grid is one block with one p_z value, a cell one row at
-one cut. Per chunk, the detection statistics of every block, taken once per
-distinct transmission, are summed over the samples in descending elevation
-into every cut's tallies, and the finite-key kernel runs on every cell.
+one cut. Per chunk, channel.leading_sums gives every block's tallies at
+every cut, and the finite-key kernel runs on every cell.
 The refinement's line searches and passes are generators that yield the
 rows they need and receive their values; _lockstep drives the starts
 together, one kernel call per round on the rows of every live search, each
@@ -27,8 +26,8 @@ steps from those values: the same points whatever the prediction, in under
 a fifth of the rounds. A line search depends only on the other coordinates,
 so a coordinate is not searched again until another one has moved. A run
 of rows of one (mu, nu, p_mu, p_nu) block, as a p_z line search asks for,
-takes its cut sums once, and with equal X and Z misalignments the X error
-sums are the Z ones. The final evaluation is one more row.
+takes its cut sums once. The final evaluation is one more row, and the
+scalar path's tallies at its cut are that row's, bit for bit.
 
 The starts are the best rows, each its first maximum in grid order, of
 the START_COUNT nu grid indices whose best rows rank highest by value, ties
@@ -65,7 +64,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .channel import DetectorSpec, SourceSpec, expected_tallies, presift_rows, sifted_rows
+from .channel import DetectorSpec, SourceSpec, descending_samples, expected_tallies, leading_sums, sifted_rows
 from .finitekey import SecurityParams, SklResult, asymptotic_rate, skl_from_tallies, skl_real_arrays
 from .linkbudget import AtmosphereModel, ReceiverSpec, TransmitterSpec, compute_breakdowns
 from .orbit import GroundStation, OrbitSpec, PassGeometry, synth_pass
@@ -92,7 +91,6 @@ DIM_SPAN = {"mu": MU_BOX[1] - MU_BOX[0], "nu": MU_BOX[1] - NU_MIN,
             "p_z": P_Z_BOX[1] - P_Z_BOX[0]}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_X_AS_Z = np.r_[0:6, 3:6]  # cut_sums rows: clicks, Z errors, Z errors as the X ones
 
 
 class OptimizerError(ValueError):
@@ -177,8 +175,7 @@ def source_with_params(template: SourceSpec, params: ParamVector, n_decoys: int)
 
 
 class _PassChannel:
-    """Per-pass precomputation: elevation-sorted transmissions, the cut
-    grid and the suffix-sum bookkeeping shared by all candidate evaluations."""
+    """Per-pass precomputation: the cut grid and the pass's descending_samples over it."""
 
     def __init__(self, pass_geometry: PassGeometry, hardware: HardwareStack,
                  security: SecurityParams, n_decoys: int):
@@ -192,45 +189,25 @@ class _PassChannel:
         breakdowns = compute_breakdowns(
             pass_geometry, hardware.transmitter, hardware.receiver, hardware.atmosphere
         )
-        order = np.argsort(elevations, kind="stable")
-        # Samples in descending elevation (the stable ascending order
-        # reversed), so that a forward running sum gives every cut's tallies.
-        self.eta_sorted = breakdowns.eta[order[::-1]] * hardware.detector.efficiency
-        self.eta_unique, self.eta_inverse = np.unique(self.eta_sorted, return_inverse=True)
         self.pulses_per_sample = hardware.source.pulse_rate_hz * pass_geometry.sample_dt_s
         # The whole degrees from the lowest sample, rounded down, to the
         # highest: a lower cut keeps the same samples as the first and a
         # higher one none. Ties go to the first, a cut the station can use.
         self.cuts = np.arange(math.floor(elevations.min()), math.floor(elevations.max()) + 1.0)
-        # cut_kept[j] >= 1: number of samples with elevation >= cut j, the
-        # leading run of the descending order
-        self.cut_kept = len(elevations) - np.searchsorted(elevations[order], self.cuts, side="left")
+        self.eta_sorted, self.eta_unique, self.eta_inverse, self.cut_kept = descending_samples(
+            elevations, breakdowns.eta * hardware.detector.efficiency, self.cuts)
 
     def cut_sums(self, blocks: np.ndarray) -> np.ndarray:
-        """Presift rows of (mu, nu, p_mu, p_nu) blocks summed over the
-        samples each cut keeps: shape (9, blocks, n_cuts), the rows being
-        clicks, Z errors and X errors, each over (mu, nu, vac).
-
-        The presift rows of every block are taken once per distinct
-        transmission (a pass mirrored about culmination repeats each), then
-        summed over the samples in descending elevation, which gives the sums
-        of every cut at once; a run of one block, as in a p_z line search, is
-        presifted once."""
+        """leading_sums of (mu, nu, p_mu, p_nu) blocks over every cut: shape
+        (9, blocks, n_cuts). A run of one block, as in a p_z line search, is
+        summed once."""
         first = np.r_[True, (blocks[1:] != blocks[:-1]).any(axis=1)]
         if not first.all():
             return self.cut_sums(blocks[first])[:, np.cumsum(first) - 1]
         mu, nu, p_mu, p_nu = blocks.T
-        clicks, err_z, err_x, f_dead = presift_rows(
-            self.eta_unique, mu, nu, p_mu, p_nu, _p_vac(p_mu, p_nu, self.n_decoys),
-            self.template, self.detector,
-        )
-        shared = err_x is err_z  # equal misalignments: the X error rows are the Z ones
-        per_eta = np.concatenate([clicks, err_z] if shared else [clicks, err_z, err_x])
-        per_eta *= self.pulses_per_sample * f_dead
-        # Column k of the running sum is the sum over the k + 1 highest samples.
-        per_sample = per_eta.take(self.eta_inverse, axis=-1)
-        sums = np.cumsum(per_sample, axis=-1, out=per_sample)[..., self.cut_kept - 1]
-        return sums[_X_AS_Z] if shared else sums
+        return leading_sums(self.eta_unique, self.eta_inverse, self.cut_kept, mu, nu, p_mu, p_nu,
+                            _p_vac(p_mu, p_nu, self.n_decoys), self.pulses_per_sample,
+                            self.template, self.detector)
 
     def skl_chunk(self, blocks: np.ndarray, p_z_values: np.ndarray) -> np.ndarray:
         """Unfloored key length of (mu, nu, p_mu, p_nu) blocks and p_z

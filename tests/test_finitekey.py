@@ -37,7 +37,7 @@ from satqkd.finitekey import (
 from satqkd import optimizer
 from satqkd.linkbudget import compute_breakdowns
 from satqkd.optimizer import OptimizerConfig
-from satqkd.scenario import load_bundled_scenario
+from satqkd.scenario import bundled_scenario_names, load_bundled_scenario
 
 
 class TestPrimitives:
@@ -366,6 +366,31 @@ class TestKeyLengthBehaviour:
             value = result.diagnostics["l_real"] if not result.aborted else 0.0
             assert value <= previous
             previous = value
+
+    @settings(deadline=None, max_examples=60)
+    @given(name=st.sampled_from(bundled_scenario_names()), log_eta=st.floats(-6.0, 0.0),
+           log_n=st.floats(6.0, 14.0), log_factor=st.floats(0.0, 2.0),
+           misalignments=st.lists(st.floats(0.0, 0.49), min_size=2, max_size=2))
+    def test_kernel_is_monotone_on_the_bundled_sources(self, name, log_eta, log_n, log_factor,
+                                                       misalignments):
+        """With a bundled source and detector, the key of a fixed-eta block
+        does not fall as n or eta rises, and l_real does not rise as an equal
+        X and Z misalignment rises. The key is l_real floored at 0: below 0,
+        l_real is a deficit, which the error-correction leakage of a larger
+        block deepens."""
+        scenario = load_bundled_scenario(name)
+
+        def l_real(eta, n, source=scenario.source):
+            tallies = expected_tallies_fixed_eta(eta, n, source, scenario.detector)
+            return skl_from_tallies(tallies, source, scenario.security).diagnostics["l_real"]
+
+        eta, n, factor = 10.0**log_eta, 10.0**log_n, 10.0**log_factor
+        key = max(l_real(eta, n), 0.0)
+        assert max(l_real(eta, factor * n), 0.0) >= key
+        assert max(l_real(min(factor * eta, 1.0), n), 0.0) >= key
+        low, high = (replace(scenario.source, misalignment_z=e, misalignment_x=e)
+                     for e in sorted(misalignments))
+        assert l_real(eta, n, high) <= l_real(eta, n, low)
 
     def test_huge_phase_error_aborts(self):
         tallies, source = self.make_block(1e12)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satqkd.channel import presift_rows, sifted_rows
+from satqkd.channel import TALLY_FIELDS, expected_tallies, presift_rows, sifted_rows
 from satqkd.finitekey import skl_real_arrays
 from satqkd import optimizer
 from satqkd.linkbudget import compute_breakdowns
@@ -36,7 +36,7 @@ from satqkd.optimizer import (
     sweep_max_elevation,
 )
 from satqkd.orbit import GroundStation, OrbitSpec, synth_pass
-from satqkd.scenario import load_bundled_scenario
+from satqkd.scenario import bundled_scenario_names, load_bundled_scenario
 
 FAST = OptimizerConfig(coarse_grid_steps=4, refine_iterations=1)
 
@@ -100,11 +100,17 @@ class TestOptimizePass:
         assert params.p_mu + params.p_nu <= 1.0
         assert 20.0 <= params.min_elevation_deg <= 80.0
 
-    def test_scalar_path_agrees_with_search_objective(self, snspd, coarse_pass):
-        """evaluate_params (scalar tallies) reproduces the optimizer's value."""
-        params, result = optimize_pass(coarse_pass, snspd.hardware(), snspd.security, 2, FAST)
-        again = evaluate_params(coarse_pass, snspd.hardware(), snspd.security, 2, params)
-        assert again.skl_bits == result.skl_bits
+    def test_scalar_path_agrees_with_search_objective(self, tmp_path):
+        """On every bundled scenario the reported key, from the scalar tally
+        path, is the value the search picked, the trace's final row, exactly."""
+        for name in bundled_scenario_names():
+            scenario = load_bundled_scenario(name)
+            trace = tmp_path / f"{name}.csv"
+            _, result = optimize_pass(scenario.synth_pass(), scenario.hardware(), scenario.security,
+                                      scenario.n_decoys, scenario.optimizer, trace_path=trace)
+            final = trace.read_text().splitlines()[-1].split(",")
+            assert final[0] == "final"
+            assert float(final[-1]) == result.diagnostics["l_real"], name
 
     def test_better_detector_never_hurts(self, snspd, coarse_pass):
         hardware = snspd.hardware()
@@ -755,6 +761,53 @@ class TestSweep:
         assert rows[0]["skl_bits"] < rows[1]["skl_bits"]
 
 
+def own_key(scenario, orbit=None, station=None, sample_dt_s=None, **hardware) -> float:
+    """Unfloored key of the scenario at its own protocol parameters and
+    station cut, as `skl` evaluates it, with the orbit, station, time step
+    or parts of the hardware replaced."""
+    source = scenario.source
+    params = ParamVector(source.signal_intensity, source.decoy_intensity, source.p_mu, source.p_nu,
+                         source.p_z_alice, scenario.station.min_elevation_deg)
+    pass_geometry = synth_pass(orbit or scenario.orbit, station or scenario.station,
+                               sample_dt_s or scenario.sample_dt_s)
+    result = evaluate_params(pass_geometry, replace(scenario.hardware(), **hardware),
+                             scenario.security, scenario.n_decoys, params)
+    return result.diagnostics["l_real"]
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_key_follows_the_paper_axes(name):
+    """Through the whole chain at the scenario's own parameters, the key
+    does not rise with altitude from 400 to 1000 km, does not fall with the
+    peak elevation from 35 to 90 degrees, does not rise with the dark-count
+    rate and does not fall with the receiver's primary diameter."""
+    sc = load_bundled_scenario(name)
+    diameter = sc.receiver.primary_diam_m
+    # Each axis: its keys at rising values, and the sign of the allowed trend.
+    axes = {
+        "altitude_km": ([own_key(sc, orbit=replace(sc.orbit, altitude_km=a))
+                         for a in np.linspace(400.0, 1000.0, 7)], -1),
+        "max_elevation_deg": ([own_key(sc, station=replace(sc.station, max_elevation_deg=e))
+                               for e in (35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 90.0)], 1),
+        "dark_count_rate_hz": ([own_key(sc, detector=replace(sc.detector, dark_count_rate_hz=d))
+                                for d in (0.0, 10.0, 100.0, 1e3, 1e4, 1e5)], -1),
+        "primary_diam_m": ([own_key(sc, receiver=replace(sc.receiver, primary_diam_m=f * diameter))
+                            for f in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)], 1),
+    }
+    for axis, (keys, sign) in axes.items():
+        assert np.all(sign * np.diff(keys) >= 0), (axis, keys)
+
+
+@pytest.mark.xfail(strict=True, reason="each sample weighs a full time step, also where that "
+                                       "overruns the visible arc: +0.561% at 5 s")
+def test_key_converges_as_the_time_step_shrinks():
+    """At its own parameters, snspd_pol_2decoy's key at a 5 s time step is
+    within 0.02% of its key at 0.01 s."""
+    scenario = load_bundled_scenario("snspd_pol_2decoy")
+    fine = own_key(scenario, sample_dt_s=0.01)
+    assert own_key(scenario, sample_dt_s=5.0) == pytest.approx(fine, rel=2e-4)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(OptimizerError):
         OptimizerConfig(coarse_grid_steps=1)
@@ -1207,6 +1260,28 @@ def test_cut_sums_match_per_sample_reference(name, one_sided, data):
     want = reference_cut_sums(channel, blocks)
     assert got.shape == want.shape == (9, len(blocks), len(channel.cuts))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(deadline=None, max_examples=30)
+@given(pass_geometry=generated_passes(), data=st.data())
+def test_scalar_tallies_are_the_cut_sums_column_of_their_cut(snspd, pass_geometry, data):
+    """expected_tallies at a cut of the grid is the sifted cut_sums column
+    of that cut, bit for bit, on either decoy count; at the station's own
+    cut, it is the first column, whose cut keeps every sample too."""
+    n_decoys = data.draw(st.sampled_from([1, 2]))
+    hardware = snspd.hardware()
+    channel = optimizer._PassChannel(pass_geometry, hardware, snspd.security, n_decoys)
+    mu, nu, p_mu, p_nu, p_z = optimizer._params(np.array([data.draw(search_points(n_decoys))]))[0]
+    j = data.draw(st.integers(0, len(channel.cuts) - 1))
+    cut = pass_geometry.min_elevation_deg if j == 0 else channel.cuts[j]
+    source = source_with_params(hardware.source, ParamVector(mu, nu, p_mu, p_nu, p_z, cut), n_decoys)
+    breakdowns = compute_breakdowns(pass_geometry, hardware.transmitter, hardware.receiver,
+                                    hardware.atmosphere)
+    got = expected_tallies(pass_geometry, breakdowns, source, hardware.detector, cut)
+    sums = channel.cut_sums(np.array([[mu, nu, p_mu, p_nu]]))[:, 0, j]
+    want = sifted_rows(sums[0:3], sums[3:6], sums[6:9], p_z, p_z)
+    assert np.array_equal(np.array([getattr(got, name) for name in TALLY_FIELDS]).view(np.int64),
+                          np.array([want[name] for name in TALLY_FIELDS]).view(np.int64))
 
 
 def test_bundled_pass_repeats_transmissions():

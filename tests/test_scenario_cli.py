@@ -158,24 +158,35 @@ class TestScenarioValidation:
             dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize(
-        "call,error",
+        "call,error,name",
         [
-            (lambda sc: orbit.sso_inclination(math.nan), GeometryError),
-            (lambda sc: orbit.max_ground_distance(math.nan, 20.0), GeometryError),
-            (lambda sc: orbit.coverage_and_availability(math.nan), GeometryError),
-            (lambda sc: orbit.synth_pass(sc.orbit, sc.station, sample_dt_s=math.nan), GeometryError),
-            (lambda sc: linkbudget.atmospheric_loss(45.0, math.nan), LinkBudgetError),
+            (lambda sc: orbit.sso_inclination(math.nan), GeometryError, "altitude_km"),
+            (lambda sc: orbit.max_ground_distance(math.nan, 20.0), GeometryError, "altitude_km"),
+            (lambda sc: orbit.coverage_and_availability(math.nan), GeometryError, "altitude_km"),
+            (lambda sc: orbit.synth_pass(sc.orbit, sc.station, sample_dt_s=math.nan), GeometryError,
+             "sample_dt_s"),
+            (lambda sc: linkbudget.atmospheric_loss(45.0, math.nan), LinkBudgetError, "zenith_loss_db"),
             (lambda sc: channel.background_yield(
-                dataclasses.replace(sc.detector, gate_width_ns=None), math.nan), ChannelError),
-            (lambda sc: finitekey.asymptotic_skr(math.nan, sc.source, sc.detector, sc.security),
-             FiniteKeyError),
+                dataclasses.replace(sc.detector, gate_width_ns=None), math.nan), ChannelError,
+             "pulse_rate_hz"),
+            *[(lambda sc, eta=eta: finitekey.asymptotic_skr(eta, sc.source, sc.detector, sc.security),
+               FiniteKeyError, "eta") for eta in (math.nan, math.inf, 2.0)],
+            *[(lambda sc, eta=eta: channel.expected_tallies_fixed_eta(eta, 1e9, sc.source, sc.detector),
+               ChannelError, "eta_channel") for eta in (math.nan, math.inf, -0.1, 2.0)],
+            *[(lambda sc, n=n: channel.expected_tallies_fixed_eta(1e-3, n, sc.source, sc.detector),
+               ChannelError, "n_pulses") for n in (math.nan, math.inf, -1e9)],
         ],
         ids=["sso_inclination", "max_ground_distance", "coverage_and_availability", "synth_pass",
-             "atmospheric_loss", "background_yield", "asymptotic_skr"],
+             "atmospheric_loss", "background_yield", "asymptotic_skr", "asymptotic_skr_inf",
+             "asymptotic_skr_above_1", "fixed_eta_nan", "fixed_eta_inf", "fixed_eta_negative",
+             "fixed_eta_above_1", "fixed_eta_n_pulses_nan", "fixed_eta_n_pulses_inf",
+             "fixed_eta_n_pulses_negative"],
     )
-    def test_nan_argument_rejected(self, call, error):
-        """The library functions' own range checks fail closed on NaN too."""
-        with pytest.raises(error):
+    def test_nan_argument_rejected(self, call, error, name):
+        """The library functions' own range checks fail closed on NaN too,
+        and on an infinite or out-of-range transmission or pulse count, and
+        name the argument."""
+        with pytest.raises(error, match=name):
             call(load_bundled_scenario("snspd_pol_2decoy"))
 
     def test_missing_field_rejected(self, snspd_doc):
